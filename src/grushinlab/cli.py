@@ -12,18 +12,18 @@ import argparse
 import json
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .geometry import build_grid
 from .integrator import build_initial_condition
-from .linalg import SolverError, smallest_eigenpair
+from .linalg import SolverError
 from .nonlinearity import (check_blowup_hypothesis, check_f_positive,
                            check_global_hypothesis)
 from .operators import assemble_grushin
-from .runner import (ConfigError, _hyp_dict, parse_config, run_experiment,
-                     run_sweep)
+from .runner import (SWEEP_AXES, ConfigError, _eigenpair, parse_config,
+                     run_experiment, run_sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,24 +36,16 @@ def _emit(payload) -> None:
 
 def _cmd_eig(cfg, args) -> int:
     grid = build_grid(cfg.domain, cfg.cells)
-    A = assemble_grushin(grid, cfg.space)
-    eig = smallest_eigenpair(A, tol=cfg.eigen_tol, max_iter=cfg.eigen_max_iter,
-                             cg_tol=cfg.eigen_cg_tol,
-                             cell_volume=grid.cell_volume)
+    eig = _eigenpair(cfg, grid, assemble_grushin(grid, cfg.space))
     _emit({"lambda1": eig.lambda1, "residual": eig.residual,
            "iterations": eig.iterations})
     return EXIT_OK
 
 
-def _cmd_simulate(cfg, args) -> int:
-    # Simulation and diagnostics only: strip the theorem machinery.
-    rpt = run_experiment(replace(cfg, mode="free"), out_dir=args.out,
-                         dump_matrix=args.dump_matrix)
-    _emit(rpt.to_dict())
-    return EXIT_RUNTIME if rpt.failure is not None else EXIT_OK
-
-
-def _cmd_verify(cfg, args) -> int:
+def _cmd_experiment(cfg, args) -> int:
+    if args.command == "simulate":
+        # Simulation and diagnostics only: strip the theorem machinery.
+        cfg = replace(cfg, mode="free")
     rpt = run_experiment(cfg, out_dir=args.out, dump_matrix=args.dump_matrix)
     _emit(rpt.to_dict())
     return EXIT_RUNTIME if rpt.failure is not None else EXIT_OK
@@ -63,23 +55,17 @@ def _cmd_check_hypothesis(cfg, args) -> int:
     grid = build_grid(cfg.domain, cfg.cells)
     phi1 = None
     if cfg.initial.kind == "phi1":
-        A = assemble_grushin(grid, cfg.space)
-        phi1 = smallest_eigenpair(A, tol=cfg.eigen_tol,
-                                  max_iter=cfg.eigen_max_iter,
-                                  cg_tol=cfg.eigen_cg_tol,
-                                  cell_volume=grid.cell_volume).phi1
+        phi1 = _eigenpair(cfg, grid, assemble_grushin(grid, cfg.space)).phi1
     u0 = build_initial_condition(grid, cfg.space, cfg.initial, phi1=phi1)
     u_max = cfg.umax_factor * float(np.abs(u0).max())
     f_ok, f_bad = check_f_positive(cfg.nonlinearity, u_max,
                                    cfg.hypothesis_samples)
+    sampled = (cfg.nonlinearity, cfg.alpha, cfg.beta, cfg.theta, u_max,
+               cfg.hypothesis_samples)
     _emit({
         "u_max": u_max,
-        "blowup": _hyp_dict(check_blowup_hypothesis(
-            cfg.nonlinearity, cfg.alpha, cfg.beta, cfg.theta, u_max,
-            cfg.hypothesis_samples)),
-        "global": _hyp_dict(check_global_hypothesis(
-            cfg.nonlinearity, cfg.alpha, cfg.beta, cfg.theta, u_max,
-            cfg.hypothesis_samples)),
+        "blowup": asdict(check_blowup_hypothesis(*sampled)),
+        "global": asdict(check_global_hypothesis(*sampled)),
         "f_positive": {"ok": f_ok, "first_nonpositive_u": f_bad},
     })
     return EXIT_OK
@@ -124,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="repeat verify over one parameter")
     common(sweep)
     sweep.add_argument("--axis", required=True,
-                       choices=["gamma", "alpha", "beta", "theta", "amplitude"])
+                       choices=SWEEP_AXES)
     sweep.add_argument("--values", required=True,
                        help="comma-separated parameter values")
     return parser
@@ -132,8 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "eig": _cmd_eig,
-    "simulate": _cmd_simulate,
-    "verify": _cmd_verify,
+    "simulate": _cmd_experiment,
+    "verify": _cmd_experiment,
     "check-hypothesis": _cmd_check_hypothesis,
     "sweep": _cmd_sweep,
 }

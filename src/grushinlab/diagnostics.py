@@ -54,16 +54,13 @@ class EnergyTracker:
     """
 
     def __init__(self, grid: Grid, space: GrushinSpace, nl: Nonlinearity,
-                 theta: float = 0.0, M: float = 0.0,
-                 keep_states: bool = False) -> None:
+                 theta: float = 0.0, M: float = 0.0) -> None:
         self.grid = grid
         self.space = space
         self.nl = nl
         self.theta = float(theta)
         self.M = float(M)
         self.records: list[EnergyRecord] = []
-        self.keep_states = keep_states
-        self.states: list[tuple[float, np.ndarray]] = []
 
     def __call__(self, state) -> None:
         if self.records and state.t == self.records[-1].t:
@@ -83,8 +80,6 @@ class EnergyTracker:
             t=float(state.t), dt=float(state.dt), l2=l2, grad=grad,
             calE=calE, calF=calF, supnorm=float(np.abs(u).max()),
             min_u=float(u.min()), E=E))
-        if self.keep_states:
-            self.states.append((float(state.t), u.copy()))
 
 
 def _times(records) -> np.ndarray:

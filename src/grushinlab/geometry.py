@@ -138,12 +138,6 @@ class Grid:
         """Sample ``fn(*coords)`` at every interior node, flattened."""
         return np.asarray(fn(*self.meshgrid()), dtype=float).ravel()
 
-    def flat_index(self, multi: tuple[int, ...]) -> int:
-        return int(np.ravel_multi_index(multi, self.shape))
-
-    def multi_index(self, flat: int) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.unravel_index(flat, self.shape))
-
 
 def build_grid(domain: BoxDomain, cells_per_axis) -> Grid:
     """Construct the interior-node grid for a box.

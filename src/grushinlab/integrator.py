@@ -173,8 +173,7 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
 
 
 def run(grid: Grid, space: GrushinSpace, A: SparseMatrix, nl: Nonlinearity,
-        u0: np.ndarray, cfg: SimConfig, observer=None, theta: float = 0.0,
-        M: float = 0.0):
+        u0: np.ndarray, cfg: SimConfig, observer=None):
     """March from u0 until t_end, blow-up, or failure.
 
     The observer (an :class:`EnergyTracker` by default) is invoked at t = 0,
@@ -182,7 +181,7 @@ def run(grid: Grid, space: GrushinSpace, A: SparseMatrix, nl: Nonlinearity,
     Returns ``(final_state, records)``.
     """
     if observer is None:
-        observer = EnergyTracker(grid, space, nl, theta=theta, M=M)
+        observer = EnergyTracker(grid, space, nl)
     u0 = np.asarray(u0, dtype=float)
     if u0.size != grid.N:
         raise ValueError(f"u0 has {u0.size} values, grid has {grid.N} nodes")

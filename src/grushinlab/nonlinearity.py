@@ -190,16 +190,14 @@ class Power:
 
 @dataclass(frozen=True, eq=False)
 class Expression:
-    """Parsed source term; antiderivative values are quadratures, cached per u."""
+    """Parsed source term; antiderivative values are quadratures."""
 
     text: str
     ast: tuple = field(repr=False)
-    _F_cache: dict = field(default_factory=dict, repr=False)
 
     def __init__(self, text: str) -> None:
         object.__setattr__(self, "text", text)
         object.__setattr__(self, "ast", _Parser(text).parse())
-        object.__setattr__(self, "_F_cache", {})
         f0 = _eval_ast(self.ast, np.array([0.0]))[0]
         if not np.isfinite(f0) or abs(f0) > 1e-12:
             raise ValueError(
@@ -317,18 +315,8 @@ def F_values(nl: Nonlinearity, u: np.ndarray) -> np.ndarray:
 
 
 def eval_F(nl: Nonlinearity, u: float) -> float:
-    """Antiderivative at one point; adaptive Simpson on [0, u] for Expression
-    variants with absolute tolerance 1e-10, cached per u."""
-    u = float(u)
-    if isinstance(nl, Power):
-        return float(F_values(nl, np.asarray(u)))
-    cached = nl._F_cache.get(u)
-    if cached is not None:
-        return cached
-    fun = lambda x: _eval_ast(nl.ast, x)
-    val = float(_simpson_batch(fun, np.array([0.0]), np.array([u]), 1e-10)[0])
-    nl._F_cache[u] = val
-    return val
+    """Antiderivative at one point, the scalar case of :func:`F_values`."""
+    return float(F_values(nl, np.array([float(u)]))[0])
 
 
 # --- hypothesis checks --------------------------------------------------------

@@ -63,9 +63,6 @@ class SparseMatrix:
         return SparseMatrix(self.n, self.indptr.copy(), self.indices.copy(),
                             -self.values, symmetric=self.symmetric)
 
-    def to_dense(self) -> np.ndarray:
-        return self._csr.toarray()
-
 
 def apply(A: SparseMatrix, u: np.ndarray) -> np.ndarray:
     """Matrix-vector product A @ u."""

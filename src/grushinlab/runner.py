@@ -318,20 +318,6 @@ def decide_verdict(mode: str, hypotheses_met: bool, sim_status: str,
             else "InconsistencyFlag")
 
 
-def _hyp_dict(rep: HypothesisReport | None):
-    if rep is None:
-        return None
-    return {
-        "holds": rep.holds,
-        "worst_margin": rep.worst_margin,
-        "scale_at_argmin": rep.scale_at_argmin,
-        "argmin_u": rep.argmin_u,
-        "u_range": list(rep.u_range),
-        "samples": rep.samples,
-        "constraint_violations": list(rep.constraint_violations),
-    }
-
-
 @dataclass(eq=False)
 class TheoremReport:
     """Everything the pipeline measured, plus the verdict.
@@ -407,10 +393,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             stage = "assemble"
             A = assemble_grushin(grid, cfg.space)
             stage = "eigenvalue"
-            eig = smallest_eigenpair(A, tol=cfg.eigen_tol,
-                                     max_iter=cfg.eigen_max_iter,
-                                     cg_tol=cfg.eigen_cg_tol,
-                                     cell_volume=grid.cell_volume)
+            eig = _eigenpair(cfg, grid, A)
             rpt.lambda1 = eig.lambda1
             stage = "initial-condition"
             u0 = build_initial_condition(grid, cfg.space, cfg.initial,
@@ -420,7 +403,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             rpt.F0 = compute_F_functional(grid, cfg.space, cfg.nonlinearity,
                                           cfg.theta, u0)
             rpt.I0 = l2_norm_sq(grid, u0) + grushin_energy(grid, cfg.space, u0)
-            rpt.decay_rate = 2.0 - cfg.alpha
+            if cfg.mode == "global":
+                rpt.decay_rate = 2.0 - cfg.alpha
 
             stage = "hypothesis"
             u_max_pre = cfg.umax_factor * sup0
@@ -434,7 +418,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                     f"f(u) <= 0 at u = {f_bad:g}; both theorems assume "
                     "positivity, so conclusions may not transfer")
             hyp0 = _check_hypothesis(cfg, u_max_pre)
-            rpt.hypothesis_initial = _hyp_dict(hyp0)
+            rpt.hypothesis_initial = hyp0 and dataclasses.asdict(hyp0)
 
             stage = "constraints"
             constraints, constraints_ok = _check_constraints(cfg, eig.lambda1,
@@ -453,8 +437,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             stage = "simulate"
             tracker = EnergyTracker(grid, cfg.space, cfg.nonlinearity,
                                     theta=cfg.theta, M=rpt.M or 0.0)
-            final, records = run(grid, cfg.space, A, cfg.nonlinearity, u0,
-                                 cfg.sim, observer=tracker)
+            # The tracker fills this list in place, so a march that raises
+            # still leaves its records for the CSV and the plot.
+            records = tracker.records
+            final, _ = run(grid, cfg.space, A, cfg.nonlinearity, u0, cfg.sim,
+                           observer=tracker)
             rpt.sim = {
                 "status": final.status,
                 "t_final": final.t,
@@ -468,13 +455,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             stage = "recheck-hypothesis"
             observed = max((r.supnorm for r in records), default=sup0)
             hyp1 = _check_hypothesis(cfg, max(observed, sup0))
-            rpt.hypothesis_trajectory = _hyp_dict(hyp1)
+            rpt.hypothesis_trajectory = hyp1 and dataclasses.asdict(hyp1)
             hypotheses_met = bool(premises and (hyp1 is None or hyp1.holds))
             rpt.hypotheses_met = None if cfg.mode == "free" else hypotheses_met
 
             stage = "certify"
-            rpt.margins = _certify(cfg, records, final.status, rpt.sigma,
-                                   rpt.M)
+            rpt.margins = _certify(records, final.status, rpt.sigma, rpt.M,
+                                   rpt.decay_rate)
 
             stage = "verdict"
             rpt.verdict = decide_verdict(
@@ -491,7 +478,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
         rpt.verdict = None
 
     if out_dir is not None:
-        stage = "emit"
         os.makedirs(out_dir, exist_ok=True)
         if records:
             write_csv(records, os.path.join(out_dir, cfg.output.csv))
@@ -503,6 +489,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                   newline="") as fh:
             fh.write(rpt.to_json())
     return rpt
+
+
+def _eigenpair(cfg: ExperimentConfig, grid, A):
+    """First eigenpair of the assembled operator under the config's
+    ``eigen`` settings."""
+    return smallest_eigenpair(A, tol=cfg.eigen_tol,
+                              max_iter=cfg.eigen_max_iter,
+                              cg_tol=cfg.eigen_cg_tol,
+                              cell_volume=grid.cell_volume)
 
 
 def _check_hypothesis(cfg: ExperimentConfig, u_max: float):
@@ -550,8 +545,8 @@ def _check_constraints(cfg: ExperimentConfig, lambda1: float,
     return cons, all(c["ok"] for c in cons)
 
 
-def _certify(cfg: ExperimentConfig, records, status: str,
-             sigma: float | None, M: float | None) -> dict:
+def _certify(records, status: str, sigma: float | None, M: float | None,
+             decay_rate: float | None) -> dict:
     cert = certified_records(records, status)
     out = {
         "certified_count": len(cert),
@@ -572,10 +567,9 @@ def _certify(cfg: ExperimentConfig, records, status: str,
         scale = max(1.0, float(((1.0 + sigma) * calE ** 2).max()))
         out.update(concavity=conc, concavity_scale=scale,
                    concavity_ok=bool(conc >= -CERT_RTOL * scale))
-    if cfg.mode == "global" and len(cert) >= 1 and cert[0].calE > 0.0:
-        rate = 2.0 - cfg.alpha
-        dm = decay_margin(cert, rate)
-        out.update(decay=dm, decay_rate=rate,
+    if decay_rate is not None and len(cert) >= 1 and cert[0].calE > 0.0:
+        dm = decay_margin(cert, decay_rate)
+        out.update(decay=dm, decay_rate=decay_rate,
                    decay_ok=bool(dm <= 1.0 + DECAY_MARGIN_TOL))
     return out
 

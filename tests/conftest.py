@@ -39,17 +39,24 @@ def eigenmode_run(unit16):
 
     The semi-discrete solution is exactly e^{-lam t/(1+lam)} phi1, so this
     one trajectory backs every decay, E-series and monotonicity check.
-    States are kept for difference-quotient identities.
+    The state behind each record is kept for difference-quotient identities.
     """
     zero = parse_expression("0*u")
     cfg = SimConfig(t_end=1.0, dt_init=1e-4, dt_min=1e-4, dt_max=1e-4,
                     record_every=1)
-    tracker = EnergyTracker(unit16.grid, unit16.space, zero, theta=0.0,
-                            M=0.0, keep_states=True)
-    final, records = run(unit16.grid, unit16.space, unit16.A, zero,
-                         unit16.eig.phi1.copy(), cfg, observer=tracker)
-    return SimpleNamespace(final=final, records=records,
-                           states=tracker.states, lam=unit16.lam,
+    tracker = EnergyTracker(unit16.grid, unit16.space, zero)
+    states = []
+
+    def observer(state):
+        before = len(tracker.records)
+        tracker(state)
+        if len(tracker.records) > before:
+            states.append((float(state.t), state.u.copy()))
+
+    final, _ = run(unit16.grid, unit16.space, unit16.A, zero,
+                   unit16.eig.phi1.copy(), cfg, observer=observer)
+    return SimpleNamespace(final=final, records=tracker.records,
+                           states=states, lam=unit16.lam,
                            grid=unit16.grid, space=unit16.space,
                            cfg=cfg)
 

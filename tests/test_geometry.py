@@ -114,17 +114,11 @@ class TestBuildGrid:
         assert np.allclose(grid.axis_coords(0), [-0.5, 0.0, 0.5])
         assert np.allclose(grid.axis_coords(1), [0.5, 1.0, 1.5])
 
-    def test_index_round_trip(self):
-        grid = build_grid(BoxDomain([(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]),
-                          (4, 3, 5))
-        for flat in range(grid.N):
-            assert grid.flat_index(grid.multi_index(flat)) == flat
-
     def test_nodal_values_ordering(self):
         grid = build_grid(BoxDomain([(0.0, 1.0), (0.0, 1.0)]), (4, 4))
         vals = grid.nodal_values(lambda x, y: 10.0 * x + y)
         for flat in range(grid.N):
-            i, j = grid.multi_index(flat)
+            i, j = np.unravel_index(flat, grid.shape)
             x = grid.axis_coords(0)[i]
             y = grid.axis_coords(1)[j]
             assert vals[flat] == pytest.approx(10.0 * x + y, abs=1e-14)

@@ -31,7 +31,7 @@ class TestInitialCondition:
         space, grid, _ = small_setup()
         u = build_initial_condition(grid, space,
                                     InitialCondition(kind="product_sine"))
-        center = grid.flat_index((3, 3))  # node at (0.5, 0.5)
+        center = np.ravel_multi_index((3, 3), grid.shape)  # node (0.5, 0.5)
         assert u[center] == pytest.approx(1.0)
         assert np.abs(u).max() == pytest.approx(1.0)
         assert np.all(u >= 0.0)

@@ -145,11 +145,10 @@ class TestAntiderivative:
         assert out[0, 1] == out[1, 0]
         assert out[1, 1] == 0.0
 
-    def test_repeated_point_hits_cache(self):
+    def test_matches_F_values_exactly(self):
         e = parse_expression("u^3 + u^5")
-        first = eval_F(e, 1.5)
-        second = eval_F(e, 1.5)
-        assert first == second
+        for u in (0.0, 1.5, -0.7, 3.0):
+            assert eval_F(e, u) == F_values(e, np.array([u]))[0]
 
     def test_difference_quotient_recovers_f(self):
         # Central differences of F reproduce f to 1e-6 across a point sweep.

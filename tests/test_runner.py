@@ -10,8 +10,8 @@ import pytest
 
 from grushinlab import (ConfigError, Expression, Power,
                         compute_blowup_constants, decide_verdict,
-                        parse_config, parse_config_dict, run_experiment,
-                        run_sweep)
+                        parse_config, parse_config_dict, read_csv,
+                        run_experiment, run_sweep)
 
 from oracles import blowup_constants_reference
 
@@ -226,7 +226,7 @@ class TestRunExperiment:
         assert rpt.lambda1 > 0.0
         assert rpt.sim["status"] == "completed"
         assert rpt.margins["certified_count"] >= 2
-        assert rpt.decay_rate == 2.0 - 4.0
+        assert rpt.decay_rate is None
 
     def test_f_positivity_warning_carried_not_fatal(self):
         cfg = parse_config_dict(fast_dict(nonlinearity={"expr": "0*u"}))
@@ -253,6 +253,17 @@ class TestRunExperiment:
         assert rpt.failure["stage"] == "initial-condition"
         assert rpt.verdict is None
         assert rpt.lambda1 is not None  # earlier stages already landed
+
+    def test_march_failure_keeps_partial_records(self, tmp_path):
+        # f is non-finite past u = 2, which the growing march reaches.
+        cfg = parse_config_dict(minimal_dict(
+            cells=[16, 16], nonlinearity={"expr": "100*u^3*(2-u)^0.5"},
+            hypothesis={"umax_factor": 1.0}))
+        out = tmp_path / "partial"
+        rpt = run_experiment(cfg, out_dir=str(out))
+        assert rpt.failure["stage"] == "simulate"
+        assert len(read_csv(str(out / "records.csv"))) >= 2
+        assert (out / "plot.svg").exists()
 
     def test_eigensolver_failure_reports_stage(self):
         cfg = parse_config_dict(fast_dict(eigen={"tol": 1e-14, "max_iter": 1}))
