@@ -22,9 +22,9 @@ from .nonlinearity import (DomainError, Expression, ExpressionError,
 from .integrator import (InitialCondition, SimConfig, SimState,
                          build_initial_condition, run, step)
 from .diagnostics import (EnergyRecord, EnergyTracker, certified_records,
-                          compute_E_series, compute_F_functional,
-                          concavity_margin, decay_margin, emit_svg_plot,
-                          monotonicity_margin, read_csv, write_csv)
+                          compute_E_series, concavity_margin, decay_margin,
+                          emit_svg_plot, monotonicity_margin, read_csv,
+                          write_csv)
 from .runner import (ConfigError, ExperimentConfig, TheoremReport,
                      compute_blowup_constants, decide_verdict, parse_config,
                      parse_config_dict, run_experiment, run_sweep)
@@ -44,8 +44,8 @@ __all__ = [
     "InitialCondition", "SimConfig", "SimState", "build_initial_condition",
     "run", "step",
     "EnergyRecord", "EnergyTracker", "certified_records", "compute_E_series",
-    "compute_F_functional", "concavity_margin", "decay_margin",
-    "emit_svg_plot", "monotonicity_margin", "read_csv", "write_csv",
+    "concavity_margin", "decay_margin", "emit_svg_plot",
+    "monotonicity_margin", "read_csv", "write_csv",
     "ConfigError", "ExperimentConfig", "TheoremReport",
     "compute_blowup_constants", "decide_verdict", "parse_config",
     "parse_config_dict", "run_experiment", "run_sweep",

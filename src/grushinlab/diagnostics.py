@@ -37,14 +37,6 @@ class EnergyRecord:
     E: float
 
 
-def compute_F_functional(grid: Grid, space: GrushinSpace, nl: Nonlinearity,
-                         theta: float, u: np.ndarray) -> float:
-    """calF(u) = -1/2 * grushin_energy(u) + integral of (F(u) - theta)."""
-    u = np.asarray(u, dtype=float)
-    return (-0.5 * grushin_energy(grid, space, u)
-            + integral(grid, F_values(nl, u) - theta))
-
-
 class EnergyTracker:
     """Observer that turns simulation states into :class:`EnergyRecord` rows.
 
@@ -62,15 +54,20 @@ class EnergyTracker:
         self.M = float(M)
         self.records: list[EnergyRecord] = []
 
+    def measure(self, u: np.ndarray) -> tuple[float, float, float]:
+        """(l2, grad, calF) of one state, with
+        calF = -1/2 * grad + integral of (F(u) - theta)."""
+        grad = grushin_energy(self.grid, self.space, u)
+        calF = -0.5 * grad + integral(self.grid, F_values(self.nl, u)
+                                      - self.theta)
+        return l2_norm_sq(self.grid, u), grad, calF
+
     def __call__(self, state) -> None:
         if self.records and state.t == self.records[-1].t:
             return
         u = state.u
-        l2 = l2_norm_sq(self.grid, u)
-        grad = grushin_energy(self.grid, self.space, u)
+        l2, grad, calF = self.measure(u)
         calE = l2 + grad
-        calF = compute_F_functional(self.grid, self.space, self.nl,
-                                    self.theta, u)
         if self.records:
             last = self.records[-1]
             E = last.E + 0.5 * (calE + last.calE) * (state.t - last.t)

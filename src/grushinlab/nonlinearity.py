@@ -261,7 +261,9 @@ def _simpson_batch(fun, a: np.ndarray, b: np.ndarray, tol: np.ndarray,
                 "adaptive Simpson worklist exceeded 1e6 intervals; the "
                 "integrand does not settle at the requested tolerance")
         if not np.all(np.isfinite(wS)):
-            raise QuadratureError("integrand is non-finite inside a segment")
+            i = wseg[np.argmin(np.isfinite(wS))]
+            raise QuadratureError("integrand is non-finite inside the segment "
+                                  f"[{float(a[i])}, {float(b[i])}]")
         m = 0.5 * (wa + wb)
         lm, rm = 0.5 * (wa + m), 0.5 * (m + wb)
         flm, frm = fun(lm), fun(rm)
@@ -307,7 +309,10 @@ def F_values(nl: Nonlinearity, u: np.ndarray) -> np.ndarray:
     flat = np.atleast_1d(u).ravel()
     vs = np.unique(np.concatenate([[0.0], flat]))
     fun = lambda x: _eval_ast(nl.ast, x)
-    pieces = _simpson_batch(fun, vs[:-1], vs[1:], 1e-12)
+    try:
+        pieces = _simpson_batch(fun, vs[:-1], vs[1:], 1e-12)
+    except QuadratureError as exc:
+        raise QuadratureError(f"F of expression {nl.text!r}: {exc}") from exc
     prefix = np.concatenate([[0.0], np.cumsum(pieces)])
     i0 = int(np.searchsorted(vs, 0.0))
     F_at = prefix - prefix[i0]
@@ -370,6 +375,25 @@ def _margin_report(u, margins, scales, u_max, violations=()):
         constraint_violations=tuple(violations))
 
 
+def _sign_terms(nl, alpha, beta, theta, u_max, samples):
+    """Sampled u, f(u), F(u) and the scale of the sign conditions' terms."""
+    u = sample_points(u_max, samples)
+    fu = f_values(nl, u)
+    Fu = F_values(nl, u)
+    scales = (np.abs(u * fu) + abs(beta) * u * u + abs(alpha * theta)
+              + abs(alpha) * np.abs(Fu))
+    return u, fu, Fu, scales
+
+
+def decay_ranges(alpha: float, beta: float, theta: float):
+    """(name, ok, detail) for each parameter range of the decay theorem."""
+    half = (2.0 - alpha) / 2.0
+    return (("alpha <= 0", alpha <= 0.0, f"alpha = {alpha}"),
+            ("beta >= (2-alpha)/2", beta >= half,
+             f"beta = {beta}, (2-alpha)/2 = {half}"),
+            ("theta >= 0", theta >= 0.0, f"theta = {theta}"))
+
+
 def check_blowup_hypothesis(nl: Nonlinearity, alpha: float, beta: float,
                             theta: float, u_max: float,
                             samples: int = 10_001) -> HypothesisReport:
@@ -380,12 +404,8 @@ def check_blowup_hypothesis(nl: Nonlinearity, alpha: float, beta: float,
     Parameter ranges (alpha > 2, beta bounds needing the eigenvalue) are the
     runner's business, not checked here.
     """
-    u = sample_points(u_max, samples)
-    fu = f_values(nl, u)
-    Fu = F_values(nl, u)
+    u, fu, Fu, scales = _sign_terms(nl, alpha, beta, theta, u_max, samples)
     margins = u * fu + beta * u * u + alpha * theta - alpha * Fu
-    scales = (np.abs(u * fu) + abs(beta) * u * u + abs(alpha * theta)
-              + abs(alpha) * np.abs(Fu))
     return _margin_report(u, margins, scales, u_max)
 
 
@@ -394,24 +414,14 @@ def check_global_hypothesis(nl: Nonlinearity, alpha: float, beta: float,
                             samples: int = 10_001) -> HypothesisReport:
     """Sample the decay sign condition alpha*F(u) >= u f(u) + beta u^2 + alpha*theta.
 
-    Also validates the parameter ranges alpha <= 0, beta >= (2 - alpha)/2 and
-    theta >= 0, reporting violations separately from margin failures.
+    Also validates the parameter ranges of :func:`decay_ranges`, reporting
+    violations separately from margin failures.
     """
-    violations = []
-    if not alpha <= 0.0:
-        violations.append(f"alpha <= 0 fails: alpha = {alpha}")
-    if not beta >= (2.0 - alpha) / 2.0:
-        violations.append(
-            f"beta >= (2 - alpha)/2 fails: beta = {beta}, "
-            f"(2 - alpha)/2 = {(2.0 - alpha) / 2.0}")
-    if not theta >= 0.0:
-        violations.append(f"theta >= 0 fails: theta = {theta}")
-    u = sample_points(u_max, samples)
-    fu = f_values(nl, u)
-    Fu = F_values(nl, u)
+    violations = [f"{name} fails: {detail}"
+                  for name, ok, detail in decay_ranges(alpha, beta, theta)
+                  if not ok]
+    u, fu, Fu, scales = _sign_terms(nl, alpha, beta, theta, u_max, samples)
     margins = alpha * Fu - u * fu - beta * u * u - alpha * theta
-    scales = (np.abs(u * fu) + abs(beta) * u * u + abs(alpha * theta)
-              + abs(alpha) * np.abs(Fu))
     return _margin_report(u, margins, scales, u_max, violations)
 
 
@@ -419,12 +429,15 @@ def check_f_positive(nl: Nonlinearity, u_max: float,
                      samples: int = 10_001) -> tuple[bool, float | None]:
     """Sample whether f(u) > 0 on (0, u_max]; returns (ok, first offender).
 
-    Positivity is reported, never assumed: a failing sample only annotates
-    the experiment report.
+    Positivity is reported, never assumed: a failing sample, including one
+    where f is non-finite, only annotates the experiment report.
     """
     u = sample_points(u_max, samples)
-    fu = f_values(nl, u)
-    bad = fu <= 0.0
+    try:
+        fu = f_values(nl, u)
+    except DomainError:
+        fu = _eval_ast(nl.ast, u)
+    bad = ~(np.isfinite(fu) & (fu > 0.0))
     if bad.any():
         return False, float(u[np.argmax(bad)])
     return True, None

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import Grid, GrushinSpace
+from .geometry import Grid, GrushinSpace, integral
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,15 +72,6 @@ def apply(A: SparseMatrix, u: np.ndarray) -> np.ndarray:
     return A._csr @ u
 
 
-def _from_coo(n, rows, cols, vals, symmetric):
-    coo = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    csr = coo.tocsr()
-    csr.sum_duplicates()
-    csr.sort_indices()
-    return SparseMatrix(n=n, indptr=csr.indptr, indices=csr.indices,
-                        values=csr.data, symmetric=symmetric)
-
-
 def _degenerate_weight(grid: Grid, space: GrushinSpace) -> np.ndarray:
     """Coefficient |x|^(2*gamma) per node line, broadcastable to grid.shape.
 
@@ -129,10 +120,7 @@ def assemble_grushin(grid: Grid, space: GrushinSpace) -> SparseMatrix:
         w = 1.0 if d < space.m else W
         # Both edges incident along axis d share the weight (it does not vary
         # along the edge axis), including edges into the boundary layer.
-        if d < space.m:
-            diag -= 2.0 / h2
-        else:
-            diag -= 2.0 * np.broadcast_to(W, shape) / h2
+        diag -= 2.0 * w / h2
         lo = [slice(None)] * n
         hi = [slice(None)] * n
         lo[d] = slice(None, -1)
@@ -147,8 +135,10 @@ def assemble_grushin(grid: Grid, space: GrushinSpace) -> SparseMatrix:
     cols.append(idx.ravel())
     vals.append(diag.ravel())
 
-    return _from_coo(N, np.concatenate(rows), np.concatenate(cols),
-                     np.concatenate(vals), symmetric=True)
+    csr = sp.csr_matrix((np.concatenate(vals),
+                         (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(N, N))
+    return SparseMatrix(N, csr.indptr, csr.indices, csr.data, symmetric=True)
 
 
 def grushin_energy(grid: Grid, space: GrushinSpace, u: np.ndarray) -> float:
@@ -171,16 +161,12 @@ def grushin_energy(grid: Grid, space: GrushinSpace, u: np.ndarray) -> float:
         pad[d] = (1, 1)
         D = np.diff(np.pad(U, pad), axis=d)
         pad[d] = (0, 0)
-        if d < space.m:
-            total += float((D * D).sum()) / float(grid.h[d]) ** 2
-        else:
-            total += float((np.broadcast_to(W, D.shape) * D * D).sum()) / float(grid.h[d]) ** 2
+        w = 1.0 if d < space.m else W
+        total += float((w * D * D).sum()) / float(grid.h[d]) ** 2
     return total * grid.cell_volume
 
 
 def l2_norm_sq(grid: Grid, u: np.ndarray) -> float:
     """Squared L2 norm under the rectangle rule: sum(u^2) * prod(h)."""
     u = np.asarray(u, dtype=float)
-    if u.size != grid.N:
-        raise ValueError(f"expected {grid.N} nodal values, got {u.size}")
-    return float((u * u).sum() * grid.cell_volume)
+    return integral(grid, u * u)

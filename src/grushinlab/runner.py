@@ -23,15 +23,15 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from .diagnostics import (_FIELDS, EnergyTracker, certified_records,
-                          compute_F_functional, concavity_margin, decay_margin,
-                          emit_svg_plot, monotonicity_margin, write_csv)
+                          concavity_margin, decay_margin, emit_svg_plot,
+                          monotonicity_margin, write_csv)
 from .geometry import BoxDomain, GrushinSpace, build_grid
 from .integrator import InitialCondition, SimConfig, build_initial_condition, run
 from .linalg import smallest_eigenpair
-from .nonlinearity import (HypothesisReport, Nonlinearity, Power,
-                           check_blowup_hypothesis, check_f_positive,
-                           check_global_hypothesis, parse_expression)
-from .operators import assemble_grushin, grushin_energy, l2_norm_sq
+from .nonlinearity import (Nonlinearity, Power, check_blowup_hypothesis,
+                           check_f_positive, check_global_hypothesis,
+                           decay_ranges, parse_expression)
+from .operators import assemble_grushin
 
 BLOWUP_TIME_SLACK = 1.1      # declared factor on the blow-up time bound
 DECAY_MARGIN_TOL = 1e-3      # decay envelope certification tolerance
@@ -177,6 +177,14 @@ CONFIG_SCHEMA = {
 _VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
 
 
+# Optional config keys and the ExperimentConfig fields they set when given.
+_TUNING_KEYS = (("eigen", "tol", "eigen_tol", float),
+                ("eigen", "max_iter", "eigen_max_iter", int),
+                ("eigen", "cg_tol", "eigen_cg_tol", float),
+                ("hypothesis", "samples", "hypothesis_samples", int),
+                ("hypothesis", "umax_factor", "umax_factor", float))
+
+
 def _pointer(err) -> str:
     return "/" + "/".join(str(p) for p in err.absolute_path)
 
@@ -218,8 +226,11 @@ def parse_config_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
                                    amplitude=float(ic_spec.get("amplitude", 1.0)),
                                    path=ic_spec.get("path"))
         sim = SimConfig(**data.get("sim", {}))
-        eig = data.get("eigen", {})
-        hyp = data.get("hypothesis", {})
+        tuning = {field: cast(data[group][key])
+                  for group, key, field, cast in _TUNING_KEYS
+                  if key in data.get(group, {})}
+        if "mode" in data:
+            tuning["mode"] = data["mode"]
         out = data.get("output", {})
         if "svg_fields" in out:
             bad = [f for f in out["svg_fields"] if f not in _FIELDS or f == "t"]
@@ -232,15 +243,8 @@ def parse_config_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
             alpha=float(data.get("alpha", 4.0)),
             beta=float(data.get("beta", 0.1)),
             theta=float(data.get("theta", 0.01)),
-            initial=initial, sim=sim,
-            mode=data.get("mode", "free"),
-            eigen_tol=float(eig.get("tol", 1e-8)),
-            eigen_max_iter=int(eig.get("max_iter", 10_000)),
-            eigen_cg_tol=float(eig.get("cg_tol", 1e-10)),
-            hypothesis_samples=int(hyp.get("samples", 10_001)),
-            umax_factor=float(hyp.get("umax_factor", 10.0)),
-            output=OutputSpec(**out),
-            notes=data.get("notes"))
+            initial=initial, sim=sim, output=OutputSpec(**out),
+            notes=data.get("notes"), **tuning)
 
     try:
         return build()
@@ -384,10 +388,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     rpt = TheoremReport(mode=cfg.mode, parameters=_parameters_block(cfg))
     records = []
     stage = "setup"
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
             stage = "grid"
             grid = build_grid(cfg.domain, cfg.cells)
             stage = "assemble"
@@ -400,9 +403,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                                          phi1=eig.phi1)
             sup0 = float(np.abs(u0).max())
             stage = "functionals"
-            rpt.F0 = compute_F_functional(grid, cfg.space, cfg.nonlinearity,
-                                          cfg.theta, u0)
-            rpt.I0 = l2_norm_sq(grid, u0) + grushin_energy(grid, cfg.space, u0)
+            tracker = EnergyTracker(grid, cfg.space, cfg.nonlinearity,
+                                    theta=cfg.theta)
+            l2, grad, rpt.F0 = tracker.measure(u0)
+            rpt.I0 = l2 + grad
             if cfg.mode == "global":
                 rpt.decay_rate = 2.0 - cfg.alpha
 
@@ -415,14 +419,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             if not f_ok:
                 warnings.warn(
                     f"source term is not positive on (0, {u_max_pre:g}]: "
-                    f"f(u) <= 0 at u = {f_bad:g}; both theorems assume "
-                    "positivity, so conclusions may not transfer")
+                    f"f(u) is non-positive or non-finite at u = {f_bad:g}; "
+                    "both theorems assume positivity, so conclusions may not "
+                    "transfer")
             hyp0 = _check_hypothesis(cfg, u_max_pre)
             rpt.hypothesis_initial = hyp0 and dataclasses.asdict(hyp0)
 
             stage = "constraints"
-            constraints, constraints_ok = _check_constraints(cfg, eig.lambda1,
-                                                             hyp0)
+            constraints, constraints_ok = _check_constraints(cfg, eig.lambda1)
             rpt.constraints = constraints
 
             stage = "constants"
@@ -435,10 +439,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                 rpt.joint_satisfiable = bool(hyp0.holds and rpt.F0 > 0.0)
 
             stage = "simulate"
-            tracker = EnergyTracker(grid, cfg.space, cfg.nonlinearity,
-                                    theta=cfg.theta, M=rpt.M or 0.0)
+            tracker.M = rpt.M or 0.0
             # The tracker fills this list in place, so a march that raises
-            # still leaves its records for the CSV and the plot.
+            # still leaves its records for the CSV, the plot and the report.
             records = tracker.records
             final, _ = run(grid, cfg.space, A, cfg.nonlinearity, u0, cfg.sim,
                            observer=tracker)
@@ -453,8 +456,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             }
 
             stage = "recheck-hypothesis"
-            observed = max((r.supnorm for r in records), default=sup0)
-            hyp1 = _check_hypothesis(cfg, max(observed, sup0))
+            hyp1 = _check_hypothesis(
+                cfg, max([sup0] + [r.supnorm for r in records]))
             rpt.hypothesis_trajectory = hyp1 and dataclasses.asdict(hyp1)
             hypotheses_met = bool(premises and (hyp1 is None or hyp1.holds))
             rpt.hypotheses_met = None if cfg.mode == "free" else hypotheses_met
@@ -472,10 +475,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                 "decay_margin_tol": DECAY_MARGIN_TOL,
                 "certification_rtol": CERT_RTOL,
             }
-        rpt.warnings = [str(w.message) for w in caught]
-    except Exception as exc:  # pipeline stages fail loudly but locally
-        rpt.failure = {"stage": stage, "error": f"{type(exc).__name__}: {exc}"}
-        rpt.verdict = None
+        except Exception as exc:  # pipeline stages fail loudly but locally
+            error = f"{type(exc).__name__}: {exc}"
+            rpt.failure = {"stage": stage, "error": error}
+            rpt.verdict = None
+            if stage == "simulate" and records:
+                rpt.sim = {"status": "failed", "t_final": records[-1].t,
+                           "t_blow": None, "steps": None, "reason": error,
+                           "final_supnorm": records[-1].supnorm,
+                           "records": len(records)}
+    rpt.warnings = [str(w.message) for w in caught]
 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -512,36 +521,22 @@ def _check_hypothesis(cfg: ExperimentConfig, u_max: float):
     return None
 
 
-def _check_constraints(cfg: ExperimentConfig, lambda1: float,
-                       hyp: HypothesisReport | None):
+def _check_constraints(cfg: ExperimentConfig, lambda1: float):
     """Parameter-range checks for the active mode; details always print both
     sides of the inequality."""
-    cons = []
+    ranges = ()
     if cfg.mode == "blowup":
         cap = lambda1 * (cfg.alpha - 2.0) / 2.0
-        cons = [
-            {"name": "alpha > 2", "ok": bool(cfg.alpha > 2.0),
-             "detail": f"alpha = {cfg.alpha}"},
-            {"name": "0 < beta <= lambda1*(alpha-2)/2",
-             "ok": bool(0.0 < cfg.beta <= cap),
-             "detail": f"beta = {cfg.beta}, lambda1*(alpha-2)/2 = {cap} "
-                       f"(lambda1 = {lambda1})"},
-            {"name": "theta > 0", "ok": bool(cfg.theta > 0.0),
-             "detail": f"theta = {cfg.theta}"},
-        ]
+        ranges = (
+            ("alpha > 2", cfg.alpha > 2.0, f"alpha = {cfg.alpha}"),
+            ("0 < beta <= lambda1*(alpha-2)/2", 0.0 < cfg.beta <= cap,
+             f"beta = {cfg.beta}, lambda1*(alpha-2)/2 = {cap} "
+             f"(lambda1 = {lambda1})"),
+            ("theta > 0", cfg.theta > 0.0, f"theta = {cfg.theta}"))
     elif cfg.mode == "global":
-        viol = set(hyp.constraint_violations)
-        cons = [
-            {"name": "alpha <= 0",
-             "ok": not any(v.startswith("alpha") for v in viol),
-             "detail": f"alpha = {cfg.alpha}"},
-            {"name": "beta >= (2-alpha)/2",
-             "ok": not any(v.startswith("beta") for v in viol),
-             "detail": f"beta = {cfg.beta}, (2-alpha)/2 = {(2 - cfg.alpha) / 2}"},
-            {"name": "theta >= 0",
-             "ok": not any(v.startswith("theta") for v in viol),
-             "detail": f"theta = {cfg.theta}"},
-        ]
+        ranges = decay_ranges(cfg.alpha, cfg.beta, cfg.theta)
+    cons = [{"name": name, "ok": bool(ok), "detail": detail}
+            for name, ok, detail in ranges]
     return cons, all(c["ok"] for c in cons)
 
 
@@ -590,10 +585,7 @@ def _with_axis(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConf
                                                float(value)))
     if axis in ("alpha", "beta", "theta"):
         return replace(cfg, **{axis: float(value)})
-    if axis == "amplitude":
-        return replace(cfg, initial=replace(cfg.initial,
-                                            amplitude=float(value)))
-    raise ValueError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
+    return replace(cfg, initial=replace(cfg.initial, amplitude=float(value)))
 
 
 def run_sweep(cfg: ExperimentConfig, axis: str, values, out_dir: str | None = None,

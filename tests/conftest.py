@@ -2,11 +2,13 @@
 the shipped blow-up experiment, computed once per session."""
 
 import os
+import tempfile
 import time
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from grushinlab import (BoxDomain, EnergyTracker, GrushinSpace, SimConfig,
                         assemble_grushin, build_grid, parse_expression, run,
@@ -15,6 +17,16 @@ from grushinlab.runner import parse_config, run_experiment
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CONFIG_DIR = os.path.join(REPO_ROOT, "configs")
+
+
+def pytest_configure(config):
+    """Hypothesis caches the constants it reads from source files while tests
+    are collected; keep that cache in a temporary directory, not the
+    checkout."""
+    home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    config.add_cleanup(home.cleanup)
+    config.add_cleanup(lambda: set_hypothesis_home_dir(None))
+    set_hypothesis_home_dir(home.name)
 
 
 def config_path(name):

@@ -8,6 +8,7 @@ import warnings
 
 import pytest
 
+import grushinlab
 from grushinlab.cli import main as cli_main
 
 
@@ -152,9 +153,12 @@ class TestQuietFlag:
 
 class TestModuleEntryPoint:
     def test_help_via_subprocess(self):
+        # The child imports the same checkout as this process.
+        src = os.path.dirname(os.path.dirname(grushinlab.__file__))
         proc = subprocess.run(
             [sys.executable, "-m", "grushinlab", "--help"],
-            capture_output=True, text=True, timeout=60)
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0
         for word in ("eig", "simulate", "verify", "check-hypothesis", "sweep"):
             assert word in proc.stdout

@@ -6,10 +6,9 @@ import struct
 import numpy as np
 import pytest
 
-from grushinlab import (EnergyRecord, Power, certified_records,
-                        compute_E_series, compute_F_functional,
-                        concavity_margin, decay_margin, emit_svg_plot,
-                        grushin_energy, integral, l2_norm_sq,
+from grushinlab import (EnergyRecord, EnergyTracker, Power, certified_records,
+                        compute_E_series, concavity_margin, decay_margin,
+                        emit_svg_plot, grushin_energy, integral, l2_norm_sq,
                         monotonicity_margin, read_csv, write_csv)
 from grushinlab.diagnostics import CSV_HEADER
 
@@ -30,7 +29,8 @@ class TestFFunctional:
         grid, space = unit16.grid, unit16.space
         u = np.zeros(grid.N)
         box = integral(grid, np.ones(grid.N))
-        got = compute_F_functional(grid, space, Power(3.0, 1.0), 0.5, u)
+        tracker = EnergyTracker(grid, space, Power(3.0, 1.0), theta=0.5)
+        got = tracker.measure(u)[2]
         assert got == pytest.approx(-0.5 * box, rel=1e-14)
 
     def test_scaled_eigenmode_closed_form(self, unit16):
@@ -38,8 +38,8 @@ class TestFFunctional:
         phi = unit16.eig.phi1
         quartic = integral(grid, phi**4)
         for c in (0.5, 2.0):
-            got = compute_F_functional(grid, space, Power(3.0, 1.0), 0.0,
-                                       c * phi)
+            tracker = EnergyTracker(grid, space, Power(3.0, 1.0), theta=0.0)
+            got = tracker.measure(c * phi)[2]
             want = -0.5 * c * c * lam + 0.25 * c**4 * quartic
             assert got == pytest.approx(want, rel=1e-9)
 
@@ -47,8 +47,9 @@ class TestFFunctional:
         grid, space = unit16.grid, unit16.space
         phi = unit16.eig.phi1
         nl = Power(3.0, 1.0)
-        assert compute_F_functional(grid, space, nl, 0.0, 10.0 * phi) > 0.0
-        assert compute_F_functional(grid, space, nl, 0.0, 0.1 * phi) < 0.0
+        tracker = EnergyTracker(grid, space, nl, theta=0.0)
+        assert tracker.measure(10.0 * phi)[2] > 0.0
+        assert tracker.measure(0.1 * phi)[2] < 0.0
 
 
 class TestESeries:

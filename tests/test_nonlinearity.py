@@ -182,6 +182,13 @@ class TestAntiderivative:
         with pytest.raises(QuadratureError, match="settle"):
             F_values(e, np.array([1.9]))
 
+    def test_non_finite_integrand_names_expression_and_segment(self):
+        e = parse_expression("u*(2-u)^0.5")  # non-finite past u = 2
+        with pytest.raises(QuadratureError) as info:
+            F_values(e, np.array([3.0]))
+        assert "'u*(2-u)^0.5'" in str(info.value)
+        assert "[0.0, 3.0]" in str(info.value)
+
 
 class TestSamplePoints:
     def test_structure(self):
@@ -297,3 +304,9 @@ class TestPositivityScan:
         ok, offender = check_f_positive(parse_expression("0*u"), u_max=1.0)
         assert not ok
         assert offender is not None
+
+    def test_non_finite_sample_fails_without_raising(self):
+        ok, offender = check_f_positive(parse_expression("u*(2-u)^0.5"),
+                                        u_max=3.0)
+        assert not ok
+        assert 2.0 < offender <= 3.0

@@ -262,8 +262,38 @@ class TestRunExperiment:
         out = tmp_path / "partial"
         rpt = run_experiment(cfg, out_dir=str(out))
         assert rpt.failure["stage"] == "simulate"
-        assert len(read_csv(str(out / "records.csv"))) >= 2
+        assert rpt.verdict is None
+        rows = read_csv(str(out / "records.csv"))
+        assert len(rows) >= 2
         assert (out / "plot.svg").exists()
+        assert rpt.sim["status"] == "failed"
+        assert rpt.sim["records"] == len(rows)
+        assert rpt.sim["t_final"] == rows[-1].t
+        assert rpt.sim["final_supnorm"] == rows[-1].supnorm
+        assert rpt.sim["t_blow"] is None and rpt.sim["steps"] is None
+        assert rpt.sim["reason"] == rpt.failure["error"]
+        assert "'100*u^3*(2-u)^0.5'" in rpt.sim["reason"]
+        saved = json.loads((out / "report.json").read_text())
+        assert saved["sim"] == rpt.sim
+
+    def test_non_finite_f_is_a_failed_positivity_sample(self):
+        # f is non-finite past u = 2, inside the default scan (0, 10*sup u0].
+        cfg = parse_config_dict(minimal_dict(
+            cells=[16, 16], nonlinearity={"expr": "100*u^3*(2-u)^0.5"}))
+        rpt = run_experiment(cfg)
+        assert rpt.f_positive["ok"] is False
+        assert rpt.f_positive["first_nonpositive_u"] > 2.0
+        assert any("non-finite" in w for w in rpt.warnings)
+        assert rpt.failure["stage"] == "simulate"
+
+    def test_failed_run_keeps_its_warnings(self):
+        # Assembly warns on m = 1 across x = 0 before the file lookup fails.
+        cfg = parse_config_dict(minimal_dict(
+            bounds=[[-1.0, 1.0], [-1.0, 1.0]],
+            initial={"kind": "file", "path": "/no/such/file.txt"}))
+        rpt = run_experiment(cfg)
+        assert rpt.failure["stage"] == "initial-condition"
+        assert any("straddling x = 0" in w for w in rpt.warnings)
 
     def test_eigensolver_failure_reports_stage(self):
         cfg = parse_config_dict(fast_dict(eigen={"tol": 1e-14, "max_iter": 1}))
