@@ -22,9 +22,8 @@ from .nonlinearity import (DomainError, Expression, ExpressionError,
 from .integrator import (InitialCondition, SimConfig, SimState,
                          build_initial_condition, run, step)
 from .diagnostics import (EnergyRecord, EnergyTracker, certified_records,
-                          compute_E_series, concavity_margin, decay_margin,
-                          emit_svg_plot, monotonicity_margin, read_csv,
-                          write_csv)
+                          concavity_margin, decay_margin, emit_svg_plot,
+                          monotonicity_margin, read_csv, write_csv)
 from .runner import (ConfigError, ExperimentConfig, TheoremReport,
                      compute_blowup_constants, decide_verdict, parse_config,
                      parse_config_dict, run_experiment, run_sweep)
@@ -43,9 +42,9 @@ __all__ = [
     "check_global_hypothesis", "eval_F", "eval_f", "parse_expression",
     "InitialCondition", "SimConfig", "SimState", "build_initial_condition",
     "run", "step",
-    "EnergyRecord", "EnergyTracker", "certified_records", "compute_E_series",
-    "concavity_margin", "decay_margin", "emit_svg_plot",
-    "monotonicity_margin", "read_csv", "write_csv",
+    "EnergyRecord", "EnergyTracker", "certified_records", "concavity_margin",
+    "decay_margin", "emit_svg_plot", "monotonicity_margin", "read_csv",
+    "write_csv",
     "ConfigError", "ExperimentConfig", "TheoremReport",
     "compute_blowup_constants", "decide_verdict", "parse_config",
     "parse_config_dict", "run_experiment", "run_sweep",

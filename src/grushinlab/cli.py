@@ -38,7 +38,7 @@ def _cmd_eig(cfg, args) -> int:
     grid = build_grid(cfg.domain, cfg.cells)
     eig = _eigenpair(cfg, grid, assemble_grushin(grid, cfg.space))
     _emit({"lambda1": eig.lambda1, "residual": eig.residual,
-           "iterations": eig.iterations})
+           "iterations": eig.iterations, "method": eig.method})
     return EXIT_OK
 
 

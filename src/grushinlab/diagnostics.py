@@ -88,26 +88,19 @@ def _times(records) -> np.ndarray:
     return t
 
 
-def compute_E_series(records, M: float) -> np.ndarray:
-    """E(t_j) = M + trapezoid integral of calE up to t_j, per record."""
-    t = _times(records)
-    calE = np.array([r.calE for r in records])
-    incs = 0.5 * (calE[1:] + calE[:-1]) * np.diff(t)
-    return M + np.concatenate([[0.0], np.cumsum(incs)])
-
-
-def concavity_margin(records, sigma: float, M: float) -> float:
+def concavity_margin(records, sigma: float) -> float:
     """min over interior record times of E''(t)E(t) - (1+sigma)E'(t)^2.
 
-    E' is calE directly (that identity is exact for the continuous flow, so
-    no differencing noise enters at first order); E'' is the centered
+    E is each record's own running E, as written to the CSV.  E' is calE
+    directly (that identity is exact for the continuous flow, so no
+    differencing noise enters at first order); E'' is the centered
     difference of calE over the possibly nonuniform record times.
     """
     if len(records) < 3:
         raise ValueError("concavity margin needs at least 3 records")
     t = _times(records)
     calE = np.array([r.calE for r in records])
-    E = compute_E_series(records, M)
+    E = np.array([r.E for r in records])
     Epp = (calE[2:] - calE[:-2]) / (t[2:] - t[:-2])
     margins = Epp * E[1:-1] - (1.0 + sigma) * calE[1:-1] ** 2
     return float(margins.min())

@@ -6,10 +6,11 @@ source explicitly:
 
     (I + L + dt*L) u_new = (I + L) u_old + dt * f(u_old),
 
-a first-order scheme whose stiffness lives entirely in the SPD solve.  Step
-size adapts on the relative sup-norm change per step; runaway growth is
-declared blow-up either by threshold or by the controller collapsing below
-dt_min.
+a first-order scheme whose stiffness lives entirely in the SPD solve.  With
+one x-axis (m == 1) that solve is exact (:class:`SeparableSolver`); otherwise
+it is conjugate gradients to ``cg_tol``.  Step size adapts on the relative
+sup-norm change per step; runaway growth is declared blow-up either by
+threshold or by the controller collapsing below dt_min.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from .diagnostics import EnergyTracker
 from .geometry import Grid, GrushinSpace
-from .linalg import SolverError, cg_solve
+from .linalg import SeparableSolver, SolverError, cg_solve
 from .nonlinearity import Nonlinearity, f_values
 from .operators import SparseMatrix, apply
 
@@ -124,17 +125,21 @@ def build_initial_condition(grid: Grid, space: GrushinSpace,
 
 
 def _advance(u: np.ndarray, dt: float, A: SparseMatrix, nl: Nonlinearity,
-             cg_tol: float) -> np.ndarray:
-    """Solve (I + (1+dt)L) u_new = (I + L) u + dt f(u) with L = -A."""
+             cg_tol: float, solver: SeparableSolver | None) -> np.ndarray:
+    """Solve (I + (1+dt)L) u_new = (I + L) u + dt f(u) with L = -A, exactly
+    with ``solver`` when given, else by CG."""
     Au = apply(A, u)
     rhs = u - Au + dt * f_values(nl, u)
+    if solver is not None:
+        return solver.solve(rhs, 1.0 + dt)
     lhs = lambda v: v - (1.0 + dt) * apply(A, v)
     u_new, _ = cg_solve(lhs, rhs, tol=cg_tol, x0=u)
     return u_new
 
 
 def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
-         dt_cap: float | None = None) -> SimState:
+         dt_cap: float | None = None,
+         solver: SeparableSolver | None = None) -> SimState:
     """One accepted step (or a terminal status change).
 
     Retries with halved dt while the relative sup-norm change exceeds
@@ -142,7 +147,8 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
     time.  After acceptance the threshold check runs, then dt grows by 1.5x
     (capped at dt_max) if the change was below step_change_low.  ``dt_cap``
     temporarily limits the attempted dt (used to land on t_end) without
-    feeding back into the controller.
+    feeding back into the controller.  ``solver``, built for A's grid,
+    replaces the CG solve.
     """
     if state.status != "running":
         return state
@@ -150,7 +156,7 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
     u_norm = float(np.abs(state.u).max())
     while True:
         try:
-            u_new = _advance(state.u, dt_try, A, nl, cfg.cg_tol)
+            u_new = _advance(state.u, dt_try, A, nl, cfg.cg_tol, solver)
         except SolverError as exc:
             return replace(state, status="failed", reason=f"linear solve: {exc}")
         change = float(np.abs(u_new - state.u).max()) / max(u_norm, 1e-300)
@@ -178,6 +184,7 @@ def run(grid: Grid, space: GrushinSpace, A: SparseMatrix, nl: Nonlinearity,
 
     The observer (an :class:`EnergyTracker` by default) is invoked at t = 0,
     after every record_every-th accepted step, and at the final state.
+    With m == 1 every step solve goes through one :class:`SeparableSolver`.
     Returns ``(final_state, records)``.
     """
     if observer is None:
@@ -185,6 +192,7 @@ def run(grid: Grid, space: GrushinSpace, A: SparseMatrix, nl: Nonlinearity,
     u0 = np.asarray(u0, dtype=float)
     if u0.size != grid.N:
         raise ValueError(f"u0 has {u0.size} values, grid has {grid.N} nodes")
+    solver = SeparableSolver(grid, space) if space.m == 1 else None
     state = SimState(t=0.0, u=u0.copy(), dt=cfg.dt_init, steps=0)
     observer(state)
     t_tol = 1e-10 * max(1.0, cfg.t_end)
@@ -194,7 +202,8 @@ def run(grid: Grid, space: GrushinSpace, A: SparseMatrix, nl: Nonlinearity,
             state = replace(state, status="completed")
             break
         state = step(state, A, nl, cfg,
-                     dt_cap=remaining if remaining < state.dt else None)
+                     dt_cap=remaining if remaining < state.dt else None,
+                     solver=solver)
         if state.status == "running" and state.steps % cfg.record_every == 0:
             observer(state)
     observer(state)

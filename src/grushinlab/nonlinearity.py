@@ -331,15 +331,17 @@ class HypothesisReport:
     """Outcome of sampling a structural inequality over (0, u_max].
 
     ``worst_margin`` is the raw margin at the point with the worst normalized
-    margin; ``holds`` means every normalized margin clears -1e-12, i.e.
+    margin.  A non-finite margin is the worst of all: ``argmin_u`` is then the
+    first such sample and ``worst_margin`` and ``scale_at_argmin`` are None.
+    ``holds`` means every normalized margin clears -1e-12, i.e.
     margin >= -1e-12 * (1 + scale) pointwise with scale the sum of the
     absolute values of the inequality's four terms at that point.
     ``constraint_violations`` lists parameter-range failures separately.
     """
 
     holds: bool
-    worst_margin: float
-    scale_at_argmin: float
+    worst_margin: float | None
+    scale_at_argmin: float | None
     argmin_u: float
     u_range: tuple[float, float]
     samples: int
@@ -364,22 +366,44 @@ def sample_points(u_max: float, samples: int = 10_001) -> np.ndarray:
 
 def _margin_report(u, margins, scales, u_max, violations=()):
     normalized = margins / (1.0 + scales)
-    i = int(np.argmin(normalized))
+    undefined = ~np.isfinite(normalized)
+    if undefined.any():
+        i = int(np.argmax(undefined))
+        holds, worst, scale = False, None, None
+    else:
+        i = int(np.argmin(normalized))
+        holds = bool(normalized[i] >= -_MARGIN_RTOL)
+        worst, scale = float(margins[i]), float(scales[i])
     return HypothesisReport(
-        holds=bool(normalized[i] >= -_MARGIN_RTOL),
-        worst_margin=float(margins[i]),
-        scale_at_argmin=float(scales[i]),
+        holds=holds,
+        worst_margin=worst,
+        scale_at_argmin=scale,
         argmin_u=float(u[i]),
         u_range=(0.0, float(u_max)),
         samples=int(u.size),
         constraint_violations=tuple(violations))
 
 
+def _f_unchecked(nl, u):
+    """f(u) on a sampling grid, keeping non-finite values instead of raising."""
+    try:
+        return f_values(nl, u)
+    except DomainError:
+        return _eval_ast(nl.ast, u)
+
+
 def _sign_terms(nl, alpha, beta, theta, u_max, samples):
-    """Sampled u, f(u), F(u) and the scale of the sign conditions' terms."""
+    """Sampled u, f(u), F(u) and the scale of the sign conditions' terms.
+
+    From the first sample where f is non-finite on, f and F (the integral of
+    f from 0) are NaN, so every margin there is NaN and fails.
+    """
     u = sample_points(u_max, samples)
-    fu = f_values(nl, u)
-    Fu = F_values(nl, u)
+    fu = _f_unchecked(nl, u)
+    defined = np.cumprod(np.isfinite(fu)).astype(bool)
+    fu = np.where(defined, fu, np.nan)
+    Fu = np.full(u.shape, np.nan)
+    Fu[defined] = F_values(nl, u[defined])
     scales = (np.abs(u * fu) + abs(beta) * u * u + abs(alpha * theta)
               + abs(alpha) * np.abs(Fu))
     return u, fu, Fu, scales
@@ -433,10 +457,7 @@ def check_f_positive(nl: Nonlinearity, u_max: float,
     where f is non-finite, only annotates the experiment report.
     """
     u = sample_points(u_max, samples)
-    try:
-        fu = f_values(nl, u)
-    except DomainError:
-        fu = _eval_ast(nl.ast, u)
+    fu = _f_unchecked(nl, u)
     bad = ~(np.isfinite(fu) & (fu > 0.0))
     if bad.any():
         return False, float(u[np.argmax(bad)])

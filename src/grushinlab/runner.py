@@ -27,7 +27,7 @@ from .diagnostics import (_FIELDS, EnergyTracker, certified_records,
                           monotonicity_margin, write_csv)
 from .geometry import BoxDomain, GrushinSpace, build_grid
 from .integrator import InitialCondition, SimConfig, build_initial_condition, run
-from .linalg import smallest_eigenpair
+from .linalg import SeparableSolver, smallest_eigenpair
 from .nonlinearity import (Nonlinearity, Power, check_blowup_hypothesis,
                            check_f_positive, check_global_hypothesis,
                            decay_ranges, parse_expression)
@@ -333,6 +333,7 @@ class TheoremReport:
     mode: str
     parameters: dict
     lambda1: float | None = None
+    eigen: dict | None = None
     I0: float | None = None
     F0: float | None = None
     sigma: float | None = None
@@ -398,6 +399,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             stage = "eigenvalue"
             eig = _eigenpair(cfg, grid, A)
             rpt.lambda1 = eig.lambda1
+            rpt.eigen = {"method": eig.method, "residual": eig.residual,
+                         "iterations": eig.iterations}
             stage = "initial-condition"
             u0 = build_initial_condition(grid, cfg.space, cfg.initial,
                                          phi1=eig.phi1)
@@ -463,7 +466,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             rpt.hypotheses_met = None if cfg.mode == "free" else hypotheses_met
 
             stage = "certify"
-            rpt.margins = _certify(records, final.status, rpt.sigma, rpt.M,
+            rpt.margins = _certify(records, final.status, rpt.sigma,
                                    rpt.decay_rate)
 
             stage = "verdict"
@@ -501,8 +504,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
 
 
 def _eigenpair(cfg: ExperimentConfig, grid, A):
-    """First eigenpair of the assembled operator under the config's
-    ``eigen`` settings."""
+    """First eigenpair of the assembled operator: exact when m == 1, else by
+    inverse iteration under the config's ``eigen`` settings."""
+    if cfg.space.m == 1:
+        return SeparableSolver(grid, cfg.space).eigenpair(A)
     return smallest_eigenpair(A, tol=cfg.eigen_tol,
                               max_iter=cfg.eigen_max_iter,
                               cg_tol=cfg.eigen_cg_tol,
@@ -540,7 +545,7 @@ def _check_constraints(cfg: ExperimentConfig, lambda1: float):
     return cons, all(c["ok"] for c in cons)
 
 
-def _certify(records, status: str, sigma: float | None, M: float | None,
+def _certify(records, status: str, sigma: float | None,
              decay_rate: float | None) -> dict:
     cert = certified_records(records, status)
     out = {
@@ -557,7 +562,7 @@ def _certify(records, status: str, sigma: float | None, M: float | None,
         out.update(monotonicity=mono, monotonicity_scale=scale,
                    monotonicity_ok=bool(mono >= -CERT_RTOL * scale))
     if sigma is not None and len(cert) >= 3:
-        conc = concavity_margin(cert, sigma, M)
+        conc = concavity_margin(cert, sigma)
         calE = np.array([r.calE for r in cert])
         scale = max(1.0, float(((1.0 + sigma) * calE ** 2).max()))
         out.update(concavity=conc, concavity_scale=scale,

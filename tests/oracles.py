@@ -68,6 +68,15 @@ def jacobi_eigenvalues(mat, tol=1e-13, max_sweeps=60):
     return np.sort(np.diag(a))
 
 
+def trapezoid_E(t, calE, M):
+    """M plus the cumulative trapezoid integral of calE over t, summed with
+    one cumsum (the energy tracker adds one increment per record)."""
+    t = np.asarray(t, dtype=float)
+    calE = np.asarray(calE, dtype=float)
+    incs = 0.5 * (calE[1:] + calE[:-1]) * np.diff(t)
+    return M + np.concatenate([[0.0], np.cumsum(incs)])
+
+
 def blowup_constants_reference(alpha, F0, I0):
     """(sigma, M, Tstar) via the arrangement (1+s)(1+1/s) = (1+s)^2/s."""
     s = math.sqrt(alpha / 2.0) - 1.0

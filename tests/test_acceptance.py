@@ -22,7 +22,7 @@ from grushinlab import (BoxDomain, EnergyRecord, GrushinSpace, SimConfig,
 from grushinlab.runner import run_experiment
 
 from oracles import (blowup_constants_reference, dense_from_csr,
-                     jacobi_eigenvalues)
+                     jacobi_eigenvalues, trapezoid_E)
 
 
 def quiet_setup(bounds, cells, gamma):
@@ -169,22 +169,23 @@ def test_criterion_07_blowup_end_to_end(blowup_outcome):
 
 def test_criterion_08_concavity_soundness():
     def make(t, calE):
+        E = trapezoid_E(t, calE, M)
         return [EnergyRecord(t=float(ti), dt=0.0, l2=ci / 2, grad=ci / 2,
                              calE=float(ci), calF=0.0, supnorm=1.0,
-                             min_u=0.0, E=0.0)
-                for ti, ci in zip(t, calE)]
+                             min_u=0.0, E=float(Ei))
+                for ti, ci, Ei in zip(t, calE, E)]
 
     sigma, M, a = 0.5, 1.0, 0.1
     t = np.linspace(0.0, 5.0, 2001)
     extremal = (a * M / sigma) * (1.0 - a * t) ** (-1.0 / sigma - 1.0)
-    margin = concavity_margin(make(t, extremal), sigma, M)
+    margin = concavity_margin(make(t, extremal), sigma)
     scale = float(np.max((1.0 + sigma) * extremal**2))
     assert margin >= -1e-6 * scale
 
     c = 0.8
     t = np.linspace(0.0, 2.0, 501)
     exponential = c * M * np.exp(c * t)
-    assert concavity_margin(make(t, exponential), sigma, M) < 0.0
+    assert concavity_margin(make(t, exponential), sigma) < 0.0
     print("CRITERION 08 concavity-check soundness: PASS")
 
 

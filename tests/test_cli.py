@@ -19,6 +19,12 @@ def base_config():
             "sim": {"t_end": 0.01, "dt_init": 1e-3}}
 
 
+def m2_config():
+    """m = 2, k = 1: the eigensolve is inverse iteration, which can fail."""
+    return dict(base_config(), space={"m": 2, "k": 1, "gamma": 1.0},
+                bounds=[[0.0, 1.0]] * 3, cells=[4, 4, 4])
+
+
 def write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -108,7 +114,7 @@ class TestExitCodes:
         assert "/space/gamma" in err
 
     def test_runtime_failure_in_pipeline(self, tmp_path, capsys):
-        data = dict(base_config(), eigen={"tol": 1e-14, "max_iter": 1})
+        data = dict(m2_config(), eigen={"tol": 1e-14, "max_iter": 1})
         cfgp = write_config(tmp_path, data)
         code, out, _ = run_cli(["verify", cfgp, "--out",
                                 str(tmp_path / "rf")], capsys)
@@ -117,7 +123,7 @@ class TestExitCodes:
         assert payload["failure"]["stage"] == "eigenvalue"
 
     def test_solver_failure_outside_pipeline(self, tmp_path, capsys):
-        data = dict(base_config(), eigen={"tol": 1e-14, "max_iter": 1})
+        data = dict(m2_config(), eigen={"tol": 1e-14, "max_iter": 1})
         cfgp = write_config(tmp_path, data)
         code, _, err = run_cli(["eig", cfgp], capsys)
         assert code == 3

@@ -6,22 +6,26 @@ import struct
 import numpy as np
 import pytest
 
-from grushinlab import (EnergyRecord, EnergyTracker, Power, certified_records,
-                        compute_E_series, concavity_margin, decay_margin,
+from grushinlab import (EnergyRecord, EnergyTracker, Power, SimState,
+                        certified_records, concavity_margin, decay_margin,
                         emit_svg_plot, grushin_energy, integral, l2_norm_sq,
                         monotonicity_margin, read_csv, write_csv)
 from grushinlab.diagnostics import CSV_HEADER
 
+from oracles import trapezoid_E
 
-def make_records(t, calE, calF=None):
-    """Synthetic record series; only t, calE and calF matter to the margins."""
+
+def make_records(t, calE, calF=None, M=0.0):
+    """Synthetic record series; only t, calE, calF and E matter to the
+    margins, and E runs from M as the tracker's would."""
     t = np.asarray(t, dtype=float)
     calE = np.asarray(calE, dtype=float)
     calF = np.zeros_like(t) if calF is None else np.asarray(calF, dtype=float)
+    E = trapezoid_E(t, calE, M)
     return [EnergyRecord(t=float(ti), dt=0.0, l2=ci / 2, grad=ci / 2,
                          calE=float(ci), calF=float(fi), supnorm=1.0,
-                         min_u=0.0, E=0.0)
-            for ti, ci, fi in zip(t, calE, calF)]
+                         min_u=0.0, E=float(Ei))
+            for ti, ci, fi, Ei in zip(t, calE, calF, E)]
 
 
 class TestFFunctional:
@@ -53,27 +57,41 @@ class TestFFunctional:
 
 
 class TestESeries:
-    def test_single_record_is_offset(self):
-        recs = make_records([0.0], [7.0])
-        assert compute_E_series(recs, M=3.5).tolist() == [3.5]
+    """The running E of the tracker's records: M plus the trapezoid
+    integral of calE over the recorded times."""
 
-    def test_constant_integrand(self):
+    @staticmethod
+    def track(unit16, times, M):
+        """Records of one fixed state observed at the given times."""
+        tracker = EnergyTracker(unit16.grid, unit16.space, Power(3.0, 1.0),
+                                M=M)
+        for t in times:
+            tracker(SimState(t=float(t), u=unit16.eig.phi1, dt=1e-3, steps=0))
+        return tracker.records
+
+    def test_single_record_is_offset(self, unit16):
+        recs = self.track(unit16, [0.0], M=3.5)
+        assert [r.E for r in recs] == [3.5]
+
+    def test_constant_integrand(self, unit16):
         t = np.linspace(0.0, 2.0, 21)
-        recs = make_records(t, np.full_like(t, 3.0))
-        E = compute_E_series(recs, M=1.0)
-        assert np.allclose(E, 1.0 + 3.0 * t, rtol=0.0, atol=1e-12)
+        recs = self.track(unit16, t, M=1.0)
+        calE = recs[0].calE
+        E = np.array([r.E for r in recs])
+        assert np.allclose(E, 1.0 + calE * t, rtol=0.0,
+                           atol=1e-12 * (1.0 + 2.0 * calE))
 
     def test_unsorted_records_rejected(self):
         recs = make_records([0.0, 1.0, 0.5], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="increasing"):
-            compute_E_series(recs, M=0.0)
+            concavity_margin(recs, sigma=0.5)
         dup = make_records([0.0, 1.0, 1.0], [1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="increasing"):
-            compute_E_series(dup, M=0.0)
+            concavity_margin(dup, sigma=0.5)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            compute_E_series([], M=0.0)
+            decay_margin([], rate=1.0)
 
     def test_eigenmode_matches_closed_form(self, eigenmode_run):
         # calE decays like e^{-2 lam t/(1+lam)}, so its running integral has
@@ -81,15 +99,15 @@ class TestESeries:
         lam = eigenmode_run.lam
         recs = eigenmode_run.records
         t = np.array([r.t for r in recs])
-        E = compute_E_series(recs, M=1.0)
+        E = np.array([r.E for r in recs])
         calE0 = recs[0].calE
         rate = 2.0 * lam / (1.0 + lam)
-        want = 1.0 + calE0 / rate * (1.0 - np.exp(-rate * t))
+        want = calE0 / rate * (1.0 - np.exp(-rate * t))
         assert np.allclose(E, want, rtol=1e-3)
 
     def test_telescoping_against_running_sum(self, eigenmode_run):
         recs = eigenmode_run.records
-        E = compute_E_series(recs, M=0.0)
+        E = np.array([r.E for r in recs])
         scale = float(np.abs(E).max())
         for j in range(1, len(recs)):
             inc = 0.5 * (recs[j].calE + recs[j - 1].calE) * (recs[j].t
@@ -98,7 +116,7 @@ class TestESeries:
 
     def test_tracker_E_field_matches_series(self, eigenmode_run):
         recs = eigenmode_run.records
-        E = compute_E_series(recs, M=0.0)
+        E = trapezoid_E([r.t for r in recs], [r.calE for r in recs], 0.0)
         tracked = np.array([r.E for r in recs])
         assert np.allclose(tracked, E, rtol=1e-12, atol=1e-14)
 
@@ -109,8 +127,8 @@ class TestConcavityMargin:
         # positive sigma drives the defect strictly negative.
         c, M = 0.8, 1.0
         t = np.linspace(0.0, 2.0, 501)
-        recs = make_records(t, c * M * np.exp(c * t))
-        assert concavity_margin(recs, sigma=0.5, M=M) < 0.0
+        recs = make_records(t, c * M * np.exp(c * t), M=M)
+        assert concavity_margin(recs, sigma=0.5) < 0.0
 
     def test_extremal_profile_is_nonnegative_up_to_sampling(self):
         # E = M (1 - a t)^{-1/sigma} makes the defect identically zero; the
@@ -118,22 +136,22 @@ class TestConcavityMargin:
         sigma, M, a = 0.5, 1.0, 0.1
         t = np.linspace(0.0, 5.0, 2001)
         calE = (a * M / sigma) * (1.0 - a * t) ** (-1.0 / sigma - 1.0)
-        recs = make_records(t, calE)
-        margin = concavity_margin(recs, sigma=sigma, M=M)
+        recs = make_records(t, calE, M=M)
+        margin = concavity_margin(recs, sigma=sigma)
         scale = float(np.max((1.0 + sigma) * calE**2))
         assert margin >= -1e-6 * scale
         assert abs(margin) <= 1e-6 * scale
 
     def test_constant_integrand_exact_value(self):
         t = np.linspace(0.0, 1.0, 11)
-        recs = make_records(t, np.full_like(t, 3.0))
-        got = concavity_margin(recs, sigma=0.5, M=2.0)
+        recs = make_records(t, np.full_like(t, 3.0), M=2.0)
+        got = concavity_margin(recs, sigma=0.5)
         assert got == -(1.0 + 0.5) * 9.0
 
     def test_needs_three_records(self):
         recs = make_records([0.0, 1.0], [1.0, 1.0])
         with pytest.raises(ValueError, match="3"):
-            concavity_margin(recs, sigma=0.5, M=0.0)
+            concavity_margin(recs, sigma=0.5)
 
 
 class TestMonotonicityMargin:

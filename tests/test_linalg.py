@@ -1,14 +1,20 @@
-"""Conjugate gradients and the smallest eigenpair of the discrete operator."""
+"""Conjugate gradients, the separable m = 1 solver and the smallest
+eigenpair of the discrete operator."""
 
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import grushinlab
 from grushinlab import (BoxDomain, GrushinSpace, NonConvergence,
                         NumericalBreakdown, SolverError, SparseMatrix, apply,
                         assemble_grushin, build_grid, cg_solve,
                         grushin_energy, l2_norm_sq, smallest_eigenpair)
+from grushinlab.linalg import SeparableSolver
 
 from oracles import dense_from_csr, jacobi_eigenvalues
 
@@ -180,6 +186,68 @@ class TestSmallestEigenpair:
         A = diag_matrix(np.array([1.0, 2.0]))
         with pytest.raises(SolverError):
             smallest_eigenpair(A)
+
+
+class TestSeparableSolver:
+    @pytest.mark.parametrize("bounds, cells", [
+        ([(-1.0, 1.0), (0.0, 2.0)], (7, 6)),
+        ([(-0.5, 1.5), (0.0, 1.0), (0.0, 0.5)], (5, 4, 3)),
+    ])
+    def test_dense_oracle_agreement(self, bounds, cells):
+        grid, space, A = grushin_setup(bounds, cells, gamma=1.0)
+        eig = SeparableSolver(grid, space).eigenpair(A)
+        dense = -dense_from_csr(A.n, A.indptr, A.indices, A.values)
+        want = jacobi_eigenvalues(dense)[0]
+        assert eig.lambda1 == pytest.approx(want, rel=1e-12)
+        assert eig.method == "separable"
+        assert eig.residual <= 1e-12 * eig.lambda1
+
+    def test_laplacian_closed_form(self):
+        # gamma = 0 on the unit square: the sum of the two 1D eigenvalues.
+        grid, space, A = grushin_setup([(0.0, 1.0), (0.0, 1.0)], (16, 12),
+                                       gamma=0.0)
+        eig = SeparableSolver(grid, space).eigenpair(A)
+        want = sum((2.0 * c * np.sin(np.pi / (2 * c))) ** 2 for c in (16, 12))
+        assert eig.lambda1 == pytest.approx(want, rel=1e-13)
+
+    def test_solve_inverts_the_step_matrix(self):
+        grid, space, A = grushin_setup([(-1.0, 1.0), (-1.0, 1.0)], (12, 10),
+                                       gamma=1.0)
+        x = np.random.default_rng(3).standard_normal(grid.N)
+        b = x - 1.25 * apply(A, x)
+        got = SeparableSolver(grid, space).solve(b, 1.25)
+        assert np.abs(got - x).max() <= 1e-13 * np.abs(x).max()
+
+    def test_needs_one_x_axis(self):
+        grid, space, _ = grushin_setup([(0.0, 1.0)] * 3, (3, 3, 3),
+                                       gamma=1.0, m=2)
+        with pytest.raises(ValueError, match="m == 1"):
+            SeparableSolver(grid, space)
+
+    def test_nan_rhs_raises_breakdown(self):
+        grid, space, _ = grushin_setup([(0.0, 1.0), (0.0, 1.0)], (4, 4),
+                                       gamma=1.0)
+        b = np.ones(grid.N)
+        b[2] = np.nan
+        with pytest.raises(NumericalBreakdown):
+            SeparableSolver(grid, space).solve(b, 1.0)
+
+
+def test_m1_pipeline_imports_neither_scipy_fft_nor_linalg():
+    # Either module would add start-up time and resident memory to every run.
+    code = (
+        "import sys, grushinlab as gl\n"
+        "cfg = gl.parse_config_dict({'space': {'m': 1, 'k': 1, 'gamma': 1.0},"
+        " 'bounds': [[-1, 1], [-1, 1]], 'cells': [8, 8], 'mode': 'blowup',"
+        " 'sim': {'t_end': 0.01}})\n"
+        "assert gl.run_experiment(cfg).failure is None\n"
+        "print([m for m in ('scipy.fft', 'scipy.linalg') if m in sys.modules])\n")
+    src = os.path.dirname(os.path.dirname(grushinlab.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestJacobiOracleSelfChecks:

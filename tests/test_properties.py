@@ -1,4 +1,5 @@
-"""Property-based checks of the assembled operator and the energy record.
+"""Property-based checks of the assembled operator, the energy record and
+the two solver paths.
 
 Random Grushin spaces (m, k in {1, 2}, gamma in [0, 2]) on boxes of 2 to 6
 cells per axis whose bounds may straddle the degenerate plane x = 0.  The
@@ -13,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grushinlab import (BoxDomain, EnergyTracker, GrushinSpace, Power, apply,
-                        assemble_grushin, build_grid, grushin_energy,
-                        integral, l2_norm_sq, parse_expression)
+                        assemble_grushin, build_grid, cg_solve,
+                        grushin_energy, integral, l2_norm_sq,
+                        parse_expression, smallest_eigenpair)
+from grushinlab.linalg import SeparableSolver
 from grushinlab.nonlinearity import F_values
 
 from oracles import dense_from_csr
@@ -24,9 +27,11 @@ PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
 
 
 @st.composite
-def operators(draw):
-    """(grid, space, A, u) with u a nonzero nodal vector."""
-    m = draw(st.integers(1, 2))
+def operators(draw, m=None):
+    """(grid, space, A, u) with u a nonzero nodal vector; m is drawn unless
+    given."""
+    if m is None:
+        m = draw(st.integers(1, 2))
     k = draw(st.integers(1, 2))
     gamma = draw(st.floats(0.0, 2.0))
     bounds, cells = [], []
@@ -84,3 +89,27 @@ def test_measure_matches_its_definition(case, nl, theta):
     assert l2 == l2_norm_sq(grid, u)
     assert grad == want_grad
     assert calF == -0.5 * want_grad + integral(grid, F_values(nl, u) - theta)
+
+
+@PROPERTY_SETTINGS
+@given(operators(m=1), st.floats(1.0, 2.0))
+def test_separable_solve_matches_cg(case, c):
+    grid, space, A, b = case
+    x = SeparableSolver(grid, space).solve(b, c)
+    lhs = lambda v: v - c * apply(A, v)
+    assert np.linalg.norm(b - lhs(x)) <= 1e-12 * np.linalg.norm(b)
+    ref, _ = cg_solve(lhs, b, tol=1e-12)
+    assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@PROPERTY_SETTINGS
+@given(operators(m=1))
+def test_separable_eigenpair_matches_inverse_iteration(case):
+    grid, space, A, _ = case
+    eig = SeparableSolver(grid, space).eigenpair(A)
+    ref = smallest_eigenpair(A, tol=1e-10, cell_volume=grid.cell_volume)
+    assert abs(eig.lambda1 - ref.lambda1) <= 1e-10 * ref.lambda1
+    phi = eig.phi1
+    assert np.abs(phi - ref.phi1).max() <= 1e-6 * np.abs(ref.phi1).max()
+    assert abs(l2_norm_sq(grid, phi) - 1.0) <= 1e-12
+    assert phi[int(np.argmax(np.abs(phi)))] > 0.0

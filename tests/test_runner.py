@@ -8,10 +8,10 @@ import os
 import numpy as np
 import pytest
 
-from grushinlab import (ConfigError, Expression, Power,
-                        compute_blowup_constants, decide_verdict,
-                        parse_config, parse_config_dict, read_csv,
-                        run_experiment, run_sweep)
+from grushinlab import (ConfigError, Expression, Power, certified_records,
+                        compute_blowup_constants, concavity_margin,
+                        decide_verdict, parse_config, parse_config_dict,
+                        read_csv, run_experiment, run_sweep)
 
 from oracles import blowup_constants_reference
 
@@ -22,6 +22,11 @@ def minimal_dict(**extra):
             "cells": [8, 8]}
     data.update(copy.deepcopy(extra))
     return data
+
+
+# A small m = 2, k = 1 problem, where the eigensolve is inverse iteration.
+M2_SPACE = {"space": {"m": 2, "k": 1, "gamma": 1.0},
+            "bounds": [[0.0, 1.0]] * 3, "cells": [4, 4, 4]}
 
 
 def fast_dict(**extra):
@@ -286,6 +291,20 @@ class TestRunExperiment:
         assert any("non-finite" in w for w in rpt.warnings)
         assert rpt.failure["stage"] == "simulate"
 
+    @pytest.mark.parametrize("mode", ["blowup", "global"])
+    def test_non_finite_f_fails_the_sign_condition(self, mode):
+        # f is non-finite past u = 2, inside the default scan (0, 10*sup u0];
+        # the premise sampler reports that instead of failing the run.
+        cfg = parse_config_dict(fast_dict(
+            mode=mode, nonlinearity={"expr": "100*u^3*(2-u)^0.5"}))
+        rpt = run_experiment(cfg)
+        hyp = rpt.hypothesis_initial
+        assert hyp["holds"] is False
+        assert hyp["worst_margin"] is None and hyp["argmin_u"] > 2.0
+        assert rpt.failure is None
+        assert rpt.verdict == "HypothesesNotMet"
+        json.loads(rpt.to_json())
+
     def test_failed_run_keeps_its_warnings(self):
         # Assembly warns on m = 1 across x = 0 before the file lookup fails.
         cfg = parse_config_dict(minimal_dict(
@@ -296,11 +315,30 @@ class TestRunExperiment:
         assert any("straddling x = 0" in w for w in rpt.warnings)
 
     def test_eigensolver_failure_reports_stage(self):
-        cfg = parse_config_dict(fast_dict(eigen={"tol": 1e-14, "max_iter": 1}))
+        # m = 2, because only the m >= 2 eigensolve iterates and can fail.
+        cfg = parse_config_dict(fast_dict(eigen={"tol": 1e-14, "max_iter": 1},
+                                          **M2_SPACE))
         rpt = run_experiment(cfg)
         assert rpt.failure is not None
         assert rpt.failure["stage"] == "eigenvalue"
         assert "NonConvergence" in rpt.failure["error"]
+
+    def test_report_names_its_eigensolve(self):
+        m1 = run_experiment(parse_config_dict(fast_dict()))
+        assert m1.eigen["method"] == "separable"
+        assert m1.eigen["iterations"] > 0
+        assert 0.0 <= m1.eigen["residual"] <= 1e-10 * m1.lambda1
+        m2 = run_experiment(parse_config_dict(fast_dict(**M2_SPACE)))
+        assert m2.eigen["method"] == "inverse-iteration"
+        assert m2.eigen["iterations"] >= 1
+        assert 0.0 <= m2.eigen["residual"] <= 1e-8 * m2.lambda1
+
+    def test_concavity_margin_reads_the_csv(self, blowup_outcome):
+        # The margin uses each record's E, so the CSV reproduces it exactly.
+        rpt = blowup_outcome.report
+        recs = read_csv(os.path.join(blowup_outcome.out_dir, "records.csv"))
+        cert = certified_records(recs, rpt.sim["status"])
+        assert concavity_margin(cert, rpt.sigma) == rpt.margins["concavity"]
 
     def test_report_serializes_without_nan(self):
         rpt = run_experiment(parse_config_dict(fast_dict()))
