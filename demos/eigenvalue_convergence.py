@@ -2,9 +2,11 @@
 
 At gamma = 0 the operator is the ordinary Laplacian, whose discrete first
 Dirichlet eigenvalue on the unit square has the closed form
-(8/h^2) sin^2(pi h / 2); that gives an exact yardstick for the sparse
-inverse-power solver.  For gamma > 0 no closed form exists, so the script
-reports the computed values and their Richardson-style convergence order.
+(8/h^2) sin^2(pi h / 2); that gives an exact yardstick for
+``smallest_eigenpair``, which with one x-axis takes the exact separable path
+(a sine transform in y, then Sturm bisection on one tridiagonal x-problem).
+For gamma > 0 no closed form exists, so the script reports the computed
+values and their Richardson-style convergence order.
 """
 
 import math

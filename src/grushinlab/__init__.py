@@ -12,10 +12,9 @@ from .geometry import (BoxDomain, Grid, GrushinSpace, build_grid, dilate,
                        homogeneous_dimension, integral)
 from .operators import (SparseMatrix, apply, assemble_grushin, grushin_energy,
                         l2_norm_sq)
-from .linalg import (EigenResult, NonConvergence, NumericalBreakdown,
-                     SolveReport, SolverError, cg_solve, smallest_eigenpair)
-from .nonlinearity import (DomainError, Expression, ExpressionError,
-                           HypothesisReport, Nonlinearity, Power,
+from .linalg import (NonConvergence, NumericalBreakdown, SolverError,
+                     cg_solve, smallest_eigenpair)
+from .nonlinearity import (DomainError, Expression, ExpressionError, Power,
                            check_blowup_hypothesis, check_f_positive,
                            check_global_hypothesis, eval_F, eval_f,
                            parse_expression)
@@ -24,28 +23,8 @@ from .integrator import (InitialCondition, SimConfig, SimState,
 from .diagnostics import (EnergyRecord, EnergyTracker, certified_records,
                           concavity_margin, decay_margin, emit_svg_plot,
                           monotonicity_margin, read_csv, write_csv)
-from .runner import (ConfigError, ExperimentConfig, TheoremReport,
-                     compute_blowup_constants, decide_verdict, parse_config,
-                     parse_config_dict, run_experiment, run_sweep)
+from .runner import (ConfigError, compute_blowup_constants, decide_verdict,
+                     parse_config, parse_config_dict, run_experiment,
+                     run_sweep)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoxDomain", "Grid", "GrushinSpace", "build_grid", "dilate",
-    "homogeneous_dimension", "integral",
-    "SparseMatrix", "apply", "assemble_grushin", "grushin_energy",
-    "l2_norm_sq",
-    "EigenResult", "NonConvergence", "NumericalBreakdown", "SolveReport",
-    "SolverError", "cg_solve", "smallest_eigenpair",
-    "DomainError", "Expression", "ExpressionError", "HypothesisReport",
-    "Nonlinearity", "Power", "check_blowup_hypothesis", "check_f_positive",
-    "check_global_hypothesis", "eval_F", "eval_f", "parse_expression",
-    "InitialCondition", "SimConfig", "SimState", "build_initial_condition",
-    "run", "step",
-    "EnergyRecord", "EnergyTracker", "certified_records", "concavity_margin",
-    "decay_margin", "emit_svg_plot", "monotonicity_margin", "read_csv",
-    "write_csv",
-    "ConfigError", "ExperimentConfig", "TheoremReport",
-    "compute_blowup_constants", "decide_verdict", "parse_config",
-    "parse_config_dict", "run_experiment", "run_sweep",
-]

@@ -36,7 +36,7 @@ def _emit(payload) -> None:
 
 def _cmd_eig(cfg, args) -> int:
     grid = build_grid(cfg.domain, cfg.cells)
-    eig = _eigenpair(cfg, grid, assemble_grushin(grid, cfg.space))
+    eig = _eigenpair(cfg, assemble_grushin(grid, cfg.space))
     _emit({"lambda1": eig.lambda1, "residual": eig.residual,
            "iterations": eig.iterations, "method": eig.method})
     return EXIT_OK
@@ -55,7 +55,7 @@ def _cmd_check_hypothesis(cfg, args) -> int:
     grid = build_grid(cfg.domain, cfg.cells)
     phi1 = None
     if cfg.initial.kind == "phi1":
-        phi1 = _eigenpair(cfg, grid, assemble_grushin(grid, cfg.space)).phi1
+        phi1 = _eigenpair(cfg, assemble_grushin(grid, cfg.space)).phi1
     u0 = build_initial_condition(grid, cfg.space, cfg.initial, phi1=phi1)
     u_max = cfg.umax_factor * float(np.abs(u0).max())
     f_ok, f_bad = check_f_positive(cfg.nonlinearity, u_max,

@@ -6,11 +6,11 @@ source explicitly:
 
     (I + L + dt*L) u_new = (I + L) u_old + dt * f(u_old),
 
-a first-order scheme whose stiffness lives entirely in the SPD solve.  With
-one x-axis (m == 1) that solve is exact (:class:`SeparableSolver`); otherwise
-it is conjugate gradients to ``cg_tol``.  Step size adapts on the relative
-sup-norm change per step; runaway growth is declared blow-up either by
-threshold or by the controller collapsing below dt_min.
+a first-order scheme whose stiffness lives entirely in the SPD solve.  That
+solve is exact when ``linalg.separable_solver`` offers a solver for the
+operator, and conjugate gradients to ``cg_tol`` otherwise.  Step size adapts
+on the relative sup-norm change per step; runaway growth is declared blow-up
+either by threshold or by the controller collapsing below dt_min.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .diagnostics import EnergyTracker
 from .geometry import Grid, GrushinSpace
-from .linalg import SeparableSolver, SolverError, cg_solve
+from .linalg import SolverError, cg_solve, separable_solver
 from .nonlinearity import Nonlinearity, f_values
 from .operators import SparseMatrix, apply
 
@@ -125,7 +125,7 @@ def build_initial_condition(grid: Grid, space: GrushinSpace,
 
 
 def _advance(u: np.ndarray, dt: float, A: SparseMatrix, nl: Nonlinearity,
-             cg_tol: float, solver: SeparableSolver | None) -> np.ndarray:
+             cg_tol: float, solver) -> np.ndarray:
     """Solve (I + (1+dt)L) u_new = (I + L) u + dt f(u) with L = -A, exactly
     with ``solver`` when given, else by CG."""
     Au = apply(A, u)
@@ -138,8 +138,7 @@ def _advance(u: np.ndarray, dt: float, A: SparseMatrix, nl: Nonlinearity,
 
 
 def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
-         dt_cap: float | None = None,
-         solver: SeparableSolver | None = None) -> SimState:
+         dt_cap: float | None = None, solver=None) -> SimState:
     """One accepted step (or a terminal status change).
 
     Retries with halved dt while the relative sup-norm change exceeds
@@ -147,8 +146,8 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
     time.  After acceptance the threshold check runs, then dt grows by 1.5x
     (capped at dt_max) if the change was below step_change_low.  ``dt_cap``
     temporarily limits the attempted dt (used to land on t_end) without
-    feeding back into the controller.  ``solver``, built for A's grid,
-    replaces the CG solve.
+    feeding back into the controller.  ``solver``, from
+    ``separable_solver(A)``, replaces the CG solve.
     """
     if state.status != "running":
         return state
@@ -184,7 +183,6 @@ def run(grid: Grid, space: GrushinSpace, A: SparseMatrix, nl: Nonlinearity,
 
     The observer (an :class:`EnergyTracker` by default) is invoked at t = 0,
     after every record_every-th accepted step, and at the final state.
-    With m == 1 every step solve goes through one :class:`SeparableSolver`.
     Returns ``(final_state, records)``.
     """
     if observer is None:
@@ -192,7 +190,7 @@ def run(grid: Grid, space: GrushinSpace, A: SparseMatrix, nl: Nonlinearity,
     u0 = np.asarray(u0, dtype=float)
     if u0.size != grid.N:
         raise ValueError(f"u0 has {u0.size} values, grid has {grid.N} nodes")
-    solver = SeparableSolver(grid, space) if space.m == 1 else None
+    solver = separable_solver(A)
     state = SimState(t=0.0, u=u0.copy(), dt=cfg.dt_init, steps=0)
     observer(state)
     t_tol = 1e-10 * max(1.0, cfg.t_end)

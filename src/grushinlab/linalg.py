@@ -1,6 +1,7 @@
 """Linear solves and the first eigenpair of the assembled operator.
 
-Two paths, chosen by the number of x-axes.
+Two paths, chosen here alone (:func:`separable_solver`) by the number of
+x-axes; :func:`smallest_eigenpair` is the one eigensolver entry point.
 
 With one x-axis (m == 1) the y-edge weights depend only on x, so
 -A = K_x (x) I + diag(W) (x) K_y, where K_d is the 1D Dirichlet
@@ -10,10 +11,10 @@ y-axis, and each y-mode j leaves one tridiagonal x-problem K_x + mu_j diag(W).
 first eigenpair from the mode j = 1: the fast diagonalization method of
 Lynch, Rice and Thomas (Numer. Math. 6, 1964).  It uses numpy alone.
 
-With m >= 2 the weight couples the x-axes.  Steps then use conjugate
-gradients with a transparent failure mode, and the eigensolve uses inverse
-power iteration, whose inner solve is the same CG.  Both also serve as the
-test oracle of the separable path.
+With m >= 2, or a matrix not built by ``assemble_grushin``, steps use
+conjugate gradients with a transparent failure mode, and the eigensolve is
+:func:`inverse_iteration`, whose inner solve is the same CG.  Both are also
+the test oracles of the separable path.
 """
 
 from __future__ import annotations
@@ -136,18 +137,33 @@ def cg_solve(A, b: np.ndarray, tol: float = 1e-10, max_iter: int | None = None,
 
 def smallest_eigenpair(A: SparseMatrix, tol: float = 1e-8,
                        max_iter: int = 10_000, cg_tol: float = 1e-10,
-                       cell_volume: float = 1.0) -> EigenResult:
-    """Smallest eigenpair of B = -A by inverse power iteration.
+                       cell_volume: float | None = None) -> EigenResult:
+    """Smallest eigenpair of B = -A, for A symmetric and negative definite.
 
-    ``A`` is the assembled (negative definite, symmetric) operator, so B is
-    SPD and its smallest eigenvalue is the discrete Rayleigh minimum
-    grushin_energy(u)/l2_norm_sq(u).  Starts from the all-ones vector,
-    converges on the eigen-residual ||B v - lambda v|| <= tol * lambda for
-    unit v, and normalizes the output so l2_norm_sq(phi1) == 1 under the
-    rectangle rule with the given ``cell_volume``.
+    Exact from :class:`SeparableSolver` when A was assembled with one x-axis
+    (``tol``, ``max_iter`` and ``cg_tol`` then have nothing to tune), else by
+    :func:`inverse_iteration`.  l2_norm_sq(phi1) == 1 under the rectangle
+    rule with ``cell_volume``, by default that of A's grid (1.0 without one).
+    """
+    solver = separable_solver(A)
+    if solver is not None:
+        return solver.eigenpair(A, cell_volume)
+    return inverse_iteration(A, tol, max_iter, cg_tol, cell_volume)
+
+
+def inverse_iteration(A: SparseMatrix, tol: float = 1e-8,
+                      max_iter: int = 10_000, cg_tol: float = 1e-10,
+                      cell_volume: float | None = None) -> EigenResult:
+    """Smallest eigenpair of B = -A by inverse power iteration, the m >= 2
+    path and the test oracle of the separable one.
+
+    B is SPD and its smallest eigenvalue is the discrete Rayleigh minimum
+    grushin_energy(u)/l2_norm_sq(u).  Starts from the all-ones vector, solves
+    by CG to ``cg_tol``, and converges on the eigen-residual
+    ||B v - lambda v|| <= tol * lambda for unit v.
     """
     if not A.symmetric:
-        raise ValueError("smallest_eigenpair expects a symmetric operator")
+        raise ValueError("inverse_iteration expects a symmetric operator")
     B = A.negated()
     N = B.n
     v = np.ones(N) / np.sqrt(N)
@@ -162,15 +178,30 @@ def smallest_eigenpair(A: SparseMatrix, tol: float = 1e-8,
             raise NumericalBreakdown(f"inverse iteration: Rayleigh quotient {lam}")
         residual = float(np.linalg.norm(Bv - lam * v))
         if residual <= tol * lam:
-            if v[int(np.argmax(np.abs(v)))] < 0.0:
-                v = -v
-            phi = v / np.sqrt(cell_volume)
-            return EigenResult(lambda1=lam, phi1=phi, residual=residual,
-                               iterations=it, method="inverse-iteration")
+            return _eigen_result(A, v, lam, residual, it, "inverse-iteration",
+                                 cell_volume)
     raise NonConvergence(
         f"inverse iteration: eigen-residual above {tol}*lambda after {max_iter} "
         f"iterations (last residual {residual:.3e}, lambda {lam:.6e})",
         best_x=v, residual=residual, iterations=max_iter)
+
+
+def _eigen_result(A, v, lam, residual, iterations, method, cell_volume):
+    """Both paths' result: the unit eigenvector v with its largest-magnitude
+    entry made positive, scaled as :func:`smallest_eigenpair` says."""
+    if cell_volume is None:
+        cell_volume = 1.0 if A.grid is None else A.grid.cell_volume
+    if v[int(np.argmax(np.abs(v)))] < 0.0:
+        v = -v
+    return EigenResult(lam, v / np.sqrt(cell_volume), residual, iterations,
+                       method)
+
+
+def separable_solver(A: SparseMatrix) -> SeparableSolver | None:
+    """The exact solver for an operator assembled with one x-axis, else None."""
+    if A.space is None or A.space.m != 1:
+        return None
+    return SeparableSolver(A.grid, A.space)
 
 
 def _thomas(diag, off: float, rhs):
@@ -220,7 +251,6 @@ class SeparableSolver:
             raise ValueError("the separable solver needs m == 1 and a grid "
                              "with m + k axes")
         self.shape = grid.shape
-        self.cell_volume = grid.cell_volume
         self.inv_h2 = 1.0 / float(grid.h[0]) ** 2
         self.W = _degenerate_weight(grid, space).ravel()
         self.sines = []
@@ -251,15 +281,14 @@ class SeparableSolver:
         x = _thomas(diag, -c * self.inv_h2, rhs)
         return self._transform(x.reshape(self.shape)).ravel()
 
-    def eigenpair(self, A: SparseMatrix) -> EigenResult:
+    def eigenpair(self, A: SparseMatrix, cell_volume=None) -> EigenResult:
         """First eigenpair of -A from the y-mode j = 1.
 
         lambda1 is the smallest eigenvalue of K_x + mu_1 diag(W), bracketed
         in [0, min diagonal] and bisected with Sturm tests to the last bit;
         two shifted Thomas solves give its x-profile.  phi1 is that profile
-        times the first sine of every y-axis, normalized and sign-fixed as
-        :func:`smallest_eigenpair` does, and lambda1 and the residual are
-        then measured against the assembled ``A``.
+        times the first sine of every y-axis, and lambda1 and the residual
+        are measured against the assembled ``A``.
         """
         diag = 2.0 * self.inv_h2 + self.mu[0] * self.W
         entries = diag.tolist()
@@ -286,11 +315,7 @@ class SeparableSolver:
         for S in self.sines:
             v = np.multiply.outer(v, S[0])
         v = v.ravel() / float(np.linalg.norm(v))
-        if v[int(np.argmax(np.abs(v)))] < 0.0:
-            v = -v
         Bv = -A.apply(v)
         lam = float(v @ Bv)
-        residual = float(np.linalg.norm(Bv - lam * v))
-        return EigenResult(lambda1=lam, phi1=v / np.sqrt(self.cell_volume),
-                           residual=residual, iterations=steps,
-                           method="separable")
+        return _eigen_result(A, v, lam, float(np.linalg.norm(Bv - lam * v)),
+                             steps, "separable", cell_volume)

@@ -33,6 +33,8 @@ class QuadratureError(ValueError):
 # --- expression parsing -----------------------------------------------------
 
 _OPS = set("+-*/^()")
+MAX_DEPTH = 64  # nesting levels; parser and evaluator recurse once per level
+_TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
 
 def _tokenize(text: str):
@@ -85,6 +87,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -105,6 +108,12 @@ class _Parser:
         tok = self.peek()
         if tok[0] != "end":
             raise ExpressionError(f"unexpected {tok[0]!r} after expression", tok[2])
+        # Operator chains nest without parser recursion: measure the tree.
+        level = [node]
+        for _ in range(MAX_DEPTH):
+            level = [c for n in level for c in n[1:] if isinstance(c, tuple)]
+        if level:
+            raise ExpressionError(_TOO_DEEP, 0)
         return node
 
     def expr(self):
@@ -121,11 +130,17 @@ class _Parser:
             node = (op, node, self.unary())
         return node
 
-    def unary(self):
+    def unary(self):  # every parser recursion passes through here
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExpressionError(_TOO_DEEP, self.peek()[2])
         if self.peek()[0] == "-":
             self.take()
-            return ("neg", self.unary())
-        return self.power()
+            node = ("neg", self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         base = self.primary()

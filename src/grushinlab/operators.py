@@ -29,7 +29,8 @@ class SparseMatrix:
 
     ``indptr``/``indices``/``values`` are the usual CSR arrays; column
     indices are sorted within each row and duplicates are merged.  The
-    arrays are frozen read-only after construction.
+    arrays are frozen read-only after construction.  Only
+    :func:`assemble_grushin` sets ``grid`` and ``space``.
     """
 
     n: int
@@ -37,6 +38,8 @@ class SparseMatrix:
     indices: np.ndarray
     values: np.ndarray
     symmetric: bool = False
+    grid: Grid | None = None
+    space: GrushinSpace | None = None
 
     def __post_init__(self) -> None:
         csr = sp.csr_matrix(
@@ -138,7 +141,8 @@ def assemble_grushin(grid: Grid, space: GrushinSpace) -> SparseMatrix:
     csr = sp.csr_matrix((np.concatenate(vals),
                          (np.concatenate(rows), np.concatenate(cols))),
                         shape=(N, N))
-    return SparseMatrix(N, csr.indptr, csr.indices, csr.data, symmetric=True)
+    return SparseMatrix(N, csr.indptr, csr.indices, csr.data, symmetric=True,
+                        grid=grid, space=space)
 
 
 def grushin_energy(grid: Grid, space: GrushinSpace, u: np.ndarray) -> float:

@@ -27,7 +27,7 @@ from .diagnostics import (_FIELDS, EnergyTracker, certified_records,
                           monotonicity_margin, write_csv)
 from .geometry import BoxDomain, GrushinSpace, build_grid
 from .integrator import InitialCondition, SimConfig, build_initial_condition, run
-from .linalg import SeparableSolver, smallest_eigenpair
+from .linalg import smallest_eigenpair
 from .nonlinearity import (Nonlinearity, Power, check_blowup_hypothesis,
                            check_f_positive, check_global_hypothesis,
                            decay_ranges, parse_expression)
@@ -397,7 +397,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             stage = "assemble"
             A = assemble_grushin(grid, cfg.space)
             stage = "eigenvalue"
-            eig = _eigenpair(cfg, grid, A)
+            eig = _eigenpair(cfg, A)
             rpt.lambda1 = eig.lambda1
             rpt.eigen = {"method": eig.method, "residual": eig.residual,
                          "iterations": eig.iterations}
@@ -503,15 +503,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     return rpt
 
 
-def _eigenpair(cfg: ExperimentConfig, grid, A):
-    """First eigenpair of the assembled operator: exact when m == 1, else by
-    inverse iteration under the config's ``eigen`` settings."""
-    if cfg.space.m == 1:
-        return SeparableSolver(grid, cfg.space).eigenpair(A)
+def _eigenpair(cfg: ExperimentConfig, A):
+    """First eigenpair of the assembled operator under the config's ``eigen``
+    settings."""
     return smallest_eigenpair(A, tol=cfg.eigen_tol,
                               max_iter=cfg.eigen_max_iter,
-                              cg_tol=cfg.eigen_cg_tol,
-                              cell_volume=grid.cell_volume)
+                              cg_tol=cfg.eigen_cg_tol)
 
 
 def _check_hypothesis(cfg: ExperimentConfig, u_max: float):

@@ -129,6 +129,22 @@ class TestExitCodes:
         assert code == 3
         assert "solver failure" in err
 
+    @pytest.mark.parametrize("expr", [
+        "(" * 2000 + "u" + ")" * 2000,
+        "+".join(["u"] * 5000),
+        "^".join(["u"] * 3000),
+        "-" * 3000 + "u",
+    ], ids=["parens", "sum", "powers", "minus"])
+    def test_deeply_nested_expression_is_a_config_error(self, tmp_path,
+                                                        capsys, expr):
+        data = dict(base_config(), nonlinearity={"expr": expr})
+        with pytest.raises(grushinlab.ConfigError, match="nests deeper"):
+            grushinlab.parse_config_dict(data)
+        code, _, err = run_cli(["verify", write_config(tmp_path, data),
+                                "--out", str(tmp_path / "deep")], capsys)
+        assert code == 2
+        assert "nests deeper" in err
+
     def test_sweep_rejects_bad_values(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, base_config())
         code, _, err = run_cli(

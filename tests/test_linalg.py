@@ -14,7 +14,7 @@ from grushinlab import (BoxDomain, GrushinSpace, NonConvergence,
                         NumericalBreakdown, SolverError, SparseMatrix, apply,
                         assemble_grushin, build_grid, cg_solve,
                         grushin_energy, l2_norm_sq, smallest_eigenpair)
-from grushinlab.linalg import SeparableSolver
+from grushinlab.linalg import SeparableSolver, separable_solver
 
 from oracles import dense_from_csr, jacobi_eigenvalues
 
@@ -188,6 +188,63 @@ class TestSmallestEigenpair:
             smallest_eigenpair(A)
 
 
+class TestOneEntryPoint:
+    """smallest_eigenpair picks the path from the operator alone."""
+
+    @pytest.mark.parametrize("m, cells, method", [
+        (1, (10, 8), "separable"),
+        (2, (5, 4, 4), "inverse-iteration"),
+    ])
+    def test_assembled_operator_picks_its_path(self, m, cells, method):
+        grid, space, A = grushin_setup([(-1.0, 1.0)] + [(0.0, 1.5)] * m,
+                                       cells, gamma=1.0, m=m, k=1)
+        eig = smallest_eigenpair(A)
+        assert eig.method == method
+        assert l2_norm_sq(grid, eig.phi1) == pytest.approx(1.0, rel=1e-12)
+        assert eig.phi1[np.argmax(np.abs(eig.phi1))] > 0.0
+        assert (separable_solver(A) is None) == (m != 1)
+
+    def test_hand_built_matrix_takes_inverse_iteration(self):
+        A = diag_matrix([-3.0, -1.0, -2.0])
+        eig = smallest_eigenpair(A, tol=1e-9)
+        assert eig.method == "inverse-iteration"
+        assert eig.lambda1 == pytest.approx(1.0, rel=1e-9)
+        assert float(eig.phi1 @ eig.phi1) == pytest.approx(1.0, rel=1e-12)
+        assert separable_solver(A) is None
+
+    def test_largest_entry_is_made_positive(self):
+        # Ground state x has a positive projection on the all-ones start
+        # vector, so inverse iteration converges to +x, whose largest entry
+        # is negative.
+        x = np.array([1.0, 1.0, -1.5])
+        B = 3.0 * np.eye(3) - 2.0 * np.outer(x, x) / (x @ x)
+        A = SparseMatrix(n=3, indptr=np.array([0, 3, 6, 9]),
+                         indices=np.tile(np.arange(3), 3),
+                         values=-B.ravel(), symmetric=True)
+        eig = smallest_eigenpair(A, tol=1e-9)
+        assert eig.lambda1 == pytest.approx(1.0, rel=1e-9)
+        assert np.allclose(eig.phi1, -x / np.linalg.norm(x), atol=1e-8)
+
+    def test_negated_copy_forgets_its_grid(self):
+        _, _, A = grushin_setup([(0.0, 1.0), (0.0, 1.0)], (4, 4), gamma=1.0)
+        assert A.grid is not None and A.space is not None
+        B = A.negated()
+        assert B.grid is None and B.space is None
+        assert separable_solver(B) is None
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_explicit_cell_volume_keeps_its_meaning(self, m):
+        grid, _, A = grushin_setup([(0.0, 1.0)] * (m + 1), (4,) * (m + 1),
+                                   gamma=1.0, m=m, k=1)
+        default = smallest_eigenpair(A, tol=1e-10)
+        scaled = smallest_eigenpair(A, tol=1e-10, cell_volume=0.25)
+        assert float(scaled.phi1 @ scaled.phi1) * 0.25 == pytest.approx(
+            1.0, rel=1e-12)
+        assert np.allclose(scaled.phi1 * 0.5,
+                           default.phi1 * np.sqrt(grid.cell_volume),
+                           rtol=1e-6, atol=0.0)
+
+
 class TestSeparableSolver:
     @pytest.mark.parametrize("bounds, cells", [
         ([(-1.0, 1.0), (0.0, 2.0)], (7, 6)),
@@ -241,6 +298,9 @@ def test_m1_pipeline_imports_neither_scipy_fft_nor_linalg():
         " 'bounds': [[-1, 1], [-1, 1]], 'cells': [8, 8], 'mode': 'blowup',"
         " 'sim': {'t_end': 0.01}})\n"
         "assert gl.run_experiment(cfg).failure is None\n"
+        "grid = gl.build_grid(cfg.domain, (16, 12))\n"
+        "A = gl.assemble_grushin(grid, cfg.space)\n"
+        "assert gl.smallest_eigenpair(A).method == 'separable'\n"
         "print([m for m in ('scipy.fft', 'scipy.linalg') if m in sys.modules])\n")
     src = os.path.dirname(os.path.dirname(grushinlab.__file__))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,

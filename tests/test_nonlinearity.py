@@ -9,8 +9,8 @@ from grushinlab import (DomainError, Expression, ExpressionError, Power,
                         check_blowup_hypothesis, check_f_positive,
                         check_global_hypothesis, eval_F, eval_f,
                         parse_expression)
-from grushinlab.nonlinearity import (F_values, QuadratureError, f_values,
-                                     sample_points)
+from grushinlab.nonlinearity import (MAX_DEPTH, F_values, QuadratureError,
+                                     f_values, sample_points)
 
 
 class TestParser:
@@ -65,6 +65,18 @@ class TestParser:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(ExpressionError):
             parse_expression("u^3 u")
+
+    @pytest.mark.parametrize("nest", [
+        lambda n: "(" * (n - 1) + "u" + ")" * (n - 1),
+        lambda n: "+".join(["u"] * n),
+        lambda n: "^".join(["u"] + ["2"] * (n - 1)),
+        lambda n: "-" * (n - 1) + "u",
+    ], ids=["parens", "sum", "powers", "minus"])
+    def test_nesting_limit_is_exact(self, nest):
+        # n operands or n - 1 prefixes reach depth n.
+        parse_expression(nest(MAX_DEPTH))
+        with pytest.raises(ExpressionError, match="nests deeper than 64"):
+            parse_expression(nest(MAX_DEPTH + 1))
 
 
 class TestSourceTermValidation:
