@@ -146,11 +146,13 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
     time.  After acceptance the threshold check runs, then dt grows by 1.5x
     (capped at dt_max) if the change was below step_change_low.  ``dt_cap``
     temporarily limits the attempted dt (used to land on t_end) without
-    feeding back into the controller.  ``solver``, from
-    ``separable_solver(A)``, replaces the CG solve.
+    feeding back into the controller.  ``solver`` is ``separable_solver(A)``
+    unless given; when there is one, it replaces the CG solve.
     """
     if state.status != "running":
         return state
+    if solver is None:
+        solver = separable_solver(A)
     dt_try = state.dt if dt_cap is None else min(state.dt, dt_cap)
     u_norm = float(np.abs(state.u).max())
     while True:

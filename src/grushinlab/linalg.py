@@ -46,6 +46,12 @@ class NumericalBreakdown(SolverError):
     """A non-finite quantity appeared mid-iteration."""
 
 
+# Outer inverse-iteration steps without a new best eigen-residual after which
+# the residual counts as stalled: the inner CG tolerance bounds how far it can
+# fall, so a smaller ``tol`` is out of reach.
+STALL_STEPS = 100
+
+
 @dataclass(frozen=True)
 class SolveReport:
     iterations: int
@@ -160,19 +166,20 @@ def inverse_iteration(A: SparseMatrix, tol: float = 1e-8,
     B is SPD and its smallest eigenvalue is the discrete Rayleigh minimum
     grushin_energy(u)/l2_norm_sq(u).  Starts from the all-ones vector, solves
     by CG to ``cg_tol``, and converges on the eigen-residual
-    ||B v - lambda v|| <= tol * lambda for unit v.
+    ||B v - lambda v|| <= tol * lambda for unit v.  Raises
+    :class:`NonConvergence` with the best iterate after ``max_iter`` steps,
+    or sooner once :data:`STALL_STEPS` steps bring no new best residual.
     """
     if not A.symmetric:
         raise ValueError("inverse_iteration expects a symmetric operator")
-    B = A.negated()
-    N = B.n
-    v = np.ones(N) / np.sqrt(N)
-    Bv = B.apply(v)
-    lam = float(v @ Bv)
+    B = lambda v: -A.apply(v)
+    v = np.ones(A.n) / np.sqrt(A.n)
+    lam = float(v @ B(v))
+    best_res, best_v, best_it = np.inf, v, 0
     for it in range(1, max_iter + 1):
         z, _ = cg_solve(B, v, tol=cg_tol, x0=v / lam)
         v = z / float(np.linalg.norm(z))
-        Bv = B.apply(v)
+        Bv = B(v)
         lam = float(v @ Bv)
         if not np.isfinite(lam) or lam <= 0.0:
             raise NumericalBreakdown(f"inverse iteration: Rayleigh quotient {lam}")
@@ -180,10 +187,14 @@ def inverse_iteration(A: SparseMatrix, tol: float = 1e-8,
         if residual <= tol * lam:
             return _eigen_result(A, v, lam, residual, it, "inverse-iteration",
                                  cell_volume)
+        if residual < best_res:
+            best_res, best_v, best_it = residual, v, it
+        elif it - best_it >= STALL_STEPS:
+            break
     raise NonConvergence(
-        f"inverse iteration: eigen-residual above {tol}*lambda after {max_iter} "
-        f"iterations (last residual {residual:.3e}, lambda {lam:.6e})",
-        best_x=v, residual=residual, iterations=max_iter)
+        f"inverse iteration: eigen-residual above {tol}*lambda after {it} "
+        f"iterations (best residual {best_res:.3e} at iteration {best_it}, "
+        f"lambda {lam:.6e})", best_x=best_v, residual=best_res, iterations=it)
 
 
 def _eigen_result(A, v, lam, residual, iterations, method, cell_volume):

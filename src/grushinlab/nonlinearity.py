@@ -321,17 +321,16 @@ def F_values(nl: Nonlinearity, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if isinstance(nl, Power):
         return nl.c * np.abs(u) ** (nl.p + 1.0) / (nl.p + 1.0)
-    flat = np.atleast_1d(u).ravel()
-    vs = np.unique(np.concatenate([[0.0], flat]))
+    vs, node = np.unique(np.concatenate([[0.0], np.ravel(u)]),
+                         return_inverse=True)
     fun = lambda x: _eval_ast(nl.ast, x)
     try:
         pieces = _simpson_batch(fun, vs[:-1], vs[1:], 1e-12)
     except QuadratureError as exc:
         raise QuadratureError(f"F of expression {nl.text!r}: {exc}") from exc
     prefix = np.concatenate([[0.0], np.cumsum(pieces)])
-    i0 = int(np.searchsorted(vs, 0.0))
-    F_at = prefix - prefix[i0]
-    return F_at[np.searchsorted(vs, flat)].reshape(np.shape(u))
+    F_at = prefix - prefix[node[0]]
+    return F_at[node[1:]].reshape(np.shape(u))
 
 
 def eval_F(nl: Nonlinearity, u: float) -> float:

@@ -10,50 +10,77 @@ arithmetic,
 
 for every nodal vector u, which is the discrete summation-by-parts identity
 the rest of the package leans on.
+
+The matrix is stored by its diagonals (the DIA format; Saad, Iterative
+Methods for Sparse Linear Systems, 2nd ed., SIAM 2003, sec. 3.4): the main
+diagonal and, for each axis, the pair at plus and minus that axis's stride.
+The product adds the diagonals in ascending offset order, which is each
+row's column order, so it rounds exactly as a CSR product does.  numpy only.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import Grid, GrushinSpace, integral
 
 
 @dataclass(frozen=True, eq=False)
 class SparseMatrix:
-    """Symmetric sparse matrix in CSR form.
+    """Square sparse matrix stored by its diagonals.
 
-    ``indptr``/``indices``/``values`` are the usual CSR arrays; column
-    indices are sorted within each row and duplicates are merged.  The
-    arrays are frozen read-only after construction.  Only
+    ``diagonals`` maps each offset o to the entries A[i, i+o] in row order,
+    n - |o| of them; it is kept in ascending offset order, which is each
+    row's column order, and every diagonal is frozen read-only.
+    ``indptr``/``indices``/``values`` (and ``nnz``) are a read-only CSR view
+    of the nonzero entries, built on first access.  Only
     :func:`assemble_grushin` sets ``grid`` and ``space``.
     """
 
     n: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
+    diagonals: dict[int, np.ndarray]
     symmetric: bool = False
     grid: Grid | None = None
     space: GrushinSpace | None = None
 
     def __post_init__(self) -> None:
-        csr = sp.csr_matrix(
-            (np.asarray(self.values, dtype=float),
-             np.asarray(self.indices, dtype=np.int64),
-             np.asarray(self.indptr, dtype=np.int64)),
-            shape=(self.n, self.n), copy=False)
-        csr.sort_indices()
-        object.__setattr__(self, "indptr", csr.indptr)
-        object.__setattr__(self, "indices", csr.indices)
-        object.__setattr__(self, "values", csr.data)
-        for arr in (self.indptr, self.indices, self.values):
+        diagonals = {}
+        for o in sorted(self.diagonals):
+            c = np.array(self.diagonals[o], dtype=float)
+            if c.shape != (self.n - abs(o),):
+                raise ValueError(f"diagonal {o} of a {self.n}x{self.n} matrix "
+                                 f"needs {self.n - abs(o)} entries, got "
+                                 f"shape {c.shape}")
+            c.flags.writeable = False
+            diagonals[int(o)] = c
+        object.__setattr__(self, "diagonals", diagonals)
+
+    @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, indices, values) of the nonzero entries, columns
+        ascending within each row, with int32 index arrays while they fit."""
+        offsets = np.array(list(self.diagonals), dtype=np.int64)
+        band = np.zeros((self.n, offsets.size))
+        for k, (o, c) in enumerate(self.diagonals.items()):
+            band[max(-o, 0):self.n - max(o, 0), k] = c
+        stored = band != 0.0
+        nnz = int(stored.sum())
+        index = np.int32 if max(self.n, nnz) < 2 ** 31 else np.int64
+        indptr = np.zeros(self.n + 1, dtype=index)
+        np.cumsum(stored.sum(axis=1), out=indptr[1:])
+        indices = (np.arange(self.n)[:, None] + offsets)[stored].astype(index)
+        values = band[stored]
+        for arr in (indptr, indices, values):
             arr.flags.writeable = False
-        object.__setattr__(self, "_csr", csr)
+        return indptr, indices, values
+
+    indptr = property(lambda self: self.csr[0])
+    indices = property(lambda self: self.csr[1])
+    values = property(lambda self: self.csr[2])
 
     @property
     def nnz(self) -> int:
@@ -62,17 +89,24 @@ class SparseMatrix:
     def apply(self, u: np.ndarray) -> np.ndarray:
         return apply(self, u)
 
-    def negated(self) -> "SparseMatrix":
-        return SparseMatrix(self.n, self.indptr.copy(), self.indices.copy(),
-                            -self.values, symmetric=self.symmetric)
-
 
 def apply(A: SparseMatrix, u: np.ndarray) -> np.ndarray:
-    """Matrix-vector product A @ u."""
+    """Matrix-vector product A @ u.
+
+    Diagonals are added in ascending offset order, so each row sums its
+    products in column order starting from 0, exactly as a CSR product does.
+    """
     u = np.asarray(u, dtype=float)
-    if u.shape != (A.n,):
-        raise ValueError(f"expected vector of length {A.n}, got shape {u.shape}")
-    return A._csr @ u
+    n = A.n
+    if u.shape != (n,):
+        raise ValueError(f"expected vector of length {n}, got shape {u.shape}")
+    out = np.zeros(n)
+    for o, c in A.diagonals.items():
+        if o >= 0:
+            out[:n - o] += c * u[o:]
+        else:
+            out[-o:] += c * u[:n + o]
+    return out
 
 
 def _degenerate_weight(grid: Grid, space: GrushinSpace) -> np.ndarray:
@@ -112,37 +146,25 @@ def assemble_grushin(grid: Grid, space: GrushinSpace) -> SparseMatrix:
             "minimum is reported as-is.",
             UserWarning, stacklevel=2)
 
-    shape, n, N = grid.shape, grid.n, grid.N
+    shape, N = grid.shape, grid.N
     W = _degenerate_weight(grid, space)
-    idx = np.arange(N).reshape(shape)
-
-    rows, cols, vals = [], [], []
     diag = np.zeros(shape)
-    for d in range(n):
+    diagonals = {}
+    for d in range(grid.n):
         h2 = float(grid.h[d]) ** 2
         w = 1.0 if d < space.m else W
         # Both edges incident along axis d share the weight (it does not vary
         # along the edge axis), including edges into the boundary layer.
         diag -= 2.0 * w / h2
-        lo = [slice(None)] * n
-        hi = [slice(None)] * n
-        lo[d] = slice(None, -1)
-        hi[d] = slice(1, None)
-        i = idx[tuple(lo)].ravel()
-        j = idx[tuple(hi)].ravel()
-        w_edge = np.broadcast_to(w / h2, shape)[tuple(lo)].ravel()
-        rows.extend((i, j))
-        cols.extend((j, i))
-        vals.extend((w_edge, w_edge))
-    rows.append(idx.ravel())
-    cols.append(idx.ravel())
-    vals.append(diag.ravel())
-
-    csr = sp.csr_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(N, N))
-    return SparseMatrix(N, csr.indptr, csr.indices, csr.data, symmetric=True,
-                        grid=grid, space=space)
+        if shape[d] == 1:
+            # No interior edge, and the axis shares its stride with the next.
+            continue
+        edge = np.array(np.broadcast_to(w / h2, shape))
+        edge[(slice(None),) * d + (-1,)] = 0.0   # the last layer has no edge
+        stride = int(np.prod(shape[d + 1:]))
+        diagonals[-stride] = diagonals[stride] = edge.ravel()[:N - stride]
+    diagonals[0] = diag.ravel()
+    return SparseMatrix(N, diagonals, symmetric=True, grid=grid, space=space)
 
 
 def grushin_energy(grid: Grid, space: GrushinSpace, u: np.ndarray) -> float:

@@ -573,12 +573,11 @@ def _certify(records, status: str, sigma: float | None,
 
 def _dump_matrix(A, path) -> None:
     """Zero-based 'i j value' triplets, one stored entry per line."""
-    lines = []
-    for i in range(A.n):
-        for pos in range(A.indptr[i], A.indptr[i + 1]):
-            lines.append(f"{i} {A.indices[pos]} {format(A.values[pos], '.17g')}")
+    rows = np.repeat(np.arange(A.n), np.diff(A.indptr)).tolist()
+    lines = "\n".join([f"{i} {j} {v:.17g}" for i, j, v in
+                       zip(rows, A.indices.tolist(), A.values.tolist())])
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(lines + "\n")
 
 
 def _with_axis(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:

@@ -2,9 +2,9 @@
 
 Everything here is written from first principles against the mathematical
 definitions, deliberately avoiding the code paths under test: the dense
-reconstruction walks the raw CSR arrays, the eigenvalue oracle is a cyclic
-Jacobi rotation sweep, and the constants oracle uses a different algebraic
-arrangement of the same formulas.
+reconstruction and the matrix-vector product walk the raw CSR arrays, the
+eigenvalue oracle is a cyclic Jacobi rotation sweep, and the constants oracle
+uses a different algebraic arrangement of the same formulas.
 """
 
 import math
@@ -19,6 +19,18 @@ def dense_from_csr(n, indptr, indices, values):
         for pos in range(int(indptr[i]), int(indptr[i + 1])):
             dense[i, int(indices[pos])] += float(values[pos])
     return dense
+
+
+def csr_matvec(n, indptr, indices, values, u):
+    """A @ u row by row from the raw CSR arrays: each row sums its stored
+    entries times u in stored column order, starting from 0."""
+    out = np.zeros(n)
+    for i in range(n):
+        acc = 0.0
+        for pos in range(int(indptr[i]), int(indptr[i + 1])):
+            acc += float(values[pos]) * float(u[int(indices[pos])])
+        out[i] = acc
+    return out
 
 
 def jacobi_eigenvalues(mat, tol=1e-13, max_sweeps=60):

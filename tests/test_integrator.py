@@ -5,8 +5,9 @@ import pytest
 
 from grushinlab import (BoxDomain, GrushinSpace, InitialCondition, Power,
                         SimConfig, SimState, assemble_grushin, build_grid,
-                        build_initial_condition, l2_norm_sq, parse_expression,
-                        run, smallest_eigenpair, step)
+                        build_initial_condition, integrator, l2_norm_sq,
+                        parse_expression, run, smallest_eigenpair, step)
+from grushinlab.linalg import separable_solver
 
 
 def small_setup(cells=(8, 8), gamma=0.0, bounds=((0.0, 1.0), (0.0, 1.0))):
@@ -174,6 +175,23 @@ class TestStep:
         state = SimState(t=0.0, u=unit16.eig.phi1.copy(), dt=1e-2, steps=0)
         out = step(state, unit16.A, zero, cfg, dt_cap=1e-5)
         assert out.t == pytest.approx(1e-5)
+
+    def test_exact_solver_without_being_passed_one(self, monkeypatch):
+        space, grid, A = small_setup(cells=(12, 10), gamma=1.0,
+                                     bounds=((0.0, 2.0), (-1.0, 1.0)))
+        u0 = build_initial_condition(
+            grid, space, InitialCondition(kind="product_sine", amplitude=2.0))
+        state = SimState(t=0.0, u=u0, dt=1e-2, steps=0)
+        nl, cfg = Power(3.0, 1.0), SimConfig()
+        want = step(state, A, nl, cfg, solver=separable_solver(A))
+
+        def no_cg(*args, **kwargs):
+            raise AssertionError("step ran CG on an m = 1 operator")
+        monkeypatch.setattr(integrator, "cg_solve", no_cg)
+        got = step(state, A, nl, cfg)
+        assert got.u.tobytes() == want.u.tobytes()
+        assert (got.t, got.dt, got.steps, got.status) == (
+            want.t, want.dt, want.steps, want.status)
 
 
 class TestRun:

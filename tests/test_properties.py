@@ -1,5 +1,5 @@
-"""Property-based checks of the assembled operator, the energy record and
-the two solver paths.
+"""Property-based checks of the assembled operator and its product, the
+energy record and the two solver paths.
 
 Random Grushin spaces (m, k in {1, 2}, gamma in [0, 2]) on boxes of 2 to 6
 cells per axis whose bounds may straddle the degenerate plane x = 0.  The
@@ -13,14 +13,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grushinlab import (BoxDomain, EnergyTracker, GrushinSpace, Power, apply,
-                        assemble_grushin, build_grid, cg_solve,
-                        grushin_energy, integral, l2_norm_sq,
+from grushinlab import (BoxDomain, EnergyTracker, GrushinSpace, Power,
+                        SparseMatrix, apply, assemble_grushin, build_grid,
+                        cg_solve, grushin_energy, integral, l2_norm_sq,
                         parse_expression)
 from grushinlab.linalg import SeparableSolver, inverse_iteration
 from grushinlab.nonlinearity import F_values
 
-from oracles import dense_from_csr
+from oracles import csr_matvec, dense_from_csr
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=100)
@@ -52,6 +52,30 @@ def operators(draw, m=None):
         u = np.zeros(grid.N)
         u[rng.integers(grid.N)] = rng.choice([-1.0, 1.0]) * rng.random() + 0.5
     return grid, space, A, u
+
+
+@st.composite
+def hand_built(draw):
+    """(A, u): a SparseMatrix of 1 to 8 rows on random diagonals whose
+    entries may be 0, and a vector u."""
+    n = draw(st.integers(1, 8))
+    entries = st.floats(-1e3, 1e3) | st.just(0.0)
+    offsets = draw(st.sets(st.integers(1 - n, n - 1)))
+    A = SparseMatrix(n, {o: draw(st.lists(entries, min_size=n - abs(o),
+                                          max_size=n - abs(o)))
+                         for o in offsets})
+    u = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    return A, u
+
+
+@PROPERTY_SETTINGS
+@given(operators().map(lambda case: case[2:]) | hand_built(),
+       st.integers(0, 2**32 - 1))
+def test_apply_sums_each_row_in_column_order(case, seed):
+    A, u = case
+    u = u * 10.0 ** np.random.default_rng(seed).uniform(-5.0, 5.0, A.n)
+    want = csr_matvec(A.n, A.indptr, A.indices, A.values, u)
+    assert apply(A, u).tobytes() == want.tobytes()
 
 
 @PROPERTY_SETTINGS

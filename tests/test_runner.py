@@ -8,7 +8,8 @@ import os
 import numpy as np
 import pytest
 
-from grushinlab import (ConfigError, Expression, Power, certified_records,
+from grushinlab import (ConfigError, Expression, Power, assemble_grushin,
+                        build_grid, certified_records,
                         compute_blowup_constants, concavity_margin,
                         decide_verdict, parse_config, parse_config_dict,
                         read_csv, run_experiment, run_sweep)
@@ -358,6 +359,17 @@ class TestRunExperiment:
         assert first[0] == "0"
         saved = json.load(open(os.path.join(out, "report.json")))
         assert saved["verdict"] == rpt.verdict
+
+    def test_matrix_dump_walks_the_csr_view(self, tmp_path):
+        cfg = parse_config_dict(fast_dict(**M2_SPACE))
+        out = str(tmp_path / "art")
+        run_experiment(cfg, out_dir=out, dump_matrix=True)
+        A = assemble_grushin(build_grid(cfg.domain, cfg.cells), cfg.space)
+        want = "".join(
+            f"{i} {A.indices[pos]} {format(A.values[pos], '.17g')}\n"
+            for i in range(A.n) for pos in range(A.indptr[i], A.indptr[i + 1]))
+        with open(os.path.join(out, "matrix.txt"), newline="") as fh:
+            assert fh.read() == want
 
     def test_reruns_are_byte_identical(self, tmp_path):
         cfg = parse_config_dict(fast_dict())
