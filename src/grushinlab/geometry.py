@@ -83,10 +83,12 @@ class BoxDomain:
     bounds: tuple[tuple[float, float], ...]
 
     def __init__(self, bounds) -> None:
-        bounds = tuple((float(a), float(b)) for a, b in bounds)
-        for i, (a, b) in enumerate(bounds):
-            if not (np.isfinite(a) and np.isfinite(b)) or a >= b:
-                raise ValueError(f"axis {i}: bounds must satisfy a < b, got ({a}, {b})")
+        bounds = tuple(tuple(map(float, pair)) for pair in bounds)
+        for i, pair in enumerate(bounds):
+            if (len(pair) != 2 or not np.all(np.isfinite(pair))
+                    or pair[0] >= pair[1]):
+                raise ValueError(f"axis {i}: bounds must be a pair (a, b) "
+                                 f"with a < b, got {pair}")
         object.__setattr__(self, "bounds", bounds)
 
     @property

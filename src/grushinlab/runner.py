@@ -8,6 +8,12 @@ HypothesesNotMet means some premise failed, so the run predicts nothing.
 InconsistencyFlag is the loud one: premises held and the outcome still
 contradicted the prediction.  Inconclusive covers everything else (e.g. the
 run ended before the predicted window, or the march failed).
+
+A config is checked in two passes.  ``_SHAPE`` gives each key its JSON type,
+and unknown keys, wrong types and non-finite numbers are rejected first.  Then
+each object built from the config (GrushinSpace, BoxDomain, the grid, Power or
+Expression, InitialCondition, SimConfig, ExperimentConfig) checks its own
+ranges, and a failure names that object's JSON pointer.
 """
 
 from __future__ import annotations
@@ -16,11 +22,12 @@ import dataclasses
 import json
 import math
 import os
+import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .diagnostics import (_FIELDS, EnergyTracker, certified_records,
                           concavity_margin, decay_margin, emit_svg_plot,
@@ -48,6 +55,15 @@ class ConfigError(ValueError):
         problems = list(problems)
         super().__init__("invalid config:\n" + "\n".join(problems))
         self.problems = problems
+
+
+# Optional config keys, the ExperimentConfig fields they set when given, the
+# JSON type of each and the bound each value must exceed.
+_TUNING_KEYS = (("eigen", "tol", "eigen_tol", float, 0.0),
+                ("eigen", "max_iter", "eigen_max_iter", int, 0),
+                ("eigen", "cg_tol", "eigen_cg_tol", float, 0.0),
+                ("hypothesis", "samples", "hypothesis_samples", int, 1),
+                ("hypothesis", "umax_factor", "umax_factor", float, 0.0))
 
 
 @dataclass(frozen=True)
@@ -78,180 +94,149 @@ class ExperimentConfig:
     output: OutputSpec = OutputSpec()
     notes: str | None = None
 
+    def __post_init__(self) -> None:
+        """Check the ranges no component object owns; each problem names the
+        config key that sets the value."""
+        problems = [f"/{group}: {key} must be > {floor}, "
+                    f"got {getattr(self, field)}"
+                    for group, key, field, _, floor in _TUNING_KEYS
+                    if not getattr(self, field) > floor]
+        if self.mode not in MODES:
+            problems.append(f"/mode: must be one of {list(MODES)}, "
+                            f"got {self.mode!r}")
+        bad = [f for f in self.output.svg_fields
+               if f not in _FIELDS or f == "t"]
+        if bad or not self.output.svg_fields:
+            problems.append(f"/output/svg_fields: need one or more record "
+                            f"fields, got unknown {bad}")
+        if problems:
+            raise ConfigError(problems)
 
-_NUM = {"type": "number"}
-_POS = {"type": "number", "exclusiveMinimum": 0}
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["space", "bounds", "cells"],
-    "properties": {
-        "space": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["m", "k", "gamma"],
-            "properties": {
-                "m": {"type": "integer", "minimum": 1},
-                "k": {"type": "integer", "minimum": 1},
-                "gamma": {"type": "number", "minimum": 0},
-            },
-        },
-        "bounds": {
-            "type": "array", "minItems": 2,
-            "items": {"type": "array", "items": _NUM,
-                      "minItems": 2, "maxItems": 2},
-        },
-        "cells": {
-            "type": "array", "minItems": 2,
-            "items": {"type": "integer", "minimum": 2},
-        },
-        "nonlinearity": {
-            "type": "object",
-            "additionalProperties": False,
-            "minProperties": 1, "maxProperties": 1,
-            "properties": {
-                "power": {
-                    "type": "object", "additionalProperties": False,
-                    "required": ["p", "c"],
-                    "properties": {"p": {"type": "number", "exclusiveMinimum": 1},
-                                   "c": _POS},
-                },
-                "expr": {"type": "string", "minLength": 1},
-            },
-        },
-        "alpha": _NUM,
-        "beta": _NUM,
-        "theta": _NUM,
-        "initial": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["product_sine", "phi1", "file"]},
-                "amplitude": _POS,
-                "path": {"type": "string"},
-            },
-        },
-        "sim": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "t_end": _POS, "dt_init": _POS, "dt_min": _POS, "dt_max": _POS,
-                "blowup_threshold": _POS, "step_change_high": _POS,
-                "step_change_low": {"type": "number", "minimum": 0},
-                "cg_tol": _POS,
-                "record_every": {"type": "integer", "minimum": 1},
-            },
-        },
-        "eigen": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"tol": _POS,
-                           "max_iter": {"type": "integer", "minimum": 1},
-                           "cg_tol": _POS},
-        },
-        "hypothesis": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"samples": {"type": "integer", "minimum": 2},
-                           "umax_factor": _POS},
-        },
-        "mode": {"enum": list(MODES)},
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "csv": {"type": "string"},
-                "report": {"type": "string"},
-                "svg": {"type": "string"},
-                "svg_fields": {"type": "array", "minItems": 1,
-                               "items": {"type": "string"}},
-            },
-        },
-        "notes": {"type": "string"},
-    },
+# Every config key and its JSON type: a dict is an object, [t] an array of t,
+# float any number, int a number with no fractional part.  Ranges are checked
+# by the objects built from the config, not here.
+_SHAPE = {
+    "space": {"m": int, "k": int, "gamma": float},
+    "bounds": [[float]],
+    "cells": [int],
+    "nonlinearity": {"power": {"p": float, "c": float}, "expr": str},
+    "alpha": float, "beta": float, "theta": float,
+    "initial": {"kind": str, "amplitude": float, "path": str},
+    "sim": {f.name: type(f.default) for f in dataclasses.fields(SimConfig)},
+    **{group: {key: cast for g, key, _, cast, _ in _TUNING_KEYS if g == group}
+       for group in ("eigen", "hypothesis")},
+    "mode": str,
+    "output": {"csv": str, "report": str, "svg": str, "svg_fields": [str]},
+    "notes": str,
 }
 
-_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+_KINDS = {dict: "an object", list: "an array", str: "a string",
+          float: "a number", int: "an integer"}
 
 
-# Optional config keys and the ExperimentConfig fields they set when given.
-_TUNING_KEYS = (("eigen", "tol", "eigen_tol", float),
-                ("eigen", "max_iter", "eigen_max_iter", int),
-                ("eigen", "cg_tol", "eigen_cg_tol", float),
-                ("hypothesis", "samples", "hypothesis_samples", int),
-                ("hypothesis", "umax_factor", "umax_factor", float))
+def _shape_problems(value, shape, pointer: str = ""):
+    """Yield '<pointer>: message' for each place ``value`` departs from
+    ``shape``: an unknown key, a wrong JSON type (a boolean is not a number),
+    a non-finite number or an integer with a fractional part."""
+    kind = type(shape) if isinstance(shape, (dict, list)) else shape
+    where = pointer or "/"
+    if kind in (float, int):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        yield f"{where}: expected {_KINDS[kind]}, got {value!r}"
+    elif kind is dict:
+        for key, item in value.items():
+            if key in shape:
+                yield from _shape_problems(item, shape[key], f"{pointer}/{key}")
+            else:
+                yield f"{where}: unknown key {key!r}"
+    elif kind is list:
+        for i, item in enumerate(value):
+            yield from _shape_problems(item, shape[0], f"{pointer}/{i}")
+    elif kind is not str and not abs(value) <= sys.float_info.max:
+        yield f"{where}: expected a finite number, got {value!r}"
+    elif kind is int and value != int(value):
+        yield f"{where}: expected an integer, got {value!r}"
 
 
-def _pointer(err) -> str:
-    return "/" + "/".join(str(p) for p in err.absolute_path)
+@contextmanager
+def _at(pointer: str):
+    """Report a failure to build the config object at ``pointer`` (a missing
+    key or a ValueError from its constructor) as a ConfigError there."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except KeyError as exc:
+        raise ConfigError([f"{pointer}: missing key {exc.args[0]!r}"]) from None
+    except ValueError as exc:
+        raise ConfigError([f"{pointer}: {exc}"]) from exc
 
 
 def parse_config_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     """Validate a config mapping and build the typed experiment description.
 
-    Unknown keys anywhere are rejected; messages carry JSON pointer paths.
-    Relative initial-condition file paths resolve against ``base_dir``.
+    Unknown keys, wrong JSON types and non-finite numbers anywhere are
+    rejected first; then each object built from the config checks its own
+    ranges.  Messages carry JSON pointer paths.  Relative initial-condition
+    file paths resolve against ``base_dir``.
     """
-    problems = [f"{_pointer(e)}: {e.message}"
-                for e in sorted(_VALIDATOR.iter_errors(data),
-                                key=lambda e: list(map(str, e.absolute_path)))]
+    problems = list(_shape_problems(data, _SHAPE))
     if problems:
         raise ConfigError(problems)
 
-    def build():
-        space = GrushinSpace(m=data["space"]["m"], k=data["space"]["k"],
-                             gamma=float(data["space"]["gamma"]))
-        domain = BoxDomain(data["bounds"])
-        if domain.n != space.n:
-            raise ConfigError([f"/bounds: expected {space.n} axis bounds "
-                               f"(m + k), got {domain.n}"])
+    with _at("/"):
+        space_spec, bounds = data["space"], data["bounds"]
         cells = tuple(data["cells"])
-        if len(cells) != space.n:
-            raise ConfigError([f"/cells: expected {space.n} entries (m + k), "
-                               f"got {len(cells)}"])
-        nl_spec = data.get("nonlinearity", {"power": {"p": 3.0, "c": 1.0}})
-        if "power" in nl_spec:
+    with _at("/space"):
+        space = GrushinSpace(m=space_spec["m"], k=space_spec["k"],
+                             gamma=float(space_spec["gamma"]))
+    with _at("/bounds"):
+        domain = BoxDomain(bounds)
+        if domain.n != space.n:
+            raise ValueError(f"expected {space.n} axis bounds (m + k), "
+                             f"got {domain.n}")
+    with _at("/cells"):
+        build_grid(domain, cells)
+    nl_spec = data.get("nonlinearity", {"power": {"p": 3.0, "c": 1.0}})
+    if len(nl_spec) != 1:
+        raise ConfigError(["/nonlinearity: give exactly one of 'power' "
+                           "and 'expr'"])
+    if "power" in nl_spec:
+        with _at("/nonlinearity/power"):
             nl: Nonlinearity = Power(p=float(nl_spec["power"]["p"]),
                                      c=float(nl_spec["power"]["c"]))
-        else:
+    else:
+        with _at("/nonlinearity/expr"):
             nl = parse_expression(nl_spec["expr"])
-        ic_spec = dict(data.get("initial", {"kind": "product_sine"}))
-        path = ic_spec.get("path")
-        if path is not None and not os.path.isabs(path):
-            ic_spec["path"] = os.path.join(base_dir, path)
+    ic_spec = data.get("initial", {"kind": "product_sine"})
+    path = ic_spec.get("path")
+    if path is not None and not os.path.isabs(path):
+        path = os.path.join(base_dir, path)
+    with _at("/initial"):
         initial = InitialCondition(kind=ic_spec["kind"],
                                    amplitude=float(ic_spec.get("amplitude", 1.0)),
-                                   path=ic_spec.get("path"))
+                                   path=path)
+    with _at("/sim"):
         sim = SimConfig(**data.get("sim", {}))
-        tuning = {field: cast(data[group][key])
-                  for group, key, field, cast in _TUNING_KEYS
-                  if key in data.get(group, {})}
-        if "mode" in data:
-            tuning["mode"] = data["mode"]
-        out = data.get("output", {})
-        if "svg_fields" in out:
-            bad = [f for f in out["svg_fields"] if f not in _FIELDS or f == "t"]
-            if bad:
-                raise ConfigError(
-                    [f"/output/svg_fields: unknown record fields {bad}"])
-            out = dict(out, svg_fields=tuple(out["svg_fields"]))
-        return ExperimentConfig(
-            space=space, domain=domain, cells=cells, nonlinearity=nl,
-            alpha=float(data.get("alpha", 4.0)),
-            beta=float(data.get("beta", 0.1)),
-            theta=float(data.get("theta", 0.01)),
-            initial=initial, sim=sim, output=OutputSpec(**out),
-            notes=data.get("notes"), **tuning)
-
-    try:
-        return build()
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError([f"/: {exc}"]) from exc
+    tuning = {field: cast(data[group][key])
+              for group, key, field, cast, _ in _TUNING_KEYS
+              if key in data.get(group, {})}
+    if "mode" in data:
+        tuning["mode"] = data["mode"]
+    out = dict(data.get("output", {}))
+    if "svg_fields" in out:
+        out["svg_fields"] = tuple(out["svg_fields"])
+    return ExperimentConfig(
+        space=space, domain=domain, cells=cells, nonlinearity=nl,
+        alpha=float(data.get("alpha", 4.0)),
+        beta=float(data.get("beta", 0.1)),
+        theta=float(data.get("theta", 0.01)),
+        initial=initial, sim=sim, output=OutputSpec(**out),
+        notes=data.get("notes"), **tuning)
 
 
 def parse_config(path: str) -> ExperimentConfig:

@@ -4,7 +4,9 @@ Everything here is written from first principles against the mathematical
 definitions, deliberately avoiding the code paths under test: the dense
 reconstruction and the matrix-vector product walk the raw CSR arrays, the
 eigenvalue oracle is a cyclic Jacobi rotation sweep, and the constants oracle
-uses a different algebraic arrangement of the same formulas.
+uses a different algebraic arrangement of the same formulas.  The config
+schema is the JSON Schema the package validated configs with before its
+parser stated each rule itself; tests check it with ``jsonschema``.
 """
 
 import math
@@ -105,3 +107,99 @@ def simpson_reference(fun, a, b, panels=4096):
     h = (b - a) / panels
     return h / 3.0 * (ys[0] + ys[-1]
                       + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum())
+
+
+_NUM = {"type": "number"}
+_POS = {"type": "number", "exclusiveMinimum": 0}
+
+CONFIG_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "additionalProperties": False,
+    "required": ["space", "bounds", "cells"],
+    "properties": {
+        "space": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["m", "k", "gamma"],
+            "properties": {
+                "m": {"type": "integer", "minimum": 1},
+                "k": {"type": "integer", "minimum": 1},
+                "gamma": {"type": "number", "minimum": 0},
+            },
+        },
+        "bounds": {
+            "type": "array", "minItems": 2,
+            "items": {"type": "array", "items": _NUM,
+                      "minItems": 2, "maxItems": 2},
+        },
+        "cells": {
+            "type": "array", "minItems": 2,
+            "items": {"type": "integer", "minimum": 2},
+        },
+        "nonlinearity": {
+            "type": "object",
+            "additionalProperties": False,
+            "minProperties": 1, "maxProperties": 1,
+            "properties": {
+                "power": {
+                    "type": "object", "additionalProperties": False,
+                    "required": ["p", "c"],
+                    "properties": {"p": {"type": "number", "exclusiveMinimum": 1},
+                                   "c": _POS},
+                },
+                "expr": {"type": "string", "minLength": 1},
+            },
+        },
+        "alpha": _NUM,
+        "beta": _NUM,
+        "theta": _NUM,
+        "initial": {
+            "type": "object",
+            "additionalProperties": False,
+            "required": ["kind"],
+            "properties": {
+                "kind": {"enum": ["product_sine", "phi1", "file"]},
+                "amplitude": _POS,
+                "path": {"type": "string"},
+            },
+        },
+        "sim": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "t_end": _POS, "dt_init": _POS, "dt_min": _POS, "dt_max": _POS,
+                "blowup_threshold": _POS, "step_change_high": _POS,
+                "step_change_low": {"type": "number", "minimum": 0},
+                "cg_tol": _POS,
+                "record_every": {"type": "integer", "minimum": 1},
+            },
+        },
+        "eigen": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {"tol": _POS,
+                           "max_iter": {"type": "integer", "minimum": 1},
+                           "cg_tol": _POS},
+        },
+        "hypothesis": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {"samples": {"type": "integer", "minimum": 2},
+                           "umax_factor": _POS},
+        },
+        "mode": {"enum": ["blowup", "global", "free"]},
+        "output": {
+            "type": "object",
+            "additionalProperties": False,
+            "properties": {
+                "csv": {"type": "string"},
+                "report": {"type": "string"},
+                "svg": {"type": "string"},
+                "svg_fields": {"type": "array", "minItems": 1,
+                               "items": {"type": "string"}},
+            },
+        },
+        "notes": {"type": "string"},
+    },
+}

@@ -111,7 +111,17 @@ class TestExitCodes:
         cfgp = write_config(tmp_path, data)
         code, _, err = run_cli(["eig", cfgp], capsys)
         assert code == 2
-        assert "/space/gamma" in err
+        assert "/space: gamma" in err
+
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys):
+        data = base_config()
+        data["sim"]["t_end"] = float("nan")
+        cfgp = write_config(tmp_path, data)
+        with open(cfgp) as fh:
+            assert "NaN" in fh.read()  # a literal that json.load accepts
+        code, _, err = run_cli(["eig", cfgp], capsys)
+        assert code == 2
+        assert "/sim/t_end: expected a finite number, got nan" in err
 
     def test_runtime_failure_in_pipeline(self, tmp_path, capsys):
         data = dict(m2_config(), eigen={"tol": 1e-14, "max_iter": 1})

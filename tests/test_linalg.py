@@ -289,8 +289,8 @@ class TestSeparableSolver:
             SeparableSolver(grid, space).solve(b, 1.0)
 
 
-def test_pipeline_imports_no_scipy():
-    # scipy would add start-up time and resident memory to every run.
+def test_pipeline_imports_no_scipy_or_jsonschema():
+    # Either would add start-up time and resident memory to every run.
     code = (
         "import sys, grushinlab as gl\n"
         "for m in (1, 2):\n"
@@ -300,7 +300,8 @@ def test_pipeline_imports_no_scipy():
         "    assert gl.run_experiment(cfg).failure is None\n"
         "    grid = gl.build_grid(cfg.domain, cfg.cells)\n"
         "    gl.smallest_eigenpair(gl.assemble_grushin(grid, cfg.space))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('scipy', 'jsonschema')))\n")
     src = os.path.dirname(os.path.dirname(grushinlab.__file__))
     proc = subprocess.run([sys.executable, "-W", "ignore", "-c", code],
                           capture_output=True, text=True, timeout=120,

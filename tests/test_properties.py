@@ -1,5 +1,6 @@
 """Property-based checks of the assembled operator and its product, the
-energy record and the two solver paths.
+energy record, the two solver paths, the config parser and the expression
+parser.
 
 Random Grushin spaces (m, k in {1, 2}, gamma in [0, 2]) on boxes of 2 to 6
 cells per axis whose bounds may straddle the degenerate plane x = 0.  The
@@ -7,20 +8,29 @@ runs are derandomized and keep no example database, so every run draws the
 same examples.
 """
 
+import copy
+import json
+import re
+import sys
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from jsonschema import Draft202012Validator
 
-from grushinlab import (BoxDomain, EnergyTracker, GrushinSpace, Power,
-                        SparseMatrix, apply, assemble_grushin, build_grid,
-                        cg_solve, grushin_energy, integral, l2_norm_sq,
-                        parse_expression)
+from grushinlab import (BoxDomain, ConfigError, EnergyTracker, Expression,
+                        ExpressionError, GrushinSpace, Power, SparseMatrix,
+                        apply, assemble_grushin, build_grid, cg_solve,
+                        grushin_energy, integral, l2_norm_sq,
+                        parse_config_dict, parse_expression)
 from grushinlab.linalg import SeparableSolver, inverse_iteration
-from grushinlab.nonlinearity import F_values
+from grushinlab.nonlinearity import F_values, _eval_ast
+from grushinlab.runner import _parameters_block
 
-from oracles import csr_matvec, dense_from_csr
+from conftest import config_path
+from oracles import CONFIG_SCHEMA, csr_matvec, dense_from_csr
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=100)
@@ -137,3 +147,203 @@ def test_separable_eigenpair_matches_inverse_iteration(case):
     assert np.abs(phi - ref.phi1).max() <= 1e-6 * np.abs(ref.phi1).max()
     assert abs(l2_norm_sq(grid, phi) - 1.0) <= 1e-12
     assert phi[int(np.argmax(np.abs(phi)))] > 0.0
+
+
+# --- config parsing ----------------------------------------------------------
+
+FULL_CONFIG = {
+    "space": {"m": 2, "k": 1, "gamma": 1.5},
+    "bounds": [[-1.0, 1.0], [0.0, 2.0], [-0.5, 0.5]],
+    "cells": [6, 8, 10],
+    "nonlinearity": {"expr": "u^3 - 0.5*u"},
+    "alpha": 3.0, "beta": 0.2, "theta": 0.05,
+    "initial": {"kind": "file", "amplitude": 2.0, "path": "u0.txt"},
+    "sim": {"t_end": 0.5, "dt_init": 1e-3, "dt_min": 1e-10, "dt_max": 1e-2,
+            "blowup_threshold": 1e6, "step_change_high": 0.2,
+            "step_change_low": 0.0, "cg_tol": 1e-9, "record_every": 2},
+    "eigen": {"tol": 1e-7, "max_iter": 500, "cg_tol": 1e-9},
+    "hypothesis": {"samples": 101, "umax_factor": 4.0},
+    "mode": "global",
+    "output": {"csv": "r.csv", "report": "r.json", "svg": "p.svg",
+               "svg_fields": ["calE", "l2", "supnorm"]},
+    "notes": "every optional key",
+}
+
+
+def _shipped(name):
+    with open(config_path(name)) as fh:
+        return json.load(fh)
+
+
+BASE_CONFIGS = [FULL_CONFIG] + [_shipped(name) for name in (
+    "blowup_cubic.json", "free_sine.json", "global_decay.json")]
+SCHEMA_ORACLE = Draft202012Validator(CONFIG_SCHEMA)
+
+# Key names the config uses, plus misspellings, for added keys.
+CONFIG_KEYS = ["space", "m", "k", "gamma", "bounds", "cells", "nonlinearity",
+               "power", "p", "c", "expr", "alpha", "beta", "theta", "initial",
+               "kind", "amplitude", "path", "sim", "t_end", "dt_min",
+               "record_every", "eigen", "tol", "max_iter", "hypothesis",
+               "samples", "mode", "output", "svg_fields", "notes", "gama"]
+JSON_NUMBERS = (st.integers(-3, 12) | st.just(10 ** 400) | st.floats()
+                | st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 8.0, 8.5,
+                                   -1.0, 1e-12, 1e300]))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | JSON_NUMBERS
+    | st.sampled_from(["", "u", "u^3", "1+u", "free", "blowup", "global",
+                       "explode", "product_sine", "phi1", "file", "calE",
+                       "t", "x.txt"]),
+    lambda values: (st.lists(values, max_size=3)
+                    | st.dictionaries(st.sampled_from(CONFIG_KEYS), values,
+                                      max_size=2)),
+    max_leaves=4)
+
+# (where _parameters_block reports a value, where the config gives it)
+PARAMETER_PATHS = [(("m",), ("space", "m")), (("k",), ("space", "k")),
+                   (("gamma",), ("space", "gamma")),
+                   (("bounds",), ("bounds",)), (("cells",), ("cells",)),
+                   (("nonlinearity",), ("nonlinearity",)),
+                   (("alpha",), ("alpha",)), (("beta",), ("beta",)),
+                   (("theta",), ("theta",)),
+                   (("initial", "kind"), ("initial", "kind")),
+                   (("initial", "amplitude"), ("initial", "amplitude")),
+                   (("t_end",), ("sim", "t_end")), (("mode",), ("mode",))]
+
+
+def _paths(doc, prefix=()):
+    yield prefix
+    children = (doc.items() if isinstance(doc, dict)
+                else enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+def _lookup(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _non_finite(doc):
+    return any(_is_number(v) and not abs(v) <= sys.float_info.max
+               for v in (_lookup(doc, p) for p in _paths(doc)))
+
+
+@st.composite
+def mutated_configs(draw):
+    """A shipped or full config after 1 to 3 edits: drop a key or an array
+    entry, add a key or an entry, swap in a value of any JSON type, or swap
+    a number for another."""
+    doc = copy.deepcopy(draw(st.sampled_from(BASE_CONFIGS)))
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["drop", "add", "swap", "number"]))
+        paths = list(_paths(doc))
+        numbers = [p for p in paths if _is_number(_lookup(doc, p))]
+        if edit == "number" and numbers:
+            path = draw(st.sampled_from(numbers))
+            _lookup(doc, path[:-1])[path[-1]] = draw(JSON_NUMBERS)
+            continue
+        path = draw(st.sampled_from(paths))
+        node = _lookup(doc, path)
+        if edit == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(CONFIG_KEYS))] = draw(JSON_VALUES)
+        elif edit == "add" and isinstance(node, list):
+            node.append(draw(JSON_VALUES))
+        elif path and edit == "drop":
+            del _lookup(doc, path[:-1])[path[-1]]
+        elif path:
+            _lookup(doc, path[:-1])[path[-1]] = draw(JSON_VALUES)
+    return doc
+
+
+@settings(PROPERTY_SETTINGS, max_examples=600)
+@given(mutated_configs())
+def test_config_parser_agrees_with_schema_oracle(data):
+    """The parser raises ConfigError and nothing else on a config the schema
+    rejects or one with a non-finite number; a config it accepts passes the
+    schema, and its report parameters repeat every value the config gave."""
+    try:
+        cfg = parse_config_dict(data, base_dir="/base")
+    except ConfigError:
+        return
+    assert SCHEMA_ORACLE.is_valid(data)
+    assert not _non_finite(data)
+    block = _parameters_block(cfg)
+    json.dumps(block, allow_nan=False)
+    for block_path, data_path in PARAMETER_PATHS:
+        try:
+            given_value = _lookup(data, data_path)
+        except KeyError:
+            continue
+        assert _lookup(block, block_path) == given_value
+
+
+def test_base_configs_parse():
+    for data in BASE_CONFIGS:
+        assert SCHEMA_ORACLE.is_valid(data)
+        parse_config_dict(data)
+
+
+# --- expression parser -------------------------------------------------------
+
+EXPRESSION_TREES = st.recursive(
+    st.just(("var",)) | st.floats(0.0, 100.0).map(lambda x: ("num", x)),
+    lambda trees: (st.tuples(st.just("neg"), trees)
+                   | st.tuples(st.sampled_from("+-*/^"), trees, trees)),
+    max_leaves=12)
+_LITERAL = re.compile(r"\d[\d.]*(?:e[+-]?\d+)?")
+
+
+def _render(node):
+    """Fully parenthesized text of a tree."""
+    if node[0] == "var":
+        return "u"
+    if node[0] == "num":
+        return repr(node[1])
+    if node[0] == "neg":
+        return f"(-{_render(node[1])})"
+    return f"({_render(node[1])} {node[0]} {_render(node[2])})"
+
+
+def _python_eval(text, u):
+    """Evaluate the text as Python with '^' -> '**'.  Each literal becomes an
+    array like u, as the package evaluates it; a bare float would take
+    Python's scalar rules, or numpy's fast path for ``x ** 2.0``, which is
+    ``square`` and rounds differently from ``power``."""
+    code = _LITERAL.sub(lambda m: f"N({m.group()})", text.replace("^", "**"))
+    with np.errstate(all="ignore"):
+        return eval(code, {"__builtins__": {}},
+                    {"u": u, "N": lambda x: np.full_like(u, x)})
+
+
+@PROPERTY_SETTINGS
+@given(EXPRESSION_TREES,
+       st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=5))
+def test_expression_evaluates_like_python(tree, points):
+    text = _render(("*", ("var",), tree))  # the factor u makes most f(0) = 0
+    u = np.array([0.0] + points)
+    want = _python_eval(text, u)
+    if not (np.isfinite(want[0]) and abs(want[0]) <= 1e-12):
+        with pytest.raises(ValueError, match="must vanish"):
+            Expression(text)
+        return
+    assert _eval_ast(Expression(text).ast, u).tobytes() == want.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.sampled_from(["({})", "-{}"]), min_size=63, max_size=64)
+       | st.lists(st.sampled_from(["{}+u", "{}-u"]), min_size=63, max_size=64))
+def test_expression_nests_at_most_64_levels(wrappers):
+    """u is one level, and each wrapper adds one."""
+    text = "u"
+    for wrapper in wrappers:
+        text = wrapper.format(text)
+    if len(wrappers) == 63:
+        Expression(text)
+    else:
+        with pytest.raises(ExpressionError, match="nests deeper"):
+            Expression(text)

@@ -57,7 +57,31 @@ class TestParseConfig:
         data["space"]["gamma"] = -1.0
         with pytest.raises(ConfigError) as exc:
             parse_config_dict(data)
-        assert any("/space/gamma" in p for p in exc.value.problems)
+        assert any("/space: gamma" in p for p in exc.value.problems)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("pointer", ["/sim/t_end", "/alpha",
+                                         "/initial/amplitude"])
+    def test_non_finite_number_names_its_pointer(self, pointer, value):
+        data = minimal_dict(sim={}, initial={"kind": "product_sine"})
+        *parents, key = pointer[1:].split("/")
+        node = data
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        with pytest.raises(ConfigError) as exc:
+            parse_config_dict(data)
+        assert exc.value.problems == [
+            f"{pointer}: expected a finite number, got {value!r}"]
+
+    def test_integer_keys_take_integral_numbers_only(self):
+        assert parse_config_dict(minimal_dict(cells=[8.0, 8])).cells == (8.0, 8)
+        for value in (8.5, True):
+            with pytest.raises(ConfigError, match="/cells/0: expected an "
+                                                  "integer"):
+                parse_config_dict(minimal_dict(cells=[value, 8]))
+        with pytest.raises(ConfigError, match="/alpha: expected a number"):
+            parse_config_dict(minimal_dict(alpha=True))
 
     def test_unknown_key_is_named(self):
         with pytest.raises(ConfigError, match="gama"):
@@ -68,6 +92,15 @@ class TestParseConfig:
         data["bounds"] = [[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
         with pytest.raises(ConfigError, match="/bounds"):
             parse_config_dict(data)
+
+    def test_bound_pair_of_wrong_length_names_its_axis(self):
+        data = minimal_dict()
+        data["bounds"][1].append(2.0)
+        with pytest.raises(ConfigError) as exc:
+            parse_config_dict(data)
+        assert exc.value.problems == [
+            "/bounds: axis 1: bounds must be a pair (a, b) with a < b, "
+            "got (0.0, 1.0, 2.0)"]
 
     def test_cells_count_must_match_space(self):
         data = minimal_dict()
@@ -98,6 +131,27 @@ class TestParseConfig:
             parse_config_dict(minimal_dict(mode="explode"))
         for mode in ("free", "blowup", "global"):
             assert parse_config_dict(minimal_dict(mode=mode)).mode == mode
+
+    @pytest.mark.parametrize("extra, problem", [
+        ({"space": {"m": 1, "k": 1}}, "/space: missing key 'gamma'"),
+        ({"nonlinearity": {"power": {"p": 3.0}}},
+         "/nonlinearity/power: missing key 'c'"),
+        ({"initial": {"amplitude": 2.0}}, "/initial: missing key 'kind'"),
+        ({"eigen": {"tol": 0.0}}, "/eigen: tol must be > 0"),
+        ({"eigen": {"max_iter": 0}}, "/eigen: max_iter must be > 0"),
+        ({"eigen": {"cg_tol": -1e-9}}, "/eigen: cg_tol must be > 0"),
+        ({"hypothesis": {"samples": 1}}, "/hypothesis: samples must be > 1"),
+        ({"hypothesis": {"umax_factor": 0.0}},
+         "/hypothesis: umax_factor must be > 0"),
+        ({"output": {"svg_fields": []}}, "/output/svg_fields: need one"),
+    ], ids=["space-gamma", "power-c", "initial-kind", "eigen-tol",
+            "eigen-max_iter", "eigen-cg_tol", "samples", "umax_factor",
+            "svg_fields"])
+    def test_missing_key_or_range_names_its_object(self, extra, problem):
+        with pytest.raises(ConfigError) as exc:
+            parse_config_dict(minimal_dict(**extra))
+        [got] = exc.value.problems
+        assert got.startswith(problem)
 
     def test_inconsistent_sim_block_rejected(self):
         data = minimal_dict(sim={"dt_init": 1e-3, "dt_min": 1e-2})
