@@ -78,6 +78,9 @@ def _cmd_sweep(cfg, args) -> int:
         raise ConfigError([f"/: --values must be comma-separated numbers: {exc}"])
     if not values:
         raise ConfigError(["/: --values is empty"])
+    if not all(np.isfinite(values)):
+        raise ConfigError([f"/: --values must be finite numbers, got "
+                           f"{args.values!r}"])
     rows = run_sweep(cfg, args.axis, values, out_dir=args.out)
     _emit(rows)
     return EXIT_OK

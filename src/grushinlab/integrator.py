@@ -6,11 +6,16 @@ source explicitly:
 
     (I + L + dt*L) u_new = (I + L) u_old + dt * f(u_old),
 
-a first-order scheme whose stiffness lives entirely in the SPD solve.  That
-solve is exact when ``linalg.separable_solver`` offers a solver for the
-operator, and conjugate gradients to ``cg_tol`` otherwise.  Step size adapts
-on the relative sup-norm change per step; runaway growth is declared blow-up
-either by threshold or by the controller collapsing below dt_min.
+a first-order scheme whose stiffness lives entirely in the SPD solve.
+``linalg.separable_solver`` decides how it is solved: exactly by the
+separable solver when the operator has one x-axis, by conjugate gradients
+preconditioned with the separable surrogate when it has more, and by plain
+conjugate gradients when the matrix was not assembled by
+``assemble_grushin``.  Both CG paths stop on the true residual at
+``cg_tol``.  Step size adapts on the relative sup-norm change per step;
+runaway growth is declared blow-up either by threshold or by the controller
+collapsing below dt_min.  Each state carries the work done so far: step
+attempts, rejected attempts and the CG iterations of the step solves.
 """
 
 from __future__ import annotations
@@ -62,7 +67,9 @@ class SimConfig:
 @dataclass(frozen=True, eq=False)
 class SimState:
     """Snapshot of the march: time, nodal values, current dt, step count and
-    status in {"running", "completed", "blowup", "failed"}."""
+    status in {"running", "completed", "blowup", "failed"}, plus the work so
+    far: step attempts, attempts rejected by the step controller, and the CG
+    iterations summed over the step solves (0 on the exact path)."""
 
     t: float
     u: np.ndarray
@@ -71,6 +78,9 @@ class SimState:
     status: str = "running"
     t_blow: float | None = None
     reason: str | None = None
+    attempts: int = 0
+    rejected: int = 0
+    solver_iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -125,16 +135,19 @@ def build_initial_condition(grid: Grid, space: GrushinSpace,
 
 
 def _advance(u: np.ndarray, dt: float, A: SparseMatrix, nl: Nonlinearity,
-             cg_tol: float, solver) -> np.ndarray:
-    """Solve (I + (1+dt)L) u_new = (I + L) u + dt f(u) with L = -A, exactly
-    with ``solver`` when given, else by CG."""
+             cg_tol: float, solver) -> tuple[np.ndarray, int]:
+    """Solve (I + (1+dt)L) u_new = (I + L) u + dt f(u) with L = -A; return
+    u_new and the CG iterations spent.  Exact with an exact ``solver``, else
+    by CG, preconditioned by ``solver`` when there is one."""
     Au = apply(A, u)
     rhs = u - Au + dt * f_values(nl, u)
-    if solver is not None:
-        return solver.solve(rhs, 1.0 + dt)
-    lhs = lambda v: v - (1.0 + dt) * apply(A, v)
-    u_new, _ = cg_solve(lhs, rhs, tol=cg_tol, x0=u)
-    return u_new
+    c = 1.0 + dt
+    if solver is not None and solver.exact:
+        return solver.solve(rhs, c), 0
+    lhs = lambda v: v - c * apply(A, v)
+    precond = None if solver is None else (lambda r: solver.solve(r, c))
+    u_new, rep = cg_solve(lhs, rhs, tol=cg_tol, x0=u, precond=precond)
+    return u_new, rep.iterations
 
 
 def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
@@ -147,7 +160,8 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
     (capped at dt_max) if the change was below step_change_low.  ``dt_cap``
     temporarily limits the attempted dt (used to land on t_end) without
     feeding back into the controller.  ``solver`` is ``separable_solver(A)``
-    unless given; when there is one, it replaces the CG solve.
+    unless given.  Every solve counts as an attempt, and every attempt the
+    controller turns down as rejected.
     """
     if state.status != "running":
         return state
@@ -155,16 +169,24 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
         solver = separable_solver(A)
     dt_try = state.dt if dt_cap is None else min(state.dt, dt_cap)
     u_norm = float(np.abs(state.u).max())
+    work = {"attempts": state.attempts, "rejected": state.rejected,
+            "solver_iterations": state.solver_iterations}
     while True:
+        work["attempts"] += 1
         try:
-            u_new = _advance(state.u, dt_try, A, nl, cfg.cg_tol, solver)
+            u_new, iterations = _advance(state.u, dt_try, A, nl, cfg.cg_tol,
+                                         solver)
         except SolverError as exc:
-            return replace(state, status="failed", reason=f"linear solve: {exc}")
+            return replace(state, status="failed",
+                           reason=f"linear solve: {exc}", **work)
+        work["solver_iterations"] += iterations
         change = float(np.abs(u_new - state.u).max()) / max(u_norm, 1e-300)
         if change > cfg.step_change_high:
+            work["rejected"] += 1
             if dt_try <= cfg.dt_min * (1.0 + 1e-12):
                 return replace(state, status="blowup", t_blow=state.t,
-                               reason="step size exhausted below dt_min")
+                               reason="step size exhausted below dt_min",
+                               **work)
             dt_try = max(0.5 * dt_try, cfg.dt_min)
             continue
         break
@@ -172,7 +194,7 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
     if change < cfg.step_change_low:
         dt_next = min(1.5 * dt_next, cfg.dt_max)
     nxt = SimState(t=state.t + dt_try, u=u_new, dt=dt_next,
-                   steps=state.steps + 1)
+                   steps=state.steps + 1, **work)
     if float(np.abs(u_new).max()) >= cfg.blowup_threshold:
         return replace(nxt, status="blowup", t_blow=nxt.t,
                        reason="sup-norm reached blowup_threshold")

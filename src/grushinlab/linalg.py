@@ -1,20 +1,29 @@
 """Linear solves and the first eigenpair of the assembled operator.
 
-Two paths, chosen here alone (:func:`separable_solver`) by the number of
-x-axes; :func:`smallest_eigenpair` is the one eigensolver entry point.
+:func:`separable_solver` returns a :class:`SeparableSolver` for every
+operator built by ``assemble_grushin``; :func:`smallest_eigenpair` is the one
+eigensolver entry point.  The solver plays one of three roles.
 
-With one x-axis (m == 1) the y-edge weights depend only on x, so
+*Exact solve* (m == 1).  The y-edge weights depend only on x, so
 -A = K_x (x) I + diag(W) (x) K_y, where K_d is the 1D Dirichlet
 second-difference matrix of axis d.  An orthonormal DST-I diagonalizes every
-y-axis, and each y-mode j leaves one tridiagonal x-problem K_x + mu_j diag(W).
-:class:`SeparableSolver` solves a time step exactly this way and takes the
-first eigenpair from the mode j = 1: the fast diagonalization method of
-Lynch, Rice and Thomas (Numer. Math. 6, 1964).  It uses numpy alone.
+y-axis, and each y-mode j leaves one tridiagonal x-problem K_x + mu_j diag(W),
+solved by a Thomas sweep; the first eigenpair comes from the mode j = 1.
+This is the fast diagonalization method of Lynch, Rice and Thomas
+(Numer. Math. 6, 1964).
 
-With m >= 2, or a matrix not built by ``assemble_grushin``, steps use
-conjugate gradients with a transparent failure mode, and the eigensolve is
-:func:`inverse_iteration`, whose inner solve is the same CG.  Both are also
-the test oracles of the separable path.
+*Preconditioner* (m >= 2).  The weight |x|^(2 gamma) is not separable, so the
+solver inverts the operator with the additively separable surrogate weight
+sum_d |x_d|^(2 gamma) instead: per y-mode a Kronecker sum of m tridiagonals
+K_d + mu_j diag(|x_d|^(2 gamma)), each eigendecomposed once per grid.  The
+two weights are spectrally equivalent, so conjugate gradients preconditioned
+with it (:func:`cg_solve` with ``precond``) converge in a few iterations
+whatever the grid (Concus and Golub, SIAM J. Numer. Anal. 10, 1973).  Time
+steps and the inner solves of :func:`inverse_iteration` both use it.
+
+*Oracle*.  Plain conjugate gradients and unpreconditioned inverse iteration
+remain for matrices not built by ``assemble_grushin`` and as the test oracles
+of both other roles.  numpy only.
 """
 
 from __future__ import annotations
@@ -63,13 +72,15 @@ class EigenResult:
     """Smallest eigenpair; phi1 has l2_norm_sq == 1 and its largest-magnitude
     entry is positive.  residual is ||B phi - lambda phi||_2 / ||phi||_2.
     method is "inverse-iteration" (iterations counts outer steps) or
-    "separable" (iterations counts Sturm bisection steps)."""
+    "separable" (iterations counts Sturm bisection steps);
+    solver_iterations sums the inner CG iterations, 0 for "separable"."""
 
     lambda1: float
     phi1: np.ndarray
     residual: float
     iterations: int
     method: str
+    solver_iterations: int = 0
 
 
 def _matvec(A):
@@ -81,13 +92,18 @@ def _matvec(A):
 
 
 def cg_solve(A, b: np.ndarray, tol: float = 1e-10, max_iter: int | None = None,
-             x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
+             x0: np.ndarray | None = None,
+             precond=None) -> tuple[np.ndarray, SolveReport]:
     """Conjugate gradients for SPD ``A``; converges when ||b - Ax|| <= tol*||b||.
 
-    ``A`` is a :class:`SparseMatrix` or a matvec callable.  Convergence is
+    ``A`` is a :class:`SparseMatrix` or a matvec callable.  ``precond``, if
+    given, maps a residual r to M^-1 r for an SPD M close to A
+    (preconditioned CG); the stopping test stays on the unpreconditioned
+    residual, and without it the iteration is plain CG.  Convergence is
     confirmed against the true residual, not just the recurrence.  Raises
     :class:`NonConvergence` (with the best iterate attached) after
-    ``max_iter`` (default 10*N) and :class:`NumericalBreakdown` on NaN/Inf.
+    ``max_iter`` (default 10*N) and :class:`NumericalBreakdown` on NaN/Inf
+    or a preconditioner that is not positive definite.
     """
     mv = _matvec(A)
     b = np.asarray(b, dtype=float)
@@ -98,30 +114,42 @@ def cg_solve(A, b: np.ndarray, tol: float = 1e-10, max_iter: int | None = None,
     if b_norm == 0.0:
         return np.zeros_like(b), SolveReport(iterations=0, final_residual=0.0)
 
+    def preconditioned(r, rr, it):
+        """(M^-1 r, r^T M^-1 r); plain CG reuses r and r^T r."""
+        if precond is None:
+            return r, rr
+        z = precond(r)
+        rz = float(r @ z)
+        if not np.isfinite(rz) or rz <= 0.0:
+            raise NumericalBreakdown(
+                f"cg_solve: preconditioned r^T M^-1 r = {rz} at iteration {it}")
+        return z, rz
+
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     r = b - mv(x)
-    p = r.copy()
-    rs = float(r @ r)
-    if not np.isfinite(rs):
+    rr = float(r @ r)
+    if not np.isfinite(rr):
         raise NumericalBreakdown("non-finite initial residual in cg_solve")
 
-    best_x, best_res = x.copy(), float(np.sqrt(rs)) / b_norm
+    best_x, best_res = x.copy(), float(np.sqrt(rr)) / b_norm
     if best_res <= tol:
         # A warm start may already satisfy the tolerance; no work to do.
         return x, SolveReport(iterations=0, final_residual=best_res)
+    z, rz = preconditioned(r, rr, 0)
+    p = z.copy()
     for it in range(1, max_iter + 1):
         Ap = mv(p)
         pAp = float(p @ Ap)
         if not np.isfinite(pAp) or pAp <= 0.0:
             raise NumericalBreakdown(
                 f"cg_solve: curvature p^T A p = {pAp} at iteration {it}")
-        alpha = rs / pAp
+        alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        rs_new = float(r @ r)
-        if not np.isfinite(rs_new):
+        rr = float(r @ r)
+        if not np.isfinite(rr):
             raise NumericalBreakdown(f"cg_solve: non-finite residual at iteration {it}")
-        res = float(np.sqrt(rs_new)) / b_norm
+        res = float(np.sqrt(rr)) / b_norm
         if res < best_res:
             best_x, best_res = x.copy(), res
         if res <= tol:
@@ -130,11 +158,12 @@ def cg_solve(A, b: np.ndarray, tol: float = 1e-10, max_iter: int | None = None,
             if true_res <= tol:
                 return x, SolveReport(iterations=it, final_residual=true_res)
             r = b - mv(x)
-            rs = float(r @ r)
-            p = r.copy()
+            z, rz = preconditioned(r, float(r @ r), it)
+            p = z.copy()
             continue
-        p = r + (rs_new / rs) * p
-        rs = rs_new
+        z, rz_new = preconditioned(r, rr, it)
+        p = z + (rz_new / rz) * p
+        rz = rz_new
     raise NonConvergence(
         f"cg_solve: no convergence to {tol} within {max_iter} iterations "
         f"(best residual {best_res:.3e})",
@@ -148,24 +177,29 @@ def smallest_eigenpair(A: SparseMatrix, tol: float = 1e-8,
 
     Exact from :class:`SeparableSolver` when A was assembled with one x-axis
     (``tol``, ``max_iter`` and ``cg_tol`` then have nothing to tune), else by
-    :func:`inverse_iteration`.  l2_norm_sq(phi1) == 1 under the rectangle
-    rule with ``cell_volume``, by default that of A's grid (1.0 without one).
+    :func:`inverse_iteration`, preconditioned by the separable solver when A
+    was assembled.  l2_norm_sq(phi1) == 1 under the rectangle rule with
+    ``cell_volume``, by default that of A's grid (1.0 without one).
     """
     solver = separable_solver(A)
-    if solver is not None:
+    if solver is not None and solver.exact:
         return solver.eigenpair(A, cell_volume)
-    return inverse_iteration(A, tol, max_iter, cg_tol, cell_volume)
+    precond = None if solver is None else (
+        lambda r: solver.solve(r, 1.0, shift=0.0))
+    return inverse_iteration(A, tol, max_iter, cg_tol, cell_volume, precond)
 
 
 def inverse_iteration(A: SparseMatrix, tol: float = 1e-8,
                       max_iter: int = 10_000, cg_tol: float = 1e-10,
-                      cell_volume: float | None = None) -> EigenResult:
+                      cell_volume: float | None = None,
+                      precond=None) -> EigenResult:
     """Smallest eigenpair of B = -A by inverse power iteration, the m >= 2
-    path and the test oracle of the separable one.
+    path and, without ``precond``, the test oracle of both paths.
 
     B is SPD and its smallest eigenvalue is the discrete Rayleigh minimum
     grushin_energy(u)/l2_norm_sq(u).  Starts from the all-ones vector, solves
-    by CG to ``cg_tol``, and converges on the eigen-residual
+    by CG to ``cg_tol`` (preconditioned by ``precond``, an approximate
+    inverse of B), and converges on the eigen-residual
     ||B v - lambda v|| <= tol * lambda for unit v.  Raises
     :class:`NonConvergence` with the best iterate after ``max_iter`` steps,
     or sooner once :data:`STALL_STEPS` steps bring no new best residual.
@@ -176,8 +210,10 @@ def inverse_iteration(A: SparseMatrix, tol: float = 1e-8,
     v = np.ones(A.n) / np.sqrt(A.n)
     lam = float(v @ B(v))
     best_res, best_v, best_it = np.inf, v, 0
+    inner = 0
     for it in range(1, max_iter + 1):
-        z, _ = cg_solve(B, v, tol=cg_tol, x0=v / lam)
+        z, rep = cg_solve(B, v, tol=cg_tol, x0=v / lam, precond=precond)
+        inner += rep.iterations
         v = z / float(np.linalg.norm(z))
         Bv = B(v)
         lam = float(v @ Bv)
@@ -186,7 +222,7 @@ def inverse_iteration(A: SparseMatrix, tol: float = 1e-8,
         residual = float(np.linalg.norm(Bv - lam * v))
         if residual <= tol * lam:
             return _eigen_result(A, v, lam, residual, it, "inverse-iteration",
-                                 cell_volume)
+                                 cell_volume, inner)
         if residual < best_res:
             best_res, best_v, best_it = residual, v, it
         elif it - best_it >= STALL_STEPS:
@@ -197,7 +233,8 @@ def inverse_iteration(A: SparseMatrix, tol: float = 1e-8,
         f"lambda {lam:.6e})", best_x=best_v, residual=best_res, iterations=it)
 
 
-def _eigen_result(A, v, lam, residual, iterations, method, cell_volume):
+def _eigen_result(A, v, lam, residual, iterations, method, cell_volume,
+                  solver_iterations=0):
     """Both paths' result: the unit eigenvector v with its largest-magnitude
     entry made positive, scaled as :func:`smallest_eigenpair` says."""
     if cell_volume is None:
@@ -205,12 +242,13 @@ def _eigen_result(A, v, lam, residual, iterations, method, cell_volume):
     if v[int(np.argmax(np.abs(v)))] < 0.0:
         v = -v
     return EigenResult(lam, v / np.sqrt(cell_volume), residual, iterations,
-                       method)
+                       method, solver_iterations)
 
 
 def separable_solver(A: SparseMatrix) -> SeparableSolver | None:
-    """The exact solver for an operator assembled with one x-axis, else None."""
-    if A.space is None or A.space.m != 1:
+    """The separable solver of an operator built by ``assemble_grushin``
+    (exact iff it has one x-axis), else None."""
+    if A.space is None:
         return None
     return SeparableSolver(A.grid, A.space)
 
@@ -250,23 +288,29 @@ def _has_eigenvalue_below(diag: list, off_sq: float, s: float) -> bool:
 
 
 class SeparableSolver:
-    """Exact solves with I - c*A and the first eigenpair of -A, for m == 1.
+    """Solves with shift*I - c*A for an assembled operator A: exactly when
+    m == 1 (``exact``), and with the separable surrogate weight
+    sum_d |x_d|^(2 gamma) in place of |x|^(2 gamma) when m >= 2, which makes
+    it a preconditioner for A.  The first eigenpair of -A is exact for m == 1.
 
-    Built once per grid: the x-line weights W, one orthonormal DST-I matrix
-    per y-axis (symmetric and its own inverse) and the y-mode eigenvalues
-    mu.  A solve costs two dense transforms and one batched Thomas sweep.
+    Built once per grid: one orthonormal DST-I matrix per y-axis (symmetric
+    and its own inverse) and the y-mode eigenvalues mu; for m == 1 the x-line
+    weights W, for m >= 2 the eigendecomposition of every x-tridiagonal
+    K_d + mu_j diag(|x_d|^(2 gamma)), one batched ``eigh`` per x-axis.  A
+    solve costs two dense y-transforms and, in between, one batched Thomas
+    sweep (m == 1) or two batched products per x-axis (m >= 2).
     """
 
     def __init__(self, grid: Grid, space: GrushinSpace) -> None:
-        if space.m != 1 or grid.n != space.n:
-            raise ValueError("the separable solver needs m == 1 and a grid "
-                             "with m + k axes")
+        if grid.n != space.n:
+            raise ValueError("the separable solver needs a grid with m + k "
+                             "axes")
+        self.m = m = space.m
+        self.exact = m == 1
         self.shape = grid.shape
-        self.inv_h2 = 1.0 / float(grid.h[0]) ** 2
-        self.W = _degenerate_weight(grid, space).ravel()
         self.sines = []
         mu = np.zeros(())
-        for d in range(1, grid.n):
+        for d in range(m, grid.n):
             n, c = grid.shape[d], grid.cells[d]
             j = np.arange(1, n + 1)
             self.sines.append(np.sqrt(2.0 / c)
@@ -274,22 +318,59 @@ class SeparableSolver:
             mu_d = (2.0 * np.sin(0.5 * np.pi * j / c) / float(grid.h[d])) ** 2
             mu = np.add.outer(mu, mu_d)
         self.mu = mu.ravel()
+        if self.exact:
+            self.inv_h2 = 1.0 / float(grid.h[0]) ** 2
+            self.W = _degenerate_weight(grid, space).ravel()
+            return
+        # Per y-mode j and x-axis d: T = K_d + mu_j diag(|x_d|^(2 gamma)) =
+        # Q diag(lam) Q^T.  self.lam[j, i_1, ..., i_m] sums lam over the
+        # x-axes, the eigenvalues of the surrogate's j-th x-problem.
+        self.bases = []
+        self.lam = np.zeros((self.mu.size,) + (1,) * m)
+        for d in range(m):
+            n, inv_h2 = grid.shape[d], 1.0 / float(grid.h[d]) ** 2
+            w = np.abs(grid.axis_coords(d)) ** (2.0 * space.gamma)
+            T = np.zeros((self.mu.size, n, n))
+            i = np.arange(n)
+            T[:, i, i] = 2.0 * inv_h2 + np.multiply.outer(self.mu, w)
+            T[:, i[1:], i[:-1]] = T[:, i[:-1], i[1:]] = -inv_h2
+            lam, Q = np.linalg.eigh(T)
+            self.bases.append(Q)
+            shape = [self.mu.size] + [1] * m
+            shape[1 + d] = n
+            self.lam = self.lam + lam.reshape(shape)
 
     def _transform(self, U: np.ndarray) -> np.ndarray:
         """Orthonormal DST-I along every y-axis of a grid-shaped array."""
-        for d, S in enumerate(self.sines, start=1):
+        for d, S in enumerate(self.sines, start=self.m):
             U = np.moveaxis(np.tensordot(U, S, axes=([d], [0])), -1, d)
         return U
 
-    def solve(self, b: np.ndarray, c: float) -> np.ndarray:
-        """x with (I - c*A) x = b for c >= 0, exact up to rounding."""
+    def solve(self, b: np.ndarray, c: float, shift: float = 1.0) -> np.ndarray:
+        """x with (shift*I - c*A) x = b, for c >= 0 and shift >= 0 not both
+        0; exact up to rounding when ``exact``, else with A's surrogate."""
         b = np.asarray(b, dtype=float)
         if not np.all(np.isfinite(b)):
             raise NumericalBreakdown("non-finite right-hand side in the "
                                      "separable solve")
-        rhs = self._transform(b.reshape(self.shape)).reshape(self.shape[0], -1)
-        diag = 1.0 + c * (2.0 * self.inv_h2 + np.multiply.outer(self.W, self.mu))
-        x = _thomas(diag, -c * self.inv_h2, rhs)
+        rhs = self._transform(b.reshape(self.shape))
+        if self.exact:
+            diag = shift + c * (2.0 * self.inv_h2
+                                + np.multiply.outer(self.W, self.mu))
+            x = _thomas(diag, -c * self.inv_h2,
+                        rhs.reshape(self.shape[0], -1))
+        else:
+            # Each product contracts the leading x-axis and moves it last,
+            # so m of them restore the axis order.
+            modes = self.mu.size
+            X = rhs.reshape(-1, modes).T
+            for Q in self.bases:
+                X = X.reshape(modes, Q.shape[1], -1).transpose(0, 2, 1) @ Q
+            X = X.reshape(self.lam.shape) / (shift + c * self.lam)
+            for Q in self.bases:
+                X = (X.reshape(modes, Q.shape[1], -1).transpose(0, 2, 1)
+                     @ Q.transpose(0, 2, 1))
+            x = X.reshape(modes, -1).T
         return self._transform(x.reshape(self.shape)).ravel()
 
     def eigenpair(self, A: SparseMatrix, cell_volume=None) -> EigenResult:
@@ -299,8 +380,10 @@ class SeparableSolver:
         in [0, min diagonal] and bisected with Sturm tests to the last bit;
         two shifted Thomas solves give its x-profile.  phi1 is that profile
         times the first sine of every y-axis, and lambda1 and the residual
-        are measured against the assembled ``A``.
+        are measured against the assembled ``A``.  Needs m == 1.
         """
+        if not self.exact:
+            raise ValueError("the separable eigenpair needs m == 1")
         diag = 2.0 * self.inv_h2 + self.mu[0] * self.W
         entries = diag.tolist()
         lo, hi = 0.0, min(entries)

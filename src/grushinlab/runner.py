@@ -385,7 +385,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             eig = _eigenpair(cfg, A)
             rpt.lambda1 = eig.lambda1
             rpt.eigen = {"method": eig.method, "residual": eig.residual,
-                         "iterations": eig.iterations}
+                         "iterations": eig.iterations,
+                         "solver_iterations": eig.solver_iterations}
             stage = "initial-condition"
             u0 = build_initial_condition(grid, cfg.space, cfg.initial,
                                          phi1=eig.phi1)
@@ -438,6 +439,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                 "t_final": final.t,
                 "t_blow": final.t_blow,
                 "steps": final.steps,
+                "attempts": final.attempts,
+                "rejected": final.rejected,
+                "solver_iterations": final.solver_iterations,
                 "reason": final.reason,
                 "final_supnorm": float(np.abs(final.u).max()),
                 "records": len(records),
@@ -469,7 +473,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             rpt.verdict = None
             if stage == "simulate" and records:
                 rpt.sim = {"status": "failed", "t_final": records[-1].t,
-                           "t_blow": None, "steps": None, "reason": error,
+                           "t_blow": None, "steps": None, "attempts": None,
+                           "rejected": None, "solver_iterations": None,
+                           "reason": error,
                            "final_supnorm": records[-1].supnorm,
                            "records": len(records)}
     rpt.warnings = [str(w.message) for w in caught]

@@ -3,7 +3,8 @@
 Everything here is written from first principles against the mathematical
 definitions, deliberately avoiding the code paths under test: the dense
 reconstruction and the matrix-vector product walk the raw CSR arrays, the
-eigenvalue oracle is a cyclic Jacobi rotation sweep, and the constants oracle
+eigenvalue oracle is a cyclic Jacobi rotation sweep, the surrogate operator
+is a dense Kronecker sum of 1D difference matrices, and the constants oracle
 uses a different algebraic arrangement of the same formulas.  The config
 schema is the JSON Schema the package validated configs with before its
 parser stated each rule itself; tests check it with ``jsonschema``.
@@ -33,6 +34,33 @@ def csr_matvec(n, indptr, indices, values, u):
             acc += float(values[pos]) * float(u[int(indices[pos])])
         out[i] = acc
     return out
+
+
+def surrogate_dense(grid, space):
+    """Dense -A_s for the separable surrogate of the Grushin operator: the
+    Kronecker sum of the 1D Dirichlet second differences K_d over the x-axes,
+    plus diag(sum_d |x_d|^(2 gamma)) times the Kronecker sum over the y-axes."""
+    eyes = [np.eye(n) for n in grid.shape]
+
+    def kron_sum(axes):
+        total = np.zeros((grid.N, grid.N))
+        for d in axes:
+            n, h = grid.shape[d], float(grid.h[d])
+            K = (2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)) / h ** 2
+            term = np.ones((1, 1))
+            for e in range(grid.n):
+                term = np.kron(term, K if e == d else eyes[e])
+            total += term
+        return total
+
+    weight = np.zeros(grid.shape)
+    for d in range(space.m):
+        shape = [1] * grid.n
+        shape[d] = grid.shape[d]
+        coords = np.abs(grid.axis_coords(d)).reshape(shape)
+        weight = weight + coords ** (2.0 * space.gamma)
+    return (kron_sum(range(space.m))
+            + np.diag(weight.ravel()) @ kron_sum(range(space.m, grid.n)))
 
 
 def jacobi_eigenvalues(mat, tol=1e-13, max_sweeps=60):

@@ -11,6 +11,8 @@ import pytest
 import grushinlab
 from grushinlab.cli import main as cli_main
 
+from conftest import config_path
+
 
 def base_config():
     return {"space": {"m": 1, "k": 1, "gamma": 0.0},
@@ -164,6 +166,14 @@ class TestExitCodes:
         code, _, _ = run_cli(
             ["sweep", cfgp, "--axis", "gamma", "--values", ""], capsys)
         assert code == 2
+
+    def test_sweep_rejects_non_finite_values(self, capsys):
+        code, out, err = run_cli(
+            ["sweep", config_path("free_sine.json"), "--axis", "amplitude",
+             "--values", "nan,inf"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "--values must be finite numbers" in err
 
 
 class TestQuietFlag:

@@ -1,5 +1,7 @@
 """Time stepping: initial data, the semi-implicit step, and the adaptive march."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,24 @@ class TestStep:
             want.t, want.dt, want.steps, want.status)
 
 
+    def test_counts_attempts_rejections_and_iterations(self):
+        space, grid, A = small_setup()
+        ic = build_initial_condition(grid, space,
+                                     InitialCondition(kind="product_sine",
+                                                      amplitude=100.0))
+        state = SimState(t=0.0, u=ic, dt=1e-3, steps=0, attempts=5,
+                         rejected=2, solver_iterations=7)
+        out = step(state, A, Power(3.0, 1.0), SimConfig(dt_init=1e-3))
+        assert out.steps == 1
+        assert out.rejected > 2
+        assert out.attempts == 5 + 1 + (out.rejected - 2)
+        assert out.solver_iterations == 7      # exact m = 1 solves
+        blown = step(replace(state, u=1e2 * ic), A, Power(3.0, 1.0),
+                     SimConfig(dt_init=1e-3, dt_min=1e-6))
+        assert blown.status == "blowup"
+        assert blown.attempts - 5 == blown.rejected - 2 >= 1
+
+
 class TestRun:
     def test_march_tracks_semidiscrete_decay(self, unit16):
         # Fixed-dt eigenmode march against u(t) = e^{-lam t/(1+lam)} phi1;
@@ -280,3 +300,25 @@ class TestSimConfigValidation:
             SimConfig(cg_tol=0.0)
         with pytest.raises(ValueError):
             SimConfig(record_every=0)
+
+
+def test_m2_march_with_pcg_matches_plain_cg(monkeypatch):
+    # Preconditioning changes how each step is solved, not what it solves:
+    # the controller sees the same steps and the records agree to the CG
+    # tolerance.
+    space = GrushinSpace(2, 1, 1.0)
+    grid = build_grid(BoxDomain([(-1.0, 1.0)] * 3), (8, 8, 8))
+    A = assemble_grushin(grid, space)
+    u0 = build_initial_condition(
+        grid, space, InitialCondition(kind="product_sine", amplitude=2.0))
+    nl, cfg = Power(3.0, 1.0), SimConfig(t_end=0.2, dt_init=1e-2)
+    pcg, pcg_records = run(grid, space, A, nl, u0, cfg)
+    monkeypatch.setattr(integrator, "separable_solver", lambda A: None)
+    cg, cg_records = run(grid, space, A, nl, u0, cfg)
+    assert (pcg.steps, pcg.status, pcg.attempts) == (cg.steps, cg.status,
+                                                     cg.attempts)
+    assert 0 < pcg.solver_iterations < cg.solver_iterations / 4
+    assert [r.t for r in pcg_records] == [r.t for r in cg_records]
+    assert np.allclose(pcg.u, cg.u, rtol=0.0, atol=1e-8 * np.abs(cg.u).max())
+    for a, b in zip(pcg_records, cg_records):
+        assert a.calE == pytest.approx(b.calE, rel=1e-8)

@@ -1,5 +1,6 @@
-"""Conjugate gradients, the separable m = 1 solver and the smallest
-eigenpair of the discrete operator."""
+"""Conjugate gradients (plain and preconditioned), the separable solver
+(exact for m = 1, a preconditioner for m >= 2) and the smallest eigenpair of
+the discrete operator."""
 
 import os
 import subprocess
@@ -16,7 +17,7 @@ from grushinlab import (BoxDomain, GrushinSpace, NonConvergence,
                         grushin_energy, l2_norm_sq, smallest_eigenpair)
 from grushinlab.linalg import SeparableSolver, separable_solver
 
-from oracles import dense_from_csr, jacobi_eigenvalues
+from oracles import dense_from_csr, jacobi_eigenvalues, surrogate_dense
 
 
 def diag_matrix(values):
@@ -103,6 +104,42 @@ class TestCgSolve:
         A = diag_matrix(np.array([-1.0, -1.0]))
         with pytest.raises(SolverError):
             cg_solve(A, np.array([1.0, 2.0]))
+
+
+class TestPreconditionedCg:
+    def test_identity_preconditioner_is_plain_cg(self):
+        _, _, A = grushin_setup([(-1.0, 1.0)] * 3, (6, 5, 4), gamma=1.0, m=2)
+        b = np.random.default_rng(5).standard_normal(A.n)
+        lhs = lambda v: v - 1.5 * apply(A, v)
+        x, rep = cg_solve(lhs, b, tol=1e-10)
+        y, prep = cg_solve(lhs, b, tol=1e-10, precond=lambda r: r)
+        assert x.tobytes() == y.tobytes()
+        assert rep == prep
+
+    def test_indefinite_preconditioner_raises(self):
+        A = diag_matrix([1.0, 2.0, 3.0])
+        with pytest.raises(NumericalBreakdown, match="M\\^-1"):
+            cg_solve(A, np.ones(3), precond=lambda r: -r)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("k, cells", [(1, (12, 12, 12)), (2, (6, 6, 6, 6))])
+    def test_iteration_ceiling(self, k, cells, gamma):
+        # Plain CG needs 27 to 89 iterations on these; the separable
+        # preconditioner needs at most 13, whatever the grid.  A broken
+        # preconditioner fails here instead of only running slower.
+        grid, space, A = grushin_setup([(-1.0, 1.0)] * (2 + k), cells,
+                                       gamma=gamma, m=2, k=k)
+        solver = separable_solver(A)
+        b = np.random.default_rng(7).standard_normal(A.n)
+        c = 1.01
+        lhs = lambda v: v - c * apply(A, v)
+        x, rep = cg_solve(lhs, b, tol=1e-10,
+                          precond=lambda r: solver.solve(r, c))
+        assert rep.iterations <= 15
+        B = lambda v: -apply(A, v)
+        _, rep = cg_solve(B, b, tol=1e-10,
+                          precond=lambda r: solver.solve(r, 1.0, shift=0.0))
+        assert rep.iterations <= 15
 
 
 class TestSmallestEigenpair:
@@ -208,7 +245,8 @@ class TestOneEntryPoint:
         assert eig.method == method
         assert l2_norm_sq(grid, eig.phi1) == pytest.approx(1.0, rel=1e-12)
         assert eig.phi1[np.argmax(np.abs(eig.phi1))] > 0.0
-        assert (separable_solver(A) is None) == (m != 1)
+        assert separable_solver(A).exact == (m == 1)
+        assert (eig.solver_iterations == 0) == (m == 1)
 
     def test_hand_built_matrix_takes_inverse_iteration(self):
         A = diag_matrix([-3.0, -1.0, -2.0])
@@ -275,10 +313,35 @@ class TestSeparableSolver:
         assert np.abs(got - x).max() <= 1e-13 * np.abs(x).max()
 
     def test_needs_one_x_axis(self):
-        grid, space, _ = grushin_setup([(0.0, 1.0)] * 3, (3, 3, 3),
+        # With m = 2 the solver is a preconditioner and has no eigenpair.
+        grid, space, A = grushin_setup([(0.0, 1.0)] * 3, (3, 3, 3),
                                        gamma=1.0, m=2)
+        solver = SeparableSolver(grid, space)
+        assert not solver.exact
         with pytest.raises(ValueError, match="m == 1"):
-            SeparableSolver(grid, space)
+            solver.eigenpair(A)
+
+    def test_surrogate_solve_matches_dense_oracle_at_m3(self):
+        # tests/test_properties.py draws the m = 2 cases.
+        grid, space, _ = grushin_setup([(-1.0, 1.3)] * 4, (3, 4, 3, 5),
+                                       gamma=1.5, m=3, k=1)
+        solver = SeparableSolver(grid, space)
+        assert not solver.exact
+        b = np.random.default_rng(11).standard_normal(grid.N)
+        dense = surrogate_dense(grid, space)
+        for c, shift in [(1.3, 1.0), (1.0, 0.0)]:
+            want = np.linalg.solve(shift * np.eye(grid.N) + c * dense, b)
+            got = solver.solve(b, c, shift=shift)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_surrogate_is_the_operator_at_gamma_one_off_the_plane(self):
+        # |x|^2 = x_1^2 + x_2^2, so off x = 0 the preconditioner inverts
+        # the step matrix itself.
+        grid, space, A = grushin_setup([(0.1, 1.0), (-1.0, 0.5), (0.0, 2.0)],
+                                       (5, 4, 6), gamma=1.0, m=2)
+        x = np.random.default_rng(3).standard_normal(grid.N)
+        got = SeparableSolver(grid, space).solve(x - 1.25 * apply(A, x), 1.25)
+        assert np.abs(got - x).max() <= 1e-12 * np.abs(x).max()
 
     def test_nan_rhs_raises_breakdown(self):
         grid, space, _ = grushin_setup([(0.0, 1.0), (0.0, 1.0)], (4, 4),

@@ -1,6 +1,6 @@
 """Property-based checks of the assembled operator and its product, the
-energy record, the two solver paths, the config parser and the expression
-parser.
+energy record, the solver paths (exact, preconditioned and their plain-CG
+oracles), the config parser and the expression parser.
 
 Random Grushin spaces (m, k in {1, 2}, gamma in [0, 2]) on boxes of 2 to 6
 cells per axis whose bounds may straddle the degenerate plane x = 0.  The
@@ -25,12 +25,14 @@ from grushinlab import (BoxDomain, ConfigError, EnergyTracker, Expression,
                         apply, assemble_grushin, build_grid, cg_solve,
                         grushin_energy, integral, l2_norm_sq,
                         parse_config_dict, parse_expression)
-from grushinlab.linalg import SeparableSolver, inverse_iteration
+from grushinlab.linalg import (SeparableSolver, inverse_iteration,
+                               smallest_eigenpair)
 from grushinlab.nonlinearity import F_values, _eval_ast
 from grushinlab.runner import _parameters_block
 
 from conftest import config_path
-from oracles import CONFIG_SCHEMA, csr_matvec, dense_from_csr
+from oracles import (CONFIG_SCHEMA, csr_matvec, dense_from_csr,
+                     surrogate_dense)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=100)
@@ -147,6 +149,38 @@ def test_separable_eigenpair_matches_inverse_iteration(case):
     assert np.abs(phi - ref.phi1).max() <= 1e-6 * np.abs(ref.phi1).max()
     assert abs(l2_norm_sq(grid, phi) - 1.0) <= 1e-12
     assert phi[int(np.argmax(np.abs(phi)))] > 0.0
+
+
+@PROPERTY_SETTINGS
+@given(operators(m=2), st.floats(0.5, 2.0), st.sampled_from([0.0, 1.0]))
+def test_surrogate_solve_matches_dense_oracle(case, c, shift):
+    grid, space, _, b = case
+    x = SeparableSolver(grid, space).solve(b, c, shift=shift)
+    dense = shift * np.eye(grid.N) + c * surrogate_dense(grid, space)
+    ref = np.linalg.solve(dense, b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@PROPERTY_SETTINGS
+@given(operators(m=2), st.floats(1.0, 2.0))
+def test_preconditioned_cg_matches_cg(case, c):
+    grid, space, A, b = case
+    solver = SeparableSolver(grid, space)
+    lhs = lambda v: v - c * apply(A, v)
+    x, _ = cg_solve(lhs, b, tol=1e-12, precond=lambda r: solver.solve(r, c))
+    ref, _ = cg_solve(lhs, b, tol=1e-12)
+    assert np.linalg.norm(b - lhs(x)) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@PROPERTY_SETTINGS
+@given(operators(m=2))
+def test_preconditioned_inverse_iteration_matches_oracle(case):
+    grid, space, A, _ = case
+    eig = smallest_eigenpair(A, tol=1e-10)
+    ref = inverse_iteration(A, tol=1e-10)
+    assert eig.method == ref.method == "inverse-iteration"
+    assert abs(eig.lambda1 - ref.lambda1) <= 1e-10 * ref.lambda1
 
 
 # --- config parsing ----------------------------------------------------------

@@ -331,6 +331,7 @@ class TestRunExperiment:
         assert rpt.sim["t_final"] == rows[-1].t
         assert rpt.sim["final_supnorm"] == rows[-1].supnorm
         assert rpt.sim["t_blow"] is None and rpt.sim["steps"] is None
+        assert rpt.sim["attempts"] is None
         assert rpt.sim["reason"] == rpt.failure["error"]
         assert "'100*u^3*(2-u)^0.5'" in rpt.sim["reason"]
         saved = json.loads((out / "report.json").read_text())
@@ -387,6 +388,18 @@ class TestRunExperiment:
         assert m2.eigen["method"] == "inverse-iteration"
         assert m2.eigen["iterations"] >= 1
         assert 0.0 <= m2.eigen["residual"] <= 1e-8 * m2.lambda1
+
+    def test_report_counts_the_solver_work(self):
+        m1 = run_experiment(parse_config_dict(fast_dict()))
+        m2 = run_experiment(parse_config_dict(fast_dict(**M2_SPACE)))
+        for rpt in (m1, m2):
+            sim = rpt.sim
+            assert sim["attempts"] == sim["steps"] + sim["rejected"]
+        # The m = 1 solves are exact; m = 2 runs preconditioned CG.
+        assert m1.sim["solver_iterations"] == 0
+        assert m1.eigen["solver_iterations"] == 0
+        assert m2.sim["solver_iterations"] >= m2.sim["attempts"]
+        assert m2.eigen["solver_iterations"] >= m2.eigen["iterations"]
 
     def test_concavity_margin_reads_the_csv(self, blowup_outcome):
         # The margin uses each record's E, so the CSV reproduces it exactly.
