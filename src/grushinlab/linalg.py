@@ -10,7 +10,11 @@ second-difference matrix of axis d.  An orthonormal DST-I diagonalizes every
 y-axis, and each y-mode j leaves one tridiagonal x-problem K_x + mu_j diag(W),
 solved by a Thomas sweep; the first eigenpair comes from the mode j = 1.
 This is the fast diagonalization method of Lynch, Rice and Thomas
-(Numer. Math. 6, 1964).
+(Numer. Math. 6, 1964).  The sweep is split into the LU factorization of the
+tridiagonals and a substitution (Golub and Van Loan, Matrix Computations,
+sec. 4.3): a solve costs a substitution with the factorization of the last
+(c, shift), which the solver keeps in 2 N floats, and a new pair refactors
+first.
 
 *Preconditioner* (m >= 2).  The weight |x|^(2 gamma) is not separable, so the
 solver inverts the operator with the additively separable surrogate weight
@@ -253,19 +257,29 @@ def separable_solver(A: SparseMatrix) -> SeparableSolver | None:
     return SeparableSolver(A.grid, A.space)
 
 
-def _thomas(diag, off: float, rhs):
-    """Tridiagonal solve with main diagonal ``diag`` and the constant
-    off-diagonal ``off``, along axis 0.  Trailing axes are independent
-    systems.  No pivoting: the matrix must be diagonally dominant or SPD."""
-    n = diag.shape[0]
+def _factor(diag, off: float):
+    """LU factorization of the tridiagonal matrix with main diagonal ``diag``
+    and the constant off-diagonal ``off``, along axis 0: the pivots and the
+    ratios off / pivot.  Trailing axes are independent matrices.  No
+    pivoting: the matrix must be diagonally dominant or SPD."""
+    pivot = np.empty_like(diag)
     ratio = np.empty_like(diag)
-    x = np.empty_like(rhs, dtype=float)
+    pivot[0] = diag[0]
     ratio[0] = off / diag[0]
-    x[0] = rhs[0] / diag[0]
+    for i in range(1, diag.shape[0]):
+        pivot[i] = diag[i] - off * ratio[i - 1]
+        ratio[i] = off / pivot[i]
+    return pivot, ratio
+
+
+def _substitute(pivot, ratio, off: float, rhs):
+    """Solve with the factorization ``_factor(diag, off)``: forward
+    elimination, then back substitution, along axis 0 of ``rhs``."""
+    n = pivot.shape[0]
+    x = np.empty_like(rhs, dtype=float)
+    x[0] = rhs[0] / pivot[0]
     for i in range(1, n):
-        pivot = diag[i] - off * ratio[i - 1]
-        ratio[i] = off / pivot
-        x[i] = (rhs[i] - off * x[i - 1]) / pivot
+        x[i] = (rhs[i] - off * x[i - 1]) / pivot[i]
     for i in range(n - 2, -1, -1):
         x[i] -= ratio[i] * x[i + 1]
     return x
@@ -297,8 +311,11 @@ class SeparableSolver:
     and its own inverse) and the y-mode eigenvalues mu; for m == 1 the x-line
     weights W, for m >= 2 the eigendecomposition of every x-tridiagonal
     K_d + mu_j diag(|x_d|^(2 gamma)), one batched ``eigh`` per x-axis.  A
-    solve costs two dense y-transforms and, in between, one batched Thomas
-    sweep (m == 1) or two batched products per x-axis (m >= 2).
+    solve costs two dense y-transforms and, in between, a substitution with
+    the factorization of the last ``(c, shift)``: the kept Thomas pivots and
+    ratios of every y-mode (m == 1, 2 N floats), or two batched products per
+    x-axis around a division by the kept denominators shift + c * lam
+    (m >= 2, N floats).  A new pair refactors first.
     """
 
     def __init__(self, grid: Grid, space: GrushinSpace) -> None:
@@ -308,6 +325,7 @@ class SeparableSolver:
         self.m = m = space.m
         self.exact = m == 1
         self.shape = grid.shape
+        self._key = self._factors = None
         self.sines = []
         mu = np.zeros(())
         for d in range(m, grid.n):
@@ -347,18 +365,19 @@ class SeparableSolver:
         return U
 
     def solve(self, b: np.ndarray, c: float, shift: float = 1.0) -> np.ndarray:
-        """x with (shift*I - c*A) x = b, for c >= 0 and shift >= 0 not both
-        0; exact up to rounding when ``exact``, else with A's surrogate."""
+        """x with (shift*I - c*A) x = b, for finite c >= 0 and shift >= 0
+        not both 0 (else ValueError); exact up to rounding when ``exact``,
+        else with A's surrogate."""
         b = np.asarray(b, dtype=float)
         if not np.all(np.isfinite(b)):
             raise NumericalBreakdown("non-finite right-hand side in the "
                                      "separable solve")
+        if (c, shift) != self._key:
+            self._factors = self._factorize(c, shift)
+            self._key = (c, shift)
         rhs = self._transform(b.reshape(self.shape))
         if self.exact:
-            diag = shift + c * (2.0 * self.inv_h2
-                                + np.multiply.outer(self.W, self.mu))
-            x = _thomas(diag, -c * self.inv_h2,
-                        rhs.reshape(self.shape[0], -1))
+            x = _substitute(*self._factors, rhs.reshape(self.shape[0], -1))
         else:
             # Each product contracts the leading x-axis and moves it last,
             # so m of them restore the axis order.
@@ -366,21 +385,38 @@ class SeparableSolver:
             X = rhs.reshape(-1, modes).T
             for Q in self.bases:
                 X = X.reshape(modes, Q.shape[1], -1).transpose(0, 2, 1) @ Q
-            X = X.reshape(self.lam.shape) / (shift + c * self.lam)
+            X = X.reshape(self.lam.shape) / self._factors
             for Q in self.bases:
                 X = (X.reshape(modes, Q.shape[1], -1).transpose(0, 2, 1)
                      @ Q.transpose(0, 2, 1))
             x = X.reshape(modes, -1).T
         return self._transform(x.reshape(self.shape)).ravel()
 
+    def _factorize(self, c: float, shift: float):
+        """What :meth:`solve` keeps for ``(c, shift)``: (pivot, ratio, off)
+        of every y-mode's x-tridiagonal when m == 1, the denominators
+        shift + c * lam when m >= 2."""
+        if not (np.isfinite(c) and np.isfinite(shift) and c >= 0.0
+                and shift >= 0.0 and (c > 0.0 or shift > 0.0)):
+            raise ValueError("the separable solve needs finite c >= 0 and "
+                             f"shift >= 0, not both 0; got c={c!r}, "
+                             f"shift={shift!r}")
+        if not self.exact:
+            return shift + c * self.lam
+        off = -c * self.inv_h2
+        diag = shift + c * (2.0 * self.inv_h2
+                            + np.multiply.outer(self.W, self.mu))
+        return _factor(diag, off) + (off,)
+
     def eigenpair(self, A: SparseMatrix, cell_volume=None) -> EigenResult:
         """First eigenpair of -A from the y-mode j = 1.
 
         lambda1 is the smallest eigenvalue of K_x + mu_1 diag(W), bracketed
         in [0, min diagonal] and bisected with Sturm tests to the last bit;
-        two shifted Thomas solves give its x-profile.  phi1 is that profile
-        times the first sine of every y-axis, and lambda1 and the residual
-        are measured against the assembled ``A``.  Needs m == 1.
+        one factorization of the shifted tridiagonal and two substitutions
+        give its x-profile.  phi1 is that profile times the first sine of
+        every y-axis, and lambda1 and the residual are measured against the
+        assembled ``A``.  Needs m == 1.
         """
         if not self.exact:
             raise ValueError("the separable eigenpair needs m == 1")
@@ -403,9 +439,10 @@ class SeparableSolver:
         # (lambda_j - shift); two solves put them below rounding.
         shift = lo - 64.0 * np.finfo(float).eps * (max(entries)
                                                      + 2.0 * self.inv_h2)
+        pivot, ratio = _factor(diag - shift, -self.inv_h2)
         v = np.ones(diag.size)
         for _ in range(2):
-            v = _thomas(diag - shift, -self.inv_h2, v)
+            v = _substitute(pivot, ratio, -self.inv_h2, v)
         for S in self.sines:
             v = np.multiply.outer(v, S[0])
         v = v.ravel() / float(np.linalg.norm(v))

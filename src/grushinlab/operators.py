@@ -182,11 +182,8 @@ def grushin_energy(grid: Grid, space: GrushinSpace, u: np.ndarray) -> float:
     U = u.reshape(grid.shape)
     W = _degenerate_weight(grid, space)
     total = 0.0
-    pad = [(0, 0)] * grid.n
     for d in range(grid.n):
-        pad[d] = (1, 1)
-        D = np.diff(np.pad(U, pad), axis=d)
-        pad[d] = (0, 0)
+        D = np.diff(U, axis=d, prepend=0.0, append=0.0)
         w = 1.0 if d < space.m else W
         total += float((w * D * D).sum()) / float(grid.h[d]) ** 2
     return total * grid.cell_volume

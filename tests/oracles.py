@@ -7,12 +7,18 @@ eigenvalue oracle is a cyclic Jacobi rotation sweep, the surrogate operator
 is a dense Kronecker sum of 1D difference matrices, and the constants oracle
 uses a different algebraic arrangement of the same formulas.  The config
 schema is the JSON Schema the package validated configs with before its
-parser stated each rule itself; tests check it with ``jsonschema``.
+parser stated each rule itself; tests check it with ``jsonschema``.  Two
+oracles are the package's earlier implementations, kept to check that the
+faster ones reproduce them bit for bit: the one-pass Thomas sweep, which
+the separable solver now splits into a kept factorization and a
+substitution, and the energy record built on ``np.pad``.
 """
 
 import math
 
 import numpy as np
+
+from grushinlab.operators import _degenerate_weight
 
 
 def dense_from_csr(n, indptr, indices, values):
@@ -61,6 +67,40 @@ def surrogate_dense(grid, space):
         weight = weight + coords ** (2.0 * space.gamma)
     return (kron_sum(range(space.m))
             + np.diag(weight.ravel()) @ kron_sum(range(space.m, grid.n)))
+
+
+def thomas_reference(diag, off, rhs):
+    """Tridiagonal solve with main diagonal ``diag`` and the constant
+    off-diagonal ``off``, along axis 0, in one forward and one backward
+    pass.  Trailing axes are independent systems.  No pivoting."""
+    n = diag.shape[0]
+    ratio = np.empty_like(diag)
+    x = np.empty_like(rhs, dtype=float)
+    ratio[0] = off / diag[0]
+    x[0] = rhs[0] / diag[0]
+    for i in range(1, n):
+        pivot = diag[i] - off * ratio[i - 1]
+        ratio[i] = off / pivot
+        x[i] = (rhs[i] - off * x[i - 1]) / pivot
+    for i in range(n - 2, -1, -1):
+        x[i] -= ratio[i] * x[i + 1]
+    return x
+
+
+def grushin_energy_reference(grid, space, u):
+    """The discrete Grushin energy summed edge by edge, with the zero
+    boundary layer added by ``np.pad`` before differencing."""
+    U = np.asarray(u, dtype=float).reshape(grid.shape)
+    W = _degenerate_weight(grid, space)
+    total = 0.0
+    pad = [(0, 0)] * grid.n
+    for d in range(grid.n):
+        pad[d] = (1, 1)
+        D = np.diff(np.pad(U, pad), axis=d)
+        pad[d] = (0, 0)
+        w = 1.0 if d < space.m else W
+        total += float((w * D * D).sum()) / float(grid.h[d]) ** 2
+    return total * grid.cell_volume
 
 
 def jacobi_eigenvalues(mat, tol=1e-13, max_sweeps=60):

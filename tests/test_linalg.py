@@ -13,10 +13,12 @@ import pytest
 import grushinlab
 from grushinlab import (BoxDomain, GrushinSpace, NonConvergence,
                         NumericalBreakdown, SolverError, SparseMatrix, apply,
-                        assemble_grushin, build_grid, cg_solve,
-                        grushin_energy, l2_norm_sq, smallest_eigenpair)
+                        assemble_grushin, build_grid, build_initial_condition,
+                        cg_solve, grushin_energy, integrator, l2_norm_sq,
+                        linalg, parse_config, run, smallest_eigenpair)
 from grushinlab.linalg import SeparableSolver, separable_solver
 
+from conftest import config_path
 from oracles import dense_from_csr, jacobi_eigenvalues, surrogate_dense
 
 
@@ -350,6 +352,60 @@ class TestSeparableSolver:
         b[2] = np.nan
         with pytest.raises(NumericalBreakdown):
             SeparableSolver(grid, space).solve(b, 1.0)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_kept_factorization_matches_a_fresh_solver(self, m):
+        # The last pair is kept; a new pair, or an old one after it, must
+        # refactor and give exactly what a solver without history gives.
+        grid, space, _ = grushin_setup([(-1.0, 1.0)] * (m + 1), (6,) * (m + 1),
+                                       gamma=1.0, m=m)
+        b = np.random.default_rng(5).standard_normal(grid.N)
+        solver = SeparableSolver(grid, space)
+        for c, shift in [(1.25, 1.0), (1.5, 1.0), (1.25, 1.0), (1.0, 0.0)]:
+            want = SeparableSolver(grid, space).solve(b, c, shift=shift)
+            for _ in range(2):
+                got = solver.solve(b, c, shift=shift)
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("c, shift", [
+        (0.0, 0.0), (np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+        (1.0, np.inf), (-1.0, 1.0), (1.0, -1.0), (-1.0, 0.0)])
+    def test_rejects_a_bad_pair(self, m, c, shift):
+        grid, space, _ = grushin_setup([(0.0, 1.0)] * (m + 1), (4,) * (m + 1),
+                                       gamma=1.0, m=m)
+        solver = SeparableSolver(grid, space)
+        b = np.ones(grid.N)
+        want = solver.solve(b, 1.25)
+        with pytest.raises(ValueError, match="finite c >= 0"):
+            solver.solve(b, c, shift=shift)
+        assert solver.solve(b, 1.25).tobytes() == want.tobytes()
+
+
+def test_march_factors_once_per_step_size(monkeypatch):
+    # A cache key that never hits still gives the right answer, only
+    # slower; counting the factorizations makes it fail instead.
+    cfg = parse_config(config_path("free_sine.json"))
+    grid = build_grid(cfg.domain, cfg.cells)
+    A = assemble_grushin(grid, cfg.space)
+    u0 = build_initial_condition(grid, cfg.space, cfg.initial)
+    factored, attempted = [], []
+    factor, advance = linalg._factor, integrator._advance
+
+    def counting_factor(*args):
+        factored.append(args)
+        return factor(*args)
+
+    def recording_advance(u, dt, *args):
+        attempted.append(1.0 + dt)
+        return advance(u, dt, *args)
+
+    monkeypatch.setattr(linalg, "_factor", counting_factor)
+    monkeypatch.setattr(integrator, "_advance", recording_advance)
+    final, _ = run(grid, cfg.space, A, cfg.nonlinearity, u0, cfg.sim)
+    assert final.status == "completed"
+    assert len(attempted) == final.attempts
+    assert len(factored) == len(set(attempted)) < final.attempts
 
 
 def test_pipeline_imports_no_scipy_or_jsonschema():

@@ -25,14 +25,15 @@ from grushinlab import (BoxDomain, ConfigError, EnergyTracker, Expression,
                         apply, assemble_grushin, build_grid, cg_solve,
                         grushin_energy, integral, l2_norm_sq,
                         parse_config_dict, parse_expression)
-from grushinlab.linalg import (SeparableSolver, inverse_iteration,
-                               smallest_eigenpair)
+from grushinlab.linalg import (SeparableSolver, _factor, _substitute,
+                               inverse_iteration, smallest_eigenpair)
 from grushinlab.nonlinearity import F_values, _eval_ast
 from grushinlab.runner import _parameters_block
 
 from conftest import config_path
 from oracles import (CONFIG_SCHEMA, csr_matvec, dense_from_csr,
-                     surrogate_dense)
+                     grushin_energy_reference, surrogate_dense,
+                     thomas_reference)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=100)
@@ -115,6 +116,14 @@ def test_operator_is_negative_definite(case):
 
 
 @PROPERTY_SETTINGS
+@given(operators())
+def test_energy_equals_the_padded_reference_bit_for_bit(case):
+    grid, space, _, u = case
+    assert grushin_energy(grid, space, u) == grushin_energy_reference(
+        grid, space, u)
+
+
+@PROPERTY_SETTINGS
 @given(operators(), st.sampled_from([Power(3.0, 1.0), Power(1.5, 0.25),
                                      parse_expression("u^3 + 2*u")]),
        st.floats(-1.0, 1.0))
@@ -136,6 +145,20 @@ def test_separable_solve_matches_cg(case, c):
     assert np.linalg.norm(b - lhs(x)) <= 1e-12 * np.linalg.norm(b)
     ref, _ = cg_solve(lhs, b, tol=1e-12)
     assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 40), st.sampled_from([(), (1,), (7,)]),
+       st.floats(-10.0, 10.0), st.integers(0, 2**32 - 1))
+def test_factor_and_substitute_equal_the_thomas_sweep(n, trailing, off, seed):
+    # A diagonally dominant matrix per trailing index, as every step solve
+    # and the shifted eigen solve have; () is the 1-D right-hand side.
+    rng = np.random.default_rng(seed)
+    shape = (n,) + trailing
+    diag = 2.0 * abs(off) + rng.uniform(1e-3, 1e3, shape)
+    rhs = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+    got = _substitute(*_factor(diag, off), off, rhs)
+    assert got.tobytes() == thomas_reference(diag, off, rhs).tobytes()
 
 
 @PROPERTY_SETTINGS
