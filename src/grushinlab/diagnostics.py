@@ -17,7 +17,7 @@ import numpy as np
 
 from .geometry import Grid, GrushinSpace, integral
 from .nonlinearity import F_values, Nonlinearity
-from .operators import grushin_energy, l2_norm_sq
+from .operators import _degenerate_weight, _weighted_energy, l2_norm_sq
 
 CSV_HEADER = "t,dt,l2,grad,calE,calF,supnorm,min_u,E"
 
@@ -53,11 +53,12 @@ class EnergyTracker:
         self.theta = float(theta)
         self.M = float(M)
         self.records: list[EnergyRecord] = []
+        self._weight = _degenerate_weight(grid, space)  # once per run
 
     def measure(self, u: np.ndarray) -> tuple[float, float, float]:
         """(l2, grad, calF) of one state, with
         calF = -1/2 * grad + integral of (F(u) - theta)."""
-        grad = grushin_energy(self.grid, self.space, u)
+        grad = _weighted_energy(self.grid, self.space.m, self._weight, u)
         calF = -0.5 * grad + integral(self.grid, F_values(self.nl, u)
                                       - self.theta)
         return l2_norm_sq(self.grid, u), grad, calF

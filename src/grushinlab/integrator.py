@@ -15,7 +15,8 @@ conjugate gradients when the matrix was not assembled by
 ``cg_tol``.  Step size adapts on the relative sup-norm change per step;
 runaway growth is declared blow-up either by threshold or by the controller
 collapsing below dt_min.  Each state carries the work done so far: step
-attempts, rejected attempts and the CG iterations of the step solves.
+attempts, rejected attempts, the CG iterations of the step solves and the
+smallest and largest accepted dt.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ class SimConfig:
 class SimState:
     """Snapshot of the march: time, nodal values, current dt, step count and
     status in {"running", "completed", "blowup", "failed"}, plus the work so
-    far: step attempts, attempts rejected by the step controller, and the CG
-    iterations summed over the step solves (0 on the exact path)."""
+    far: step attempts, attempts rejected by the step controller, the CG
+    iterations summed over the step solves (0 on the exact path), and the
+    smallest and largest accepted dt (None before the first accepted step)."""
 
     t: float
     u: np.ndarray
@@ -81,6 +83,7 @@ class SimState:
     attempts: int = 0
     rejected: int = 0
     solver_iterations: int = 0
+    dt_accepted: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -193,8 +196,10 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
     dt_next = dt_try
     if change < cfg.step_change_low:
         dt_next = min(1.5 * dt_next, cfg.dt_max)
+    lo, hi = state.dt_accepted or (dt_try, dt_try)
     nxt = SimState(t=state.t + dt_try, u=u_new, dt=dt_next,
-                   steps=state.steps + 1, **work)
+                   steps=state.steps + 1,
+                   dt_accepted=(min(lo, dt_try), max(hi, dt_try)), **work)
     if float(np.abs(u_new).max()) >= cfg.blowup_threshold:
         return replace(nxt, status="blowup", t_blow=nxt.t,
                        reason="sup-norm reached blowup_threshold")

@@ -2,9 +2,14 @@
 
 Two variants: a signed power law c*sign(u)*|u|^p with the exact antiderivative,
 and a parsed arithmetic expression in u whose antiderivative is computed by
-adaptive Simpson quadrature.  The module also hosts the numeric checks of the
-two structural inequalities (one forcing finite-time blow-up, one forcing
-exponential decay) that the experiment runner certifies.
+adaptive Simpson quadrature.  The quadrature evaluates f once at each
+distinct nodal value and runs its halving rounds in fixed blocks of
+segments, so its temporaries stay block-sized; the peak memory of one call
+is then that of sorting the nodal values with ``np.unique``, about seven
+copies of the state.  The module also
+hosts the numeric checks of the two structural inequalities (one forcing
+finite-time blow-up, one forcing exponential decay) that the experiment
+runner certifies.
 """
 
 from __future__ import annotations
@@ -250,65 +255,117 @@ def eval_f(nl: Nonlinearity, u: float) -> float:
     return float(f_values(nl, np.asarray(float(u))))
 
 
-def _simpson_batch(fun, a: np.ndarray, b: np.ndarray, tol: np.ndarray,
-                   max_depth: int = 60) -> np.ndarray:
-    """Adaptive Simpson of ``fun`` over many segments at once.
+_BLOCK = 2048        # segments per block of a halving round: 16 KB per array
+_SIMPSON_DEPTH = 60  # halvings before a segment that has not settled fails
 
-    Classic halving with the |S2 - S1| <= 15*tol acceptance test and
-    Richardson extrapolation on accept; the worklist is processed in bulk so
-    expression ASTs are only ever evaluated on arrays.
+
+def _simpson_rule(a, b, fa, fm, fb):
+    """(b - a)/6 * (fa + 4 fm + fb), elementwise, in that operation order."""
+    w = b - a
+    w /= 6.0
+    s = 4.0 * fm
+    s += fa
+    s += fb
+    w *= s
+    return w
+
+
+def _check_finite(S, seg, x):
+    finite = np.isfinite(S)
+    if not finite.all():
+        i = seg[np.argmin(finite)]
+        raise QuadratureError("integrand is non-finite inside the segment "
+                              f"[{float(x[i])}, {float(x[i + 1])}]")
+
+
+def _first_round(fun, x, fx):
+    """Blocks of the initial worklist: every segment [x[i], x[i+1]] with its
+    midpoint and one-panel Simpson sum, checked block by block."""
+    for lo in range(0, x.size - 1, _BLOCK):
+        a, b = x[:-1][lo:lo + _BLOCK], x[1:][lo:lo + _BLOCK]
+        fa, fb = fx[:-1][lo:lo + _BLOCK], fx[1:][lo:lo + _BLOCK]
+        m = a + b
+        m *= 0.5
+        fm = fun(m)
+        S = _simpson_rule(a, b, fa, fm, fb)
+        seg = np.arange(lo, lo + a.size)
+        _check_finite(S, seg, x)
+        yield a, b, m, fa, fb, fm, S, seg
+
+
+def _next_round(work, x):
+    """Blocks of a later worklist, which is checked as a whole first, so that
+    a non-finite sum anywhere in it is reported before any block runs."""
+    _check_finite(work[6], work[7], x)
+    for lo in range(0, work[0].size, _BLOCK):
+        yield tuple(w[lo:lo + _BLOCK] for w in work)
+
+
+def _simpson_batch(fun, x: np.ndarray, tol: float) -> np.ndarray:
+    """Adaptive Simpson of ``fun`` over each segment [x[i], x[i+1]].
+
+    ``fun`` is evaluated once at each node, and the value is shared by the
+    two segments the node bounds.  Classic halving with the
+    |S2 - S1| <= 15*tol acceptance test and Richardson extrapolation on
+    accept (Lyness, J. ACM 16, 1969).  All segments of a round sit at the same depth, so the
+    tolerance is one number per round.  A round walks its worklist in blocks
+    of ``_BLOCK`` segments, so every temporary is block-sized and the
+    expression AST is only ever evaluated on arrays.  The survivors' halves,
+    all left halves then all right halves, form the next worklist, and each
+    half keeps its quarter point as its midpoint.  Beyond the result, memory
+    holds the survivors (seven floats and one index each) and a few blocks;
+    the first round is built block by block, so a smooth f that settles at
+    once never allocates a segment-sized array.
     """
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), a.shape).ravel().copy()
-    out = np.zeros(a.shape)
-    mid = 0.5 * (a + b)
-    fa, fm, fb = fun(a), fun(mid), fun(b)
-    S = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    seg = np.arange(a.size)
-    depth = np.zeros(a.size, dtype=np.int64)
-    wa, wb, wfa, wfm, wfb, wS, wtol, wseg, wdepth = (
-        a, b, fa, fm, fb, S, tol, seg, depth)
+    out = np.zeros(x.size - 1)
     eps = np.finfo(float).eps
-    while wa.size:
-        if wa.size > 1_000_000:
+    size, blocks = out.size, _first_round(fun, x, fun(x))
+    depth = 0
+    while True:
+        if size > 1_000_000:
             raise QuadratureError(
                 "adaptive Simpson worklist exceeded 1e6 intervals; the "
                 "integrand does not settle at the requested tolerance")
-        if not np.all(np.isfinite(wS)):
-            i = wseg[np.argmin(np.isfinite(wS))]
-            raise QuadratureError("integrand is non-finite inside the segment "
-                                  f"[{float(a[i])}, {float(b[i])}]")
-        m = 0.5 * (wa + wb)
-        lm, rm = 0.5 * (wa + m), 0.5 * (m + wb)
-        flm, frm = fun(lm), fun(rm)
-        Sl = (m - wa) / 6.0 * (wfa + 4.0 * flm + wfm)
-        Sr = (wb - m) / 6.0 * (wfm + 4.0 * frm + wfb)
-        S2 = Sl + Sr
-        err = S2 - wS
         # Halved tolerances bottom out at the rounding floor of the local
         # sums, and intervals stop splitting once their width is no longer
         # representable; otherwise smooth-but-large segments could never
         # accept and the worklist would grow without bound.
-        floor = eps * (np.abs(Sl) + np.abs(Sr))
-        width_floor = 4.0 * eps * np.maximum(np.abs(wa), np.abs(wb))
-        done = (np.abs(err) <= np.maximum(15.0 * wtol, floor)) \
-            | (wb - wa <= width_floor)
-        if np.any(~done & (wdepth >= max_depth)):
-            raise QuadratureError(
-                f"adaptive Simpson exceeded depth {max_depth}")
-        np.add.at(out, wseg[done], S2[done] + err[done] / 15.0)
-        keep = ~done
-        wa = np.concatenate([wa[keep], m[keep]])
-        wb = np.concatenate([m[keep], wb[keep]])
-        wfa = np.concatenate([wfa[keep], wfm[keep]])
-        wfb = np.concatenate([wfm[keep], wfb[keep]])
-        wfm = np.concatenate([flm[keep], frm[keep]])
-        wS = np.concatenate([Sl[keep], Sr[keep]])
-        wtol = np.concatenate([0.5 * wtol[keep], 0.5 * wtol[keep]])
-        wseg = np.concatenate([wseg[keep], wseg[keep]])
-        wdepth = np.concatenate([wdepth[keep] + 1, wdepth[keep] + 1])
-    return out
+        accept = 15.0 * tol
+        lefts, rights = [], []
+        for a, b, m, fa, fb, fm, S, seg in blocks:
+            lm = a + m
+            lm *= 0.5
+            rm = m + b
+            rm *= 0.5
+            flm, frm = fun(lm), fun(rm)
+            Sl = _simpson_rule(a, m, fa, flm, fm)
+            Sr = _simpson_rule(m, b, fm, frm, fb)
+            S2 = Sl + Sr
+            err = S2 - S
+            floor = np.abs(Sl)
+            floor += np.abs(Sr)
+            floor *= eps
+            np.maximum(floor, accept, out=floor)
+            width_floor = np.maximum(np.abs(a), np.abs(b))
+            width_floor *= 4.0 * eps
+            done = np.abs(err) <= floor
+            done |= b - a <= width_floor
+            if depth >= _SIMPSON_DEPTH and not done.all():
+                raise QuadratureError(
+                    f"adaptive Simpson exceeded depth {_SIMPSON_DEPTH}")
+            np.add.at(out, seg[done], S2[done] + err[done] / 15.0)
+            keep = ~done
+            if keep.any():
+                left = (a, m, lm, fa, fm, flm, Sl, seg)
+                right = (m, b, rm, fm, fb, frm, Sr, seg)
+                lefts.append([w[keep] for w in left])
+                rights.append([w[keep] for w in right])
+        if not lefts:
+            return out
+        work = tuple(np.concatenate(ws) for ws in zip(*lefts, *rights))
+        size, blocks = work[0].size, _next_round(work, x)
+        tol *= 0.5
+        depth += 1
 
 
 def F_values(nl: Nonlinearity, u: np.ndarray) -> np.ndarray:
@@ -316,7 +373,8 @@ def F_values(nl: Nonlinearity, u: np.ndarray) -> np.ndarray:
 
     Power uses the closed form.  Expression integrates segment-by-segment
     over the sorted unique values, so a whole nodal vector costs one batched
-    quadrature pass instead of one recursion per node.
+    quadrature pass instead of one recursion per node, and f is evaluated
+    once at each node.
     """
     u = np.asarray(u, dtype=float)
     if isinstance(nl, Power):
@@ -325,7 +383,7 @@ def F_values(nl: Nonlinearity, u: np.ndarray) -> np.ndarray:
                          return_inverse=True)
     fun = lambda x: _eval_ast(nl.ast, x)
     try:
-        pieces = _simpson_batch(fun, vs[:-1], vs[1:], 1e-12)
+        pieces = _simpson_batch(fun, vs, 1e-12)
     except QuadratureError as exc:
         raise QuadratureError(f"F of expression {nl.text!r}: {exc}") from exc
     prefix = np.concatenate([[0.0], np.cumsum(pieces)])

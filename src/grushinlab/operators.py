@@ -116,6 +116,8 @@ def _degenerate_weight(grid: Grid, space: GrushinSpace) -> np.ndarray:
     x-staggered midpoint (half the smallest x-spacing off the plane) so the
     y-direction couplings there stay positive instead of collapsing to 0.
     """
+    if grid.n != space.n:
+        raise ValueError(f"grid has {grid.n} axes, space expects {space.n}")
     m = space.m
     x_sq = np.zeros((1,) * grid.n)
     for d in range(m):
@@ -174,17 +176,21 @@ def grushin_energy(grid: Grid, space: GrushinSpace, u: np.ndarray) -> float:
     boundary layer included, so it matches -u^T(Au)*prod(h) from
     :func:`assemble_grushin` exactly.
     """
-    if grid.n != space.n:
-        raise ValueError(f"grid has {grid.n} axes, space expects {space.n}")
+    return _weighted_energy(grid, space.m, _degenerate_weight(grid, space), u)
+
+
+def _weighted_energy(grid: Grid, m: int, W: np.ndarray,
+                     u: np.ndarray) -> float:
+    """:func:`grushin_energy` with the y-edge weight ``W`` of
+    :func:`_degenerate_weight` built by the caller, once per grid."""
     u = np.asarray(u, dtype=float)
     if u.size != grid.N:
         raise ValueError(f"expected {grid.N} nodal values, got {u.size}")
     U = u.reshape(grid.shape)
-    W = _degenerate_weight(grid, space)
     total = 0.0
     for d in range(grid.n):
         D = np.diff(U, axis=d, prepend=0.0, append=0.0)
-        w = 1.0 if d < space.m else W
+        w = 1.0 if d < m else W
         total += float((w * D * D).sum()) / float(grid.h[d]) ** 2
     return total * grid.cell_volume
 

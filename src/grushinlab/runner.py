@@ -442,6 +442,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                 "attempts": final.attempts,
                 "rejected": final.rejected,
                 "solver_iterations": final.solver_iterations,
+                "dt_accepted": (None if final.dt_accepted is None
+                                else list(final.dt_accepted)),
                 "reason": final.reason,
                 "final_supnorm": float(np.abs(final.u).max()),
                 "records": len(records),
@@ -475,7 +477,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                 rpt.sim = {"status": "failed", "t_final": records[-1].t,
                            "t_blow": None, "steps": None, "attempts": None,
                            "rejected": None, "solver_iterations": None,
-                           "reason": error,
+                           "dt_accepted": None, "reason": error,
                            "final_supnorm": records[-1].supnorm,
                            "records": len(records)}
     rpt.warnings = [str(w.message) for w in caught]

@@ -11,13 +11,16 @@ parser stated each rule itself; tests check it with ``jsonschema``.  Two
 oracles are the package's earlier implementations, kept to check that the
 faster ones reproduce them bit for bit: the one-pass Thomas sweep, which
 the separable solver now splits into a kept factorization and a
-substitution, and the energy record built on ``np.pad``.
+substitution, the energy record built on ``np.pad``, and the antiderivative
+``F_values`` whose adaptive Simpson rounds ran over the whole worklist at
+once, evaluating f separately at each segment's two ends.
 """
 
 import math
 
 import numpy as np
 
+from grushinlab.nonlinearity import Power, QuadratureError, _eval_ast
 from grushinlab.operators import _degenerate_weight
 
 
@@ -101,6 +104,76 @@ def grushin_energy_reference(grid, space, u):
         w = 1.0 if d < space.m else W
         total += float((w * D * D).sum()) / float(grid.h[d]) ** 2
     return total * grid.cell_volume
+
+
+def _simpson_batch_reference(fun, a, b, tol, max_depth=60):
+    """Adaptive Simpson of ``fun`` over many segments at once, each halving
+    round over the whole worklist."""
+    a = np.asarray(a, dtype=float).ravel()
+    b = np.asarray(b, dtype=float).ravel()
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), a.shape).ravel().copy()
+    out = np.zeros(a.shape)
+    mid = 0.5 * (a + b)
+    fa, fm, fb = fun(a), fun(mid), fun(b)
+    S = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    seg = np.arange(a.size)
+    depth = np.zeros(a.size, dtype=np.int64)
+    wa, wb, wfa, wfm, wfb, wS, wtol, wseg, wdepth = (
+        a, b, fa, fm, fb, S, tol, seg, depth)
+    eps = np.finfo(float).eps
+    while wa.size:
+        if wa.size > 1_000_000:
+            raise QuadratureError(
+                "adaptive Simpson worklist exceeded 1e6 intervals; the "
+                "integrand does not settle at the requested tolerance")
+        if not np.all(np.isfinite(wS)):
+            i = wseg[np.argmin(np.isfinite(wS))]
+            raise QuadratureError("integrand is non-finite inside the segment "
+                                  f"[{float(a[i])}, {float(b[i])}]")
+        m = 0.5 * (wa + wb)
+        lm, rm = 0.5 * (wa + m), 0.5 * (m + wb)
+        flm, frm = fun(lm), fun(rm)
+        Sl = (m - wa) / 6.0 * (wfa + 4.0 * flm + wfm)
+        Sr = (wb - m) / 6.0 * (wfm + 4.0 * frm + wfb)
+        S2 = Sl + Sr
+        err = S2 - wS
+        floor = eps * (np.abs(Sl) + np.abs(Sr))
+        width_floor = 4.0 * eps * np.maximum(np.abs(wa), np.abs(wb))
+        done = (np.abs(err) <= np.maximum(15.0 * wtol, floor)) \
+            | (wb - wa <= width_floor)
+        if np.any(~done & (wdepth >= max_depth)):
+            raise QuadratureError(
+                f"adaptive Simpson exceeded depth {max_depth}")
+        np.add.at(out, wseg[done], S2[done] + err[done] / 15.0)
+        keep = ~done
+        wa = np.concatenate([wa[keep], m[keep]])
+        wb = np.concatenate([m[keep], wb[keep]])
+        wfa = np.concatenate([wfa[keep], wfm[keep]])
+        wfb = np.concatenate([wfm[keep], wfb[keep]])
+        wfm = np.concatenate([flm[keep], frm[keep]])
+        wS = np.concatenate([Sl[keep], Sr[keep]])
+        wtol = np.concatenate([0.5 * wtol[keep], 0.5 * wtol[keep]])
+        wseg = np.concatenate([wseg[keep], wseg[keep]])
+        wdepth = np.concatenate([wdepth[keep] + 1, wdepth[keep] + 1])
+    return out
+
+
+def F_values_reference(nl, u):
+    """F(u), the integral of f from 0 to u, by adaptive Simpson over the
+    segments between the sorted unique values of u and 0, summed in order."""
+    u = np.asarray(u, dtype=float)
+    if isinstance(nl, Power):
+        return nl.c * np.abs(u) ** (nl.p + 1.0) / (nl.p + 1.0)
+    vs, node = np.unique(np.concatenate([[0.0], np.ravel(u)]),
+                         return_inverse=True)
+    fun = lambda x: _eval_ast(nl.ast, x)
+    try:
+        pieces = _simpson_batch_reference(fun, vs[:-1], vs[1:], 1e-12)
+    except QuadratureError as exc:
+        raise QuadratureError(f"F of expression {nl.text!r}: {exc}") from exc
+    prefix = np.concatenate([[0.0], np.cumsum(pieces)])
+    F_at = prefix - prefix[node[0]]
+    return F_at[node[1:]].reshape(np.shape(u))
 
 
 def jacobi_eigenvalues(mat, tol=1e-13, max_sweeps=60):

@@ -208,10 +208,17 @@ class TestStep:
         assert out.rejected > 2
         assert out.attempts == 5 + 1 + (out.rejected - 2)
         assert out.solver_iterations == 7      # exact m = 1 solves
+        assert out.dt_accepted == (out.t, out.t)
+        again = step(replace(out, dt_accepted=(0.5 * out.t, 0.5 * out.t)), A,
+                     Power(3.0, 1.0), SimConfig(dt_init=1e-3))
+        assert again.dt_accepted[0] == 0.5 * out.t
+        assert again.dt_accepted[1] == pytest.approx(again.t - out.t,
+                                                     rel=1e-12)
         blown = step(replace(state, u=1e2 * ic), A, Power(3.0, 1.0),
                      SimConfig(dt_init=1e-3, dt_min=1e-6))
         assert blown.status == "blowup"
         assert blown.attempts - 5 == blown.rejected - 2 >= 1
+        assert blown.dt_accepted is None
 
 
 class TestRun:

@@ -1,6 +1,7 @@
 """Source-term parsing, antiderivatives, and the structural sign conditions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,6 +201,21 @@ class TestAntiderivative:
             F_values(e, np.array([3.0]))
         assert "'u*(2-u)^0.5'" in str(info.value)
         assert "[0.0, 3.0]" in str(info.value)
+
+    def test_peak_memory_stays_a_few_states(self):
+        # One 127 x 127 state is 129 KB.  Rounds walked in blocks keep the
+        # peak at that of np.unique (about 7 states); rounds built over the
+        # whole worklist at once peak at about 26.
+        u = np.random.default_rng(0).uniform(0.0, 2.0, 16_129)
+        e = parse_expression("u^3")
+        F_values(e, u)
+        tracemalloc.start()
+        try:
+            F_values(e, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 8 * u.size
 
 
 class TestSamplePoints:

@@ -1,6 +1,7 @@
 """Property-based checks of the assembled operator and its product, the
 energy record, the solver paths (exact, preconditioned and their plain-CG
-oracles), the config parser and the expression parser.
+oracles), the config parser, the expression parser and the blocked
+antiderivative quadrature.
 
 Random Grushin spaces (m, k in {1, 2}, gamma in [0, 2]) on boxes of 2 to 6
 cells per axis whose bounds may straddle the degenerate plane x = 0.  The
@@ -27,13 +28,13 @@ from grushinlab import (BoxDomain, ConfigError, EnergyTracker, Expression,
                         parse_config_dict, parse_expression)
 from grushinlab.linalg import (SeparableSolver, _factor, _substitute,
                                inverse_iteration, smallest_eigenpair)
-from grushinlab.nonlinearity import F_values, _eval_ast
+from grushinlab.nonlinearity import _BLOCK, F_values, _eval_ast
 from grushinlab.runner import _parameters_block
 
 from conftest import config_path
-from oracles import (CONFIG_SCHEMA, csr_matvec, dense_from_csr,
-                     grushin_energy_reference, surrogate_dense,
-                     thomas_reference)
+from oracles import (CONFIG_SCHEMA, F_values_reference, csr_matvec,
+                     dense_from_csr, grushin_energy_reference,
+                     surrogate_dense, thomas_reference)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=100)
@@ -404,3 +405,42 @@ def test_expression_nests_at_most_64_levels(wrappers):
     else:
         with pytest.raises(ExpressionError, match="nests deeper"):
             Expression(text)
+
+
+# --- antiderivative quadrature -----------------------------------------------
+
+# Smooth sources settle in one round; u^0.5 near 0 and the square-root edge
+# of 100*u^3*(2-u)^0.5 at u = 2 take several, and past 2 it is non-finite.
+QUADRATURE_SOURCES = ("u^3", "u", "u/(1+u^2)", "u^0.5", "100*u^3*(2-u)^0.5",
+                      "u*(2-u)^0.5")
+
+
+@st.composite
+def quadrature_inputs(draw):
+    """(source, u): nodal values around a block boundary in size, drawn
+    from a pool of distinct values so that some repeat, with some zeros."""
+    nl = parse_expression(draw(st.sampled_from(QUADRATURE_SOURCES)))
+    n = draw(st.sampled_from([1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                              3 * _BLOCK + 7]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo = draw(st.sampled_from([0.0, 1.9, -0.5]))
+    hi = draw(st.sampled_from([2.0, 2.0 + 1e-3, 1.0]))
+    pool = lo + (hi - lo) * rng.random(draw(st.integers(1, n)))
+    u = rng.choice(pool, n)
+    u[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+    return nl, u
+
+
+def _outcome(fn, nl, u):
+    try:
+        return fn(nl, u).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(quadrature_inputs())
+def test_blocked_quadrature_matches_the_reference_bit_for_bit(case):
+    """Values, or the raised error's type and message, are the reference's."""
+    nl, u = case
+    assert _outcome(F_values, nl, u) == _outcome(F_values_reference, nl, u)

@@ -332,6 +332,7 @@ class TestRunExperiment:
         assert rpt.sim["final_supnorm"] == rows[-1].supnorm
         assert rpt.sim["t_blow"] is None and rpt.sim["steps"] is None
         assert rpt.sim["attempts"] is None
+        assert rpt.sim["dt_accepted"] is None
         assert rpt.sim["reason"] == rpt.failure["error"]
         assert "'100*u^3*(2-u)^0.5'" in rpt.sim["reason"]
         saved = json.loads((out / "report.json").read_text())
@@ -400,6 +401,22 @@ class TestRunExperiment:
         assert m1.eigen["solver_iterations"] == 0
         assert m2.sim["solver_iterations"] >= m2.sim["attempts"]
         assert m2.eigen["solver_iterations"] >= m2.eigen["iterations"]
+
+    def test_report_gives_the_accepted_step_range(self, tmp_path):
+        # free_sine records every accepted step, so the record times'
+        # differences are the accepted step sizes.
+        from conftest import config_path
+        out = tmp_path / "free"
+        rpt = run_experiment(parse_config(config_path("free_sine.json")),
+                             out_dir=str(out))
+        steps = np.diff([r.t for r in read_csv(str(out / "records.csv"))])
+        assert len(steps) == rpt.sim["steps"]
+        lo, hi = rpt.sim["dt_accepted"]
+        assert lo == pytest.approx(steps.min(), rel=1e-12)
+        assert hi == pytest.approx(steps.max(), rel=1e-12)
+        assert lo < hi
+        saved = json.loads((out / "report.json").read_text())
+        assert saved["sim"] == rpt.sim
 
     def test_concavity_margin_reads_the_csv(self, blowup_outcome):
         # The margin uses each record's E, so the CSV reproduces it exactly.
