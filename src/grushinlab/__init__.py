@@ -8,23 +8,16 @@ behavior (finite-time blow-up within a computable bound, or exponential
 decay under an envelope) against the structural sign conditions on f.
 """
 
-from .geometry import (BoxDomain, Grid, GrushinSpace, build_grid, dilate,
+from .geometry import (BoxDomain, GrushinSpace, build_grid, dilate,
                        homogeneous_dimension, integral)
-from .operators import (SparseMatrix, apply, assemble_grushin, grushin_energy,
-                        l2_norm_sq)
-from .linalg import (NonConvergence, NumericalBreakdown, SolverError,
-                     cg_solve, smallest_eigenpair)
-from .nonlinearity import (DomainError, Expression, ExpressionError, Power,
-                           check_blowup_hypothesis, check_f_positive,
-                           check_global_hypothesis, eval_F, eval_f,
-                           parse_expression)
-from .integrator import (InitialCondition, SimConfig, SimState,
-                         build_initial_condition, run, step)
-from .diagnostics import (EnergyRecord, EnergyTracker, certified_records,
-                          concavity_margin, decay_margin, emit_svg_plot,
-                          monotonicity_margin, read_csv, write_csv)
-from .runner import (ConfigError, compute_blowup_constants, decide_verdict,
-                     parse_config, parse_config_dict, run_experiment,
-                     run_sweep)
+from .operators import apply, assemble_grushin, grushin_energy, l2_norm_sq
+from .linalg import SolverError, smallest_eigenpair
+from .nonlinearity import (Power, check_blowup_hypothesis, check_f_positive,
+                           check_global_hypothesis, eval_F, parse_expression)
+from .integrator import SimConfig, build_initial_condition, run
+from .diagnostics import (EnergyRecord, concavity_margin, decay_margin,
+                          read_csv)
+from .runner import (ConfigError, compute_blowup_constants, parse_config,
+                     run_experiment, run_sweep)
 
 __version__ = "0.1.0"

@@ -56,7 +56,7 @@ def _cmd_check_hypothesis(cfg, args) -> int:
     phi1 = None
     if cfg.initial.kind == "phi1":
         phi1 = _eigenpair(cfg, assemble_grushin(grid, cfg.space)).phi1
-    u0 = build_initial_condition(grid, cfg.space, cfg.initial, phi1=phi1)
+    u0 = build_initial_condition(grid, cfg.initial, phi1=phi1)
     u_max = cfg.umax_factor * float(np.abs(u0).max())
     f_ok, f_bad = check_f_positive(cfg.nonlinearity, u_max,
                                    cfg.hypothesis_samples)

@@ -7,12 +7,12 @@ source explicitly:
     (I + L + dt*L) u_new = (I + L) u_old + dt * f(u_old),
 
 a first-order scheme whose stiffness lives entirely in the SPD solve.
-``linalg.separable_solver`` decides how it is solved: exactly by the
-separable solver when the operator has one x-axis, by conjugate gradients
-preconditioned with the separable surrogate when it has more, and by plain
-conjugate gradients when the matrix was not assembled by
-``assemble_grushin``.  Both CG paths stop on the true residual at
-``cg_tol``.  Step size adapts on the relative sup-norm change per step;
+The operator's own ``SparseMatrix.solver`` decides how it is solved: exactly
+when the operator has one x-axis, by conjugate gradients preconditioned with
+the separable surrogate when it has more, and by plain conjugate gradients
+when the matrix was not assembled by ``assemble_grushin``, whose ``solver``
+is None.  Both CG paths stop on the true residual at ``cg_tol``.
+Step size adapts on the relative sup-norm change per step;
 runaway growth is declared blow-up either by threshold or by the controller
 collapsing below dt_min.  Each state carries the work done so far: step
 attempts, rejected attempts, the CG iterations of the step solves and the
@@ -27,7 +27,7 @@ import numpy as np
 
 from .diagnostics import EnergyTracker
 from .geometry import Grid, GrushinSpace
-from .linalg import SolverError, cg_solve, separable_solver
+from .linalg import SolverError, cg_solve
 from .nonlinearity import Nonlinearity, f_values
 from .operators import SparseMatrix, apply
 
@@ -103,8 +103,7 @@ class InitialCondition:
             raise ValueError("file initial condition needs a path")
 
 
-def build_initial_condition(grid: Grid, space: GrushinSpace,
-                            ic: InitialCondition,
+def build_initial_condition(grid: Grid, ic: InitialCondition,
                             phi1: np.ndarray | None = None) -> np.ndarray:
     """Nodal initial data: a product-sine bump, a scaled first eigenmode, or
     values loaded from a file (one per line, length N, nonnegative, not all
@@ -138,13 +137,14 @@ def build_initial_condition(grid: Grid, space: GrushinSpace,
 
 
 def _advance(u: np.ndarray, dt: float, A: SparseMatrix, nl: Nonlinearity,
-             cg_tol: float, solver) -> tuple[np.ndarray, int]:
+             cg_tol: float) -> tuple[np.ndarray, int]:
     """Solve (I + (1+dt)L) u_new = (I + L) u + dt f(u) with L = -A; return
-    u_new and the CG iterations spent.  Exact with an exact ``solver``, else
-    by CG, preconditioned by ``solver`` when there is one."""
+    u_new and the CG iterations spent.  Exact when ``A.solver`` is exact,
+    else by CG, preconditioned by ``A.solver`` when there is one."""
     Au = apply(A, u)
     rhs = u - Au + dt * f_values(nl, u)
     c = 1.0 + dt
+    solver = A.solver
     if solver is not None and solver.exact:
         return solver.solve(rhs, c), 0
     lhs = lambda v: v - c * apply(A, v)
@@ -154,7 +154,7 @@ def _advance(u: np.ndarray, dt: float, A: SparseMatrix, nl: Nonlinearity,
 
 
 def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
-         dt_cap: float | None = None, solver=None) -> SimState:
+         dt_cap: float | None = None) -> SimState:
     """One accepted step (or a terminal status change).
 
     Retries with halved dt while the relative sup-norm change exceeds
@@ -162,14 +162,12 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
     time.  After acceptance the threshold check runs, then dt grows by 1.5x
     (capped at dt_max) if the change was below step_change_low.  ``dt_cap``
     temporarily limits the attempted dt (used to land on t_end) without
-    feeding back into the controller.  ``solver`` is ``separable_solver(A)``
-    unless given.  Every solve counts as an attempt, and every attempt the
-    controller turns down as rejected.
+    feeding back into the controller.  Every solve goes through ``A.solver``,
+    so calls on one operator share its factorization.  Every solve counts as
+    an attempt, and every attempt the controller turns down as rejected.
     """
     if state.status != "running":
         return state
-    if solver is None:
-        solver = separable_solver(A)
     dt_try = state.dt if dt_cap is None else min(state.dt, dt_cap)
     u_norm = float(np.abs(state.u).max())
     work = {"attempts": state.attempts, "rejected": state.rejected,
@@ -177,8 +175,7 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
     while True:
         work["attempts"] += 1
         try:
-            u_new, iterations = _advance(state.u, dt_try, A, nl, cfg.cg_tol,
-                                         solver)
+            u_new, iterations = _advance(state.u, dt_try, A, nl, cfg.cg_tol)
         except SolverError as exc:
             return replace(state, status="failed",
                            reason=f"linear solve: {exc}", **work)
@@ -219,7 +216,6 @@ def run(grid: Grid, space: GrushinSpace, A: SparseMatrix, nl: Nonlinearity,
     u0 = np.asarray(u0, dtype=float)
     if u0.size != grid.N:
         raise ValueError(f"u0 has {u0.size} values, grid has {grid.N} nodes")
-    solver = separable_solver(A)
     state = SimState(t=0.0, u=u0.copy(), dt=cfg.dt_init, steps=0)
     observer(state)
     t_tol = 1e-10 * max(1.0, cfg.t_end)
@@ -229,8 +225,7 @@ def run(grid: Grid, space: GrushinSpace, A: SparseMatrix, nl: Nonlinearity,
             state = replace(state, status="completed")
             break
         state = step(state, A, nl, cfg,
-                     dt_cap=remaining if remaining < state.dt else None,
-                     solver=solver)
+                     dt_cap=remaining if remaining < state.dt else None)
         if state.status == "running" and state.steps % cfg.record_every == 0:
             observer(state)
     observer(state)

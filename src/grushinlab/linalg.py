@@ -1,8 +1,9 @@
 """Linear solves and the first eigenpair of the assembled operator.
 
-:func:`separable_solver` returns a :class:`SeparableSolver` for every
-operator built by ``assemble_grushin``; :func:`smallest_eigenpair` is the one
-eigensolver entry point.  The solver plays one of three roles.
+Every operator built by ``assemble_grushin`` owns a :class:`SeparableSolver`,
+``SparseMatrix.solver``, built on first use and kept, so the eigensolve and
+every time step share it; :func:`smallest_eigenpair` is the one eigensolver
+entry point.  The solver plays one of three roles.
 
 *Exact solve* (m == 1).  The y-edge weights depend only on x, so
 -A = K_x (x) I + diag(W) (x) K_y, where K_d is the 1D Dirichlet
@@ -26,8 +27,8 @@ whatever the grid (Concus and Golub, SIAM J. Numer. Anal. 10, 1973).  Time
 steps and the inner solves of :func:`inverse_iteration` both use it.
 
 *Oracle*.  Plain conjugate gradients and unpreconditioned inverse iteration
-remain for matrices not built by ``assemble_grushin`` and as the test oracles
-of both other roles.  numpy only.
+remain for matrices not built by ``assemble_grushin``, whose ``solver`` is
+None, and as the test oracles of both other roles.  numpy only.
 """
 
 from __future__ import annotations
@@ -179,13 +180,13 @@ def smallest_eigenpair(A: SparseMatrix, tol: float = 1e-8,
                        cell_volume: float | None = None) -> EigenResult:
     """Smallest eigenpair of B = -A, for A symmetric and negative definite.
 
-    Exact from :class:`SeparableSolver` when A was assembled with one x-axis
-    (``tol``, ``max_iter`` and ``cg_tol`` then have nothing to tune), else by
-    :func:`inverse_iteration`, preconditioned by the separable solver when A
-    was assembled.  l2_norm_sq(phi1) == 1 under the rectangle rule with
+    Exact from ``A.solver`` when A was assembled with one x-axis (``tol``,
+    ``max_iter`` and ``cg_tol`` then have nothing to tune), else by
+    :func:`inverse_iteration`, preconditioned by ``A.solver`` when A was
+    assembled.  l2_norm_sq(phi1) == 1 under the rectangle rule with
     ``cell_volume``, by default that of A's grid (1.0 without one).
     """
-    solver = separable_solver(A)
+    solver = A.solver
     if solver is not None and solver.exact:
         return solver.eigenpair(A, cell_volume)
     precond = None if solver is None else (
@@ -247,14 +248,6 @@ def _eigen_result(A, v, lam, residual, iterations, method, cell_volume,
         v = -v
     return EigenResult(lam, v / np.sqrt(cell_volume), residual, iterations,
                        method, solver_iterations)
-
-
-def separable_solver(A: SparseMatrix) -> SeparableSolver | None:
-    """The separable solver of an operator built by ``assemble_grushin``
-    (exact iff it has one x-axis), else None."""
-    if A.space is None:
-        return None
-    return SeparableSolver(A.grid, A.space)
 
 
 def _factor(diag, off: float):

@@ -38,7 +38,8 @@ class SparseMatrix:
     row's column order, and every diagonal is frozen read-only.
     ``indptr``/``indices``/``values`` (and ``nnz``) are a read-only CSR view
     of the nonzero entries, built on first access.  Only
-    :func:`assemble_grushin` sets ``grid`` and ``space``.
+    :func:`assemble_grushin` sets ``grid`` and ``space``, and so gives the
+    matrix a ``solver``.
     """
 
     n: int
@@ -77,6 +78,16 @@ class SparseMatrix:
         for arr in (indptr, indices, values):
             arr.flags.writeable = False
         return indptr, indices, values
+
+    @cached_property
+    def solver(self):
+        """The :class:`~grushinlab.linalg.SeparableSolver` of an assembled
+        operator (exact iff it has one x-axis), built on first access and
+        kept; None for a matrix not built by :func:`assemble_grushin`."""
+        from .linalg import SeparableSolver   # linalg imports this module
+        if self.space is None:
+            return None
+        return SeparableSolver(self.grid, self.space)
 
     indptr = property(lambda self: self.csr[0])
     indices = property(lambda self: self.csr[1])

@@ -388,8 +388,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                          "iterations": eig.iterations,
                          "solver_iterations": eig.solver_iterations}
             stage = "initial-condition"
-            u0 = build_initial_condition(grid, cfg.space, cfg.initial,
-                                         phi1=eig.phi1)
+            u0 = build_initial_condition(grid, cfg.initial, phi1=eig.phi1)
             sup0 = float(np.abs(u0).max())
             stage = "functionals"
             tracker = EnergyTracker(grid, cfg.space, cfg.nonlinearity,

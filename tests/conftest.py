@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from grushinlab import (BoxDomain, EnergyTracker, GrushinSpace, SimConfig,
-                        assemble_grushin, build_grid, parse_expression, run,
-                        smallest_eigenpair)
+from grushinlab import (BoxDomain, GrushinSpace, SimConfig, assemble_grushin,
+                        build_grid, parse_expression, run, smallest_eigenpair)
+from grushinlab.diagnostics import EnergyTracker
 from grushinlab.runner import parse_config, run_experiment
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -151,7 +151,7 @@ class TestExitCodes:
                                                         capsys, expr):
         data = dict(base_config(), nonlinearity={"expr": expr})
         with pytest.raises(grushinlab.ConfigError, match="nests deeper"):
-            grushinlab.parse_config_dict(data)
+            grushinlab.runner.parse_config_dict(data)
         code, _, err = run_cli(["verify", write_config(tmp_path, data),
                                 "--out", str(tmp_path / "deep")], capsys)
         assert code == 2

@@ -6,11 +6,12 @@ import struct
 import numpy as np
 import pytest
 
-from grushinlab import (EnergyRecord, EnergyTracker, Power, SimState,
-                        certified_records, concavity_margin, decay_margin,
-                        emit_svg_plot, grushin_energy, integral, l2_norm_sq,
-                        monotonicity_margin, read_csv, write_csv)
-from grushinlab.diagnostics import CSV_HEADER
+from grushinlab import (EnergyRecord, Power, concavity_margin, decay_margin,
+                        grushin_energy, integral, l2_norm_sq, read_csv)
+from grushinlab.diagnostics import (CSV_HEADER, EnergyTracker,
+                                    certified_records, emit_svg_plot,
+                                    monotonicity_margin, write_csv)
+from grushinlab.integrator import SimState
 
 from oracles import trapezoid_E
 

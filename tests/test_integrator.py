@@ -5,11 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from grushinlab import (BoxDomain, GrushinSpace, InitialCondition, Power,
-                        SimConfig, SimState, assemble_grushin, build_grid,
-                        build_initial_condition, integrator, l2_norm_sq,
-                        parse_expression, run, smallest_eigenpair, step)
-from grushinlab.linalg import separable_solver
+from grushinlab import (BoxDomain, GrushinSpace, Power, SimConfig,
+                        assemble_grushin, build_grid, build_initial_condition,
+                        integrator, l2_norm_sq, parse_expression, run,
+                        smallest_eigenpair)
+from grushinlab.integrator import InitialCondition, SimState, step
+from grushinlab.linalg import SeparableSolver
+from grushinlab.operators import SparseMatrix
 
 
 def small_setup(cells=(8, 8), gamma=0.0, bounds=((0.0, 1.0), (0.0, 1.0))):
@@ -32,8 +34,8 @@ class TestInitialCondition:
 
     def test_product_sine_peaks_at_center(self):
         space, grid, _ = small_setup()
-        u = build_initial_condition(grid, space,
-                                    InitialCondition(kind="product_sine"))
+        u = build_initial_condition(
+            grid, InitialCondition(kind="product_sine"))
         center = np.ravel_multi_index((3, 3), grid.shape)  # node (0.5, 0.5)
         assert u[center] == pytest.approx(1.0)
         assert np.abs(u).max() == pytest.approx(1.0)
@@ -41,24 +43,22 @@ class TestInitialCondition:
 
     def test_product_sine_amplitude_scales(self):
         space, grid, _ = small_setup()
-        one = build_initial_condition(grid, space,
-                                      InitialCondition(kind="product_sine"))
+        one = build_initial_condition(
+            grid, InitialCondition(kind="product_sine"))
         five = build_initial_condition(
-            grid, space, InitialCondition(kind="product_sine", amplitude=5.0))
+            grid, InitialCondition(kind="product_sine", amplitude=5.0))
         assert np.allclose(five, 5.0 * one)
 
     def test_eigenmode_scaling_sets_mass(self, unit16):
         u = build_initial_condition(
-            unit16.grid, unit16.space,
-            InitialCondition(kind="phi1", amplitude=2.0),
+            unit16.grid, InitialCondition(kind="phi1", amplitude=2.0),
             phi1=unit16.eig.phi1)
         assert l2_norm_sq(unit16.grid, u) == pytest.approx(4.0, rel=1e-10)
 
     def test_eigenmode_requires_vector(self):
         space, grid, _ = small_setup()
         with pytest.raises(ValueError, match="eigenvector"):
-            build_initial_condition(grid, space,
-                                    InitialCondition(kind="phi1"))
+            build_initial_condition(grid, InitialCondition(kind="phi1"))
 
     def test_file_round_trip(self, tmp_path):
         space, grid, _ = small_setup()
@@ -66,8 +66,7 @@ class TestInitialCondition:
         path = tmp_path / "u0.txt"
         np.savetxt(path, values)
         u = build_initial_condition(
-            grid, space,
-            InitialCondition(kind="file", amplitude=2.0, path=str(path)))
+            grid, InitialCondition(kind="file", amplitude=2.0, path=str(path)))
         assert np.allclose(u, 2.0 * values)
 
     def test_file_errors(self, tmp_path):
@@ -77,7 +76,7 @@ class TestInitialCondition:
             path = tmp_path / name
             np.savetxt(path, values)
             ic = InitialCondition(kind="file", path=str(path))
-            return build_initial_condition(grid, space, ic)
+            return build_initial_condition(grid, ic)
 
         with pytest.raises(ValueError, match="negative"):
             load("neg.txt", np.full(grid.N, -1.0))
@@ -125,9 +124,8 @@ class TestStep:
 
     def test_dt_halves_on_fast_change(self):
         space, grid, A = small_setup()
-        ic = build_initial_condition(grid, space,
-                                     InitialCondition(kind="product_sine",
-                                                      amplitude=100.0))
+        ic = build_initial_condition(
+            grid, InitialCondition(kind="product_sine", amplitude=100.0))
         cfg = SimConfig(dt_init=1e-3)
         state = SimState(t=0.0, u=ic, dt=1e-3, steps=0)
         out = step(state, A, Power(3.0, 1.0), cfg)
@@ -138,9 +136,8 @@ class TestStep:
 
     def test_dt_exhaustion_declares_blowup(self):
         space, grid, A = small_setup(cells=(4, 4))
-        ic = build_initial_condition(grid, space,
-                                     InitialCondition(kind="product_sine",
-                                                      amplitude=1e4))
+        ic = build_initial_condition(
+            grid, InitialCondition(kind="product_sine", amplitude=1e4))
         cfg = SimConfig(dt_init=1e-3, dt_min=1e-6)
         state = SimState(t=0.0, u=ic, dt=1e-3, steps=0)
         out = step(state, A, Power(3.0, 1.0), cfg)
@@ -151,9 +148,8 @@ class TestStep:
     def test_threshold_declares_blowup(self):
         space, grid, A = small_setup(cells=(4, 4),
                                      bounds=((0.0, 2.0), (0.0, 2.0)))
-        ic = build_initial_condition(grid, space,
-                                     InitialCondition(kind="product_sine",
-                                                      amplitude=8.0))
+        ic = build_initial_condition(
+            grid, InitialCondition(kind="product_sine", amplitude=8.0))
         cfg = SimConfig(dt_init=1e-3, blowup_threshold=8.05)
         state = SimState(t=0.0, u=ic, dt=1e-3, steps=0)
         out = state
@@ -182,10 +178,11 @@ class TestStep:
         space, grid, A = small_setup(cells=(12, 10), gamma=1.0,
                                      bounds=((0.0, 2.0), (-1.0, 1.0)))
         u0 = build_initial_condition(
-            grid, space, InitialCondition(kind="product_sine", amplitude=2.0))
+            grid, InitialCondition(kind="product_sine", amplitude=2.0))
         state = SimState(t=0.0, u=u0, dt=1e-2, steps=0)
         nl, cfg = Power(3.0, 1.0), SimConfig()
-        want = step(state, A, nl, cfg, solver=separable_solver(A))
+        assert A.solver.exact
+        want = step(state, A, nl, cfg)
 
         def no_cg(*args, **kwargs):
             raise AssertionError("step ran CG on an m = 1 operator")
@@ -195,12 +192,30 @@ class TestStep:
         assert (got.t, got.dt, got.steps, got.status) == (
             want.t, want.dt, want.steps, want.status)
 
+    def test_steps_on_one_operator_share_its_factorization(self, monkeypatch):
+        # A caller marching with step() directly keeps A.solver, and so its
+        # factorization, from one call to the next.
+        space, grid, A = small_setup()
+        u0 = build_initial_condition(
+            grid, InitialCondition(kind="product_sine"))
+        state = SimState(t=0.0, u=u0, dt=1e-3, steps=0)
+        factored = []
+        factorize = SeparableSolver._factorize
+
+        def counting_factorize(solver, c, shift):
+            factored.append((c, shift))
+            return factorize(solver, c, shift)
+        monkeypatch.setattr(SeparableSolver, "_factorize", counting_factorize)
+        first = step(state, A, Power(3.0, 1.0), SimConfig())
+        second = step(state, A, Power(3.0, 1.0), SimConfig())
+        assert first.attempts == second.attempts == 1
+        assert second.u.tobytes() == first.u.tobytes()
+        assert factored == [(1.0 + 1e-3, 1.0)]
 
     def test_counts_attempts_rejections_and_iterations(self):
         space, grid, A = small_setup()
-        ic = build_initial_condition(grid, space,
-                                     InitialCondition(kind="product_sine",
-                                                      amplitude=100.0))
+        ic = build_initial_condition(
+            grid, InitialCondition(kind="product_sine", amplitude=100.0))
         state = SimState(t=0.0, u=ic, dt=1e-3, steps=0, attempts=5,
                          rejected=2, solver_iterations=7)
         out = step(state, A, Power(3.0, 1.0), SimConfig(dt_init=1e-3))
@@ -262,9 +277,8 @@ class TestRun:
     def test_short_horizon_completes_before_blowup(self):
         space, grid, A = small_setup(cells=(8, 8),
                                      bounds=((0.0, 2.0), (0.0, 2.0)))
-        ic = build_initial_condition(grid, space,
-                                     InitialCondition(kind="product_sine",
-                                                      amplitude=5.0))
+        ic = build_initial_condition(
+            grid, InitialCondition(kind="product_sine", amplitude=5.0))
         cfg = SimConfig(t_end=1e-6, dt_init=1e-3, dt_min=1e-12,
                         blowup_threshold=1e300)
         final, _ = run(grid, space, A, Power(3.0, 1.0), ic, cfg)
@@ -309,7 +323,7 @@ class TestSimConfigValidation:
             SimConfig(record_every=0)
 
 
-def test_m2_march_with_pcg_matches_plain_cg(monkeypatch):
+def test_m2_march_with_pcg_matches_plain_cg():
     # Preconditioning changes how each step is solved, not what it solves:
     # the controller sees the same steps and the records agree to the CG
     # tolerance.
@@ -317,11 +331,11 @@ def test_m2_march_with_pcg_matches_plain_cg(monkeypatch):
     grid = build_grid(BoxDomain([(-1.0, 1.0)] * 3), (8, 8, 8))
     A = assemble_grushin(grid, space)
     u0 = build_initial_condition(
-        grid, space, InitialCondition(kind="product_sine", amplitude=2.0))
+        grid, InitialCondition(kind="product_sine", amplitude=2.0))
     nl, cfg = Power(3.0, 1.0), SimConfig(t_end=0.2, dt_init=1e-2)
     pcg, pcg_records = run(grid, space, A, nl, u0, cfg)
-    monkeypatch.setattr(integrator, "separable_solver", lambda A: None)
-    cg, cg_records = run(grid, space, A, nl, u0, cfg)
+    hand_built = SparseMatrix(A.n, A.diagonals, symmetric=True)
+    cg, cg_records = run(grid, space, hand_built, nl, u0, cfg)
     assert (pcg.steps, pcg.status, pcg.attempts) == (cg.steps, cg.status,
                                                      cg.attempts)
     assert 0 < pcg.solver_iterations < cg.solver_iterations / 4

@@ -11,12 +11,13 @@ import numpy as np
 import pytest
 
 import grushinlab
-from grushinlab import (BoxDomain, GrushinSpace, NonConvergence,
-                        NumericalBreakdown, SolverError, SparseMatrix, apply,
+from grushinlab import (BoxDomain, GrushinSpace, SolverError, apply,
                         assemble_grushin, build_grid, build_initial_condition,
-                        cg_solve, grushin_energy, integrator, l2_norm_sq,
-                        linalg, parse_config, run, smallest_eigenpair)
-from grushinlab.linalg import SeparableSolver, separable_solver
+                        grushin_energy, integrator, l2_norm_sq, linalg,
+                        parse_config, run, smallest_eigenpair)
+from grushinlab.linalg import (NonConvergence, NumericalBreakdown,
+                               SeparableSolver, cg_solve)
+from grushinlab.operators import SparseMatrix
 
 from conftest import config_path
 from oracles import dense_from_csr, jacobi_eigenvalues, surrogate_dense
@@ -131,7 +132,7 @@ class TestPreconditionedCg:
         # preconditioner fails here instead of only running slower.
         grid, space, A = grushin_setup([(-1.0, 1.0)] * (2 + k), cells,
                                        gamma=gamma, m=2, k=k)
-        solver = separable_solver(A)
+        solver = A.solver
         b = np.random.default_rng(7).standard_normal(A.n)
         c = 1.01
         lhs = lambda v: v - c * apply(A, v)
@@ -247,7 +248,7 @@ class TestOneEntryPoint:
         assert eig.method == method
         assert l2_norm_sq(grid, eig.phi1) == pytest.approx(1.0, rel=1e-12)
         assert eig.phi1[np.argmax(np.abs(eig.phi1))] > 0.0
-        assert separable_solver(A).exact == (m == 1)
+        assert A.solver.exact == (m == 1)
         assert (eig.solver_iterations == 0) == (m == 1)
 
     def test_hand_built_matrix_takes_inverse_iteration(self):
@@ -256,7 +257,7 @@ class TestOneEntryPoint:
         assert eig.method == "inverse-iteration"
         assert eig.lambda1 == pytest.approx(1.0, rel=1e-9)
         assert float(eig.phi1 @ eig.phi1) == pytest.approx(1.0, rel=1e-12)
-        assert separable_solver(A) is None
+        assert A.solver is None
 
     def test_largest_entry_is_made_positive(self):
         # Ground state x has a positive projection on the all-ones start
@@ -388,7 +389,7 @@ def test_march_factors_once_per_step_size(monkeypatch):
     cfg = parse_config(config_path("free_sine.json"))
     grid = build_grid(cfg.domain, cfg.cells)
     A = assemble_grushin(grid, cfg.space)
-    u0 = build_initial_condition(grid, cfg.space, cfg.initial)
+    u0 = build_initial_condition(grid, cfg.initial)
     factored, attempted = [], []
     factor, advance = linalg._factor, integrator._advance
 
@@ -412,8 +413,9 @@ def test_pipeline_imports_no_scipy_or_jsonschema():
     # Either would add start-up time and resident memory to every run.
     code = (
         "import sys, grushinlab as gl\n"
+        "from grushinlab.runner import parse_config_dict\n"
         "for m in (1, 2):\n"
-        "    cfg = gl.parse_config_dict({'space': {'m': m, 'k': 1, 'gamma': 1.0},"
+        "    cfg = parse_config_dict({'space': {'m': m, 'k': 1, 'gamma': 1.0},"
         " 'bounds': [[-1, 1]] * (m + 1), 'cells': [6] * (m + 1),"
         " 'mode': 'blowup', 'sim': {'t_end': 0.01}})\n"
         "    assert gl.run_experiment(cfg).failure is None\n"

@@ -6,12 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from grushinlab import (DomainError, Expression, ExpressionError, Power,
-                        check_blowup_hypothesis, check_f_positive,
-                        check_global_hypothesis, eval_F, eval_f,
-                        parse_expression)
-from grushinlab.nonlinearity import (MAX_DEPTH, F_values, QuadratureError,
-                                     f_values, sample_points)
+from grushinlab import (Power, check_blowup_hypothesis, check_f_positive,
+                        check_global_hypothesis, eval_F, parse_expression)
+from grushinlab.nonlinearity import (MAX_DEPTH, DomainError, Expression,
+                                     ExpressionError, F_values,
+                                     QuadratureError, eval_f, f_values,
+                                     sample_points)
 
 
 class TestParser:

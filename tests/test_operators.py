@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from grushinlab import (BoxDomain, GrushinSpace, SparseMatrix, apply,
-                        assemble_grushin, build_grid, grushin_energy,
-                        l2_norm_sq, smallest_eigenpair)
+from grushinlab import (BoxDomain, GrushinSpace, apply, assemble_grushin,
+                        build_grid, grushin_energy, l2_norm_sq,
+                        smallest_eigenpair)
+from grushinlab.operators import SparseMatrix
 
 from oracles import dense_from_csr
 
@@ -121,6 +122,12 @@ class TestSparseMatrixStructure:
         for arr in (A.indptr, A.indices, A.values):
             assert not arr.flags.writeable
         assert A.indptr.dtype == A.indices.dtype == np.int32
+
+    def test_assembled_operator_keeps_its_solver(self):
+        grid, space = unit_square((5, 4))
+        A = assemble_grushin(grid, space)
+        assert A.solver is A.solver and A.solver.exact
+        assert make_identity(3).solver is None
 
     def test_diagonal_length_checked(self):
         with pytest.raises(ValueError, match="needs 2 entries"):

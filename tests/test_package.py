@@ -1,0 +1,72 @@
+"""The package surface: the names ``grushinlab`` exports, the imports of its
+users, and the README's account of the config format."""
+
+import ast
+import glob
+import os
+import re
+import types
+
+import grushinlab
+from grushinlab.runner import _SHAPE
+
+from conftest import REPO_ROOT
+
+# What the CLI, the demos, the README, bench/ and the acceptance module use;
+# everything else stays importable from its own module.
+PUBLIC = {
+    "BoxDomain", "ConfigError", "EnergyRecord", "GrushinSpace", "Power",
+    "SimConfig", "SolverError", "apply", "assemble_grushin", "build_grid",
+    "build_initial_condition", "check_blowup_hypothesis", "check_f_positive",
+    "check_global_hypothesis", "compute_blowup_constants", "concavity_margin",
+    "decay_margin", "dilate", "eval_F", "grushin_energy",
+    "homogeneous_dimension", "integral", "l2_norm_sq", "parse_config",
+    "parse_expression", "read_csv", "run", "run_experiment", "run_sweep",
+    "smallest_eigenpair",
+}
+
+
+def read_readme():
+    with open(os.path.join(REPO_ROOT, "README.md"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_package_exports_the_pinned_names():
+    names = {name for name, value in vars(grushinlab).items()
+             if not name.startswith("_")
+             and not isinstance(value, types.ModuleType)}
+    assert names == PUBLIC
+
+
+def test_users_imports_from_the_package_resolve():
+    sources = sorted(glob.glob(os.path.join(REPO_ROOT, "demos", "*.py")))
+    sources.append(os.path.join(REPO_ROOT, "tests", "test_acceptance.py"))
+    codes = []
+    for path in sources:
+        with open(path, encoding="utf-8") as fh:
+            codes.append((os.path.basename(path), fh.read()))
+    for i, block in enumerate(
+            re.findall(r"```python\n(.*?)```", read_readme(), re.S)):
+        codes.append((f"README.md python block {i + 1}", block))
+    imported = []
+    for where, code in codes:
+        for node in ast.walk(ast.parse(code)):
+            if isinstance(node, ast.ImportFrom) and node.module == "grushinlab":
+                imported += [(where, alias.name) for alias in node.names]
+    assert {where for where, _ in imported} == {where for where, _ in codes}
+    assert [(where, name) for where, name in imported
+            if not hasattr(grushinlab, name)] == []
+
+
+def config_keys(shape):
+    for key, value in shape.items():
+        yield key
+        if isinstance(value, dict):
+            yield from config_keys(value)
+
+
+def test_readme_config_format_names_every_key():
+    section = read_readme().split("\n## Config format\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    assert [key for key in config_keys(_SHAPE)
+            if not re.search(f"[`\"]{re.escape(key)}[`\"]", section)] == []

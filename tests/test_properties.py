@@ -21,15 +21,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
-from grushinlab import (BoxDomain, ConfigError, EnergyTracker, Expression,
-                        ExpressionError, GrushinSpace, Power, SparseMatrix,
-                        apply, assemble_grushin, build_grid, cg_solve,
-                        grushin_energy, integral, l2_norm_sq,
-                        parse_config_dict, parse_expression)
+from grushinlab import (BoxDomain, ConfigError, GrushinSpace, Power, apply,
+                        assemble_grushin, build_grid, grushin_energy,
+                        integral, l2_norm_sq, parse_expression)
+from grushinlab.diagnostics import EnergyTracker
 from grushinlab.linalg import (SeparableSolver, _factor, _substitute,
-                               inverse_iteration, smallest_eigenpair)
-from grushinlab.nonlinearity import _BLOCK, F_values, _eval_ast
-from grushinlab.runner import _parameters_block
+                               cg_solve, inverse_iteration,
+                               smallest_eigenpair)
+from grushinlab.nonlinearity import (_BLOCK, Expression, ExpressionError,
+                                     F_values, _eval_ast)
+from grushinlab.operators import SparseMatrix
+from grushinlab.runner import _parameters_block, parse_config_dict
 
 from conftest import config_path
 from oracles import (CONFIG_SCHEMA, F_values_reference, csr_matvec,

@@ -8,11 +8,12 @@ import os
 import numpy as np
 import pytest
 
-from grushinlab import (ConfigError, Expression, Power, assemble_grushin,
-                        build_grid, certified_records,
-                        compute_blowup_constants, concavity_margin,
-                        decide_verdict, parse_config, parse_config_dict,
-                        read_csv, run_experiment, run_sweep)
+from grushinlab import (ConfigError, Power, assemble_grushin, build_grid,
+                        compute_blowup_constants, concavity_margin, linalg,
+                        parse_config, read_csv, run_experiment, run_sweep)
+from grushinlab.diagnostics import certified_records
+from grushinlab.nonlinearity import Expression
+from grushinlab.runner import decide_verdict, parse_config_dict
 
 from oracles import blowup_constants_reference
 
@@ -277,6 +278,20 @@ class TestDecideVerdict:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("space", [{}, M2_SPACE], ids=["m1", "m2"])
+    def test_builds_one_separable_solver(self, monkeypatch, space):
+        # The eigensolve and the march share the operator's solver.
+        built = []
+        init = linalg.SeparableSolver.__init__
+
+        def counting_init(solver, *args):
+            built.append(args)
+            init(solver, *args)
+        monkeypatch.setattr(linalg.SeparableSolver, "__init__", counting_init)
+        rpt = run_experiment(parse_config_dict(fast_dict(**space)))
+        assert rpt.failure is None
+        assert len(built) == 1
+
     def test_free_mode_pipeline(self):
         rpt = run_experiment(parse_config_dict(fast_dict()))
         assert rpt.failure is None
