@@ -269,12 +269,16 @@ def _substitute(pivot, ratio, off: float, rhs):
     """Solve with the factorization ``_factor(diag, off)``: forward
     elimination, then back substitution, along axis 0 of ``rhs``."""
     n = pivot.shape[0]
-    x = np.empty_like(rhs, dtype=float)
-    x[0] = rhs[0] / pivot[0]
+    # Lists of rows (numpy scalars for a 1-D system) index faster than the
+    # arrays, so the solution's rows are gathered in a list and stored once.
+    b, p, r = list(rhs), list(pivot), list(ratio)
+    xs = [b[0] / p[0]]
     for i in range(1, n):
-        x[i] = (rhs[i] - off * x[i - 1]) / pivot[i]
+        xs.append((b[i] - off * xs[i - 1]) / p[i])
     for i in range(n - 2, -1, -1):
-        x[i] -= ratio[i] * x[i + 1]
+        xs[i] -= r[i] * xs[i + 1]
+    x = np.empty_like(rhs, dtype=float)
+    x[...] = xs
     return x
 
 

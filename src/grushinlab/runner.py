@@ -9,6 +9,10 @@ InconsistencyFlag is the loud one: premises held and the outcome still
 contradicted the prediction.  Inconclusive covers everything else (e.g. the
 run ended before the predicted window, or the march failed).
 
+The pipeline is a table of named stages (``_STAGES``), and a stage that
+raises is named in the report's ``failure``.  A sweep runs the stages its
+axis leaves unchanged once for all its rows (``_SHARED``).
+
 A config is checked in two passes.  ``_SHAPE`` gives each key its JSON type,
 and unknown keys, wrong types and non-finite numbers are rejected first.  Then
 each object built from the config (GrushinSpace, BoxDomain, the grid, Power or
@@ -26,6 +30,8 @@ import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from operator import attrgetter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -45,7 +51,15 @@ DECAY_MARGIN_TOL = 1e-3      # decay envelope certification tolerance
 CERT_RTOL = 1e-6             # relative margin tolerance vs. local scale
 
 MODES = ("blowup", "global", "free")
-SWEEP_AXES = ("gamma", "alpha", "beta", "theta", "amplitude")
+# The pipeline stages a sweep runs once for all its rows, by swept axis.  Only
+# gamma changes the operator; alpha, beta and theta do not enter the flow
+# u_t - L u_t = L u + f(u), so their rows also share u0 and one march.
+_OPERATOR = ("grid", "assemble", "eigenvalue")
+_SHARED = {"gamma": (),
+           **dict.fromkeys(("alpha", "beta", "theta"),
+                           _OPERATOR + ("initial-condition", "simulate")),
+           "amplitude": _OPERATOR}
+SWEEP_AXES = tuple(_SHARED)
 
 
 class ConfigError(ValueError):
@@ -371,153 +385,86 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     When ``out_dir`` is given, the records CSV, the SVG plot and the report
     JSON are written there (plus the operator triplet dump on request).
     """
-    rpt = TheoremReport(mode=cfg.mode, parameters=_parameters_block(cfg))
-    records = []
-    stage = "setup"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            stage = "grid"
-            grid = build_grid(cfg.domain, cfg.cells)
-            stage = "assemble"
-            A = assemble_grushin(grid, cfg.space)
-            stage = "eigenvalue"
-            eig = _eigenpair(cfg, A)
-            rpt.lambda1 = eig.lambda1
-            rpt.eigen = {"method": eig.method, "residual": eig.residual,
-                         "iterations": eig.iterations,
-                         "solver_iterations": eig.solver_iterations}
-            stage = "initial-condition"
-            u0 = build_initial_condition(grid, cfg.initial, phi1=eig.phi1)
-            sup0 = float(np.abs(u0).max())
-            stage = "functionals"
-            tracker = EnergyTracker(grid, cfg.space, cfg.nonlinearity,
-                                    theta=cfg.theta)
-            l2, grad, rpt.F0 = tracker.measure(u0)
-            rpt.I0 = l2 + grad
-            if cfg.mode == "global":
-                rpt.decay_rate = 2.0 - cfg.alpha
-
-            stage = "hypothesis"
-            u_max_pre = cfg.umax_factor * sup0
-            f_ok, f_bad = check_f_positive(cfg.nonlinearity, u_max_pre,
-                                           cfg.hypothesis_samples)
-            rpt.f_positive = {"ok": f_ok, "first_nonpositive_u": f_bad,
-                              "u_max": u_max_pre}
-            if not f_ok:
-                warnings.warn(
-                    f"source term is not positive on (0, {u_max_pre:g}]: "
-                    f"f(u) is non-positive or non-finite at u = {f_bad:g}; "
-                    "both theorems assume positivity, so conclusions may not "
-                    "transfer")
-            hyp0 = _check_hypothesis(cfg, u_max_pre)
-            rpt.hypothesis_initial = hyp0 and dataclasses.asdict(hyp0)
-
-            stage = "constraints"
-            constraints, constraints_ok = _check_constraints(cfg, eig.lambda1)
-            rpt.constraints = constraints
-
-            stage = "constants"
-            premises = (cfg.mode != "free" and hyp0.holds and constraints_ok
-                        and rpt.F0 > 0.0)
-            if cfg.mode == "blowup" and premises:
-                rpt.sigma, rpt.M, rpt.Tstar_bound = compute_blowup_constants(
-                    cfg.alpha, rpt.F0, rpt.I0)
-            if cfg.mode == "global":
-                rpt.joint_satisfiable = bool(hyp0.holds and rpt.F0 > 0.0)
-
-            stage = "simulate"
-            tracker.M = rpt.M or 0.0
-            # The tracker fills this list in place, so a march that raises
-            # still leaves its records for the CSV, the plot and the report.
-            records = tracker.records
-            final, _ = run(grid, cfg.space, A, cfg.nonlinearity, u0, cfg.sim,
-                           observer=tracker)
-            rpt.sim = {
-                "status": final.status,
-                "t_final": final.t,
-                "t_blow": final.t_blow,
-                "steps": final.steps,
-                "attempts": final.attempts,
-                "rejected": final.rejected,
-                "solver_iterations": final.solver_iterations,
-                "dt_accepted": (None if final.dt_accepted is None
-                                else list(final.dt_accepted)),
-                "reason": final.reason,
-                "final_supnorm": float(np.abs(final.u).max()),
-                "records": len(records),
-            }
-
-            stage = "recheck-hypothesis"
-            hyp1 = _check_hypothesis(
-                cfg, max([sup0] + [r.supnorm for r in records]))
-            rpt.hypothesis_trajectory = hyp1 and dataclasses.asdict(hyp1)
-            hypotheses_met = bool(premises and (hyp1 is None or hyp1.holds))
-            rpt.hypotheses_met = None if cfg.mode == "free" else hypotheses_met
-
-            stage = "certify"
-            rpt.margins = _certify(records, final.status, rpt.sigma,
-                                   rpt.decay_rate)
-
-            stage = "verdict"
-            rpt.verdict = decide_verdict(
-                cfg.mode, hypotheses_met, final.status, final.t_blow,
-                final.t, rpt.Tstar_bound, rpt.margins["decay"])
-            rpt.consistency = {
-                "blowup_time_slack": BLOWUP_TIME_SLACK,
-                "decay_margin_tol": DECAY_MARGIN_TOL,
-                "certification_rtol": CERT_RTOL,
-            }
-        except Exception as exc:  # pipeline stages fail loudly but locally
-            error = f"{type(exc).__name__}: {exc}"
-            rpt.failure = {"stage": stage, "error": error}
-            rpt.verdict = None
-            if stage == "simulate" and records:
-                rpt.sim = {"status": "failed", "t_final": records[-1].t,
-                           "t_blow": None, "steps": None, "attempts": None,
-                           "rejected": None, "solver_iterations": None,
-                           "dt_accepted": None, "reason": error,
-                           "final_supnorm": records[-1].supnorm,
-                           "records": len(records)}
-    rpt.warnings = [str(w.message) for w in caught]
-
+    (row,) = _run_rows([cfg])
+    rpt = row.rpt
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        # A march that raised still leaves its records for the CSV and plot.
+        records = row.tracker.records if row.tracker else []
         if records:
             write_csv(records, os.path.join(out_dir, cfg.output.csv))
             emit_svg_plot(records, cfg.output.svg_fields,
                           os.path.join(out_dir, cfg.output.svg))
         if dump_matrix and rpt.failure is None:
-            _dump_matrix(A, os.path.join(out_dir, "matrix.txt"))
+            _dump_matrix(row.A, os.path.join(out_dir, "matrix.txt"))
         with open(os.path.join(out_dir, cfg.output.report), "w",
                   newline="") as fh:
             fh.write(rpt.to_json())
     return rpt
 
 
-def _eigenpair(cfg: ExperimentConfig, A):
-    """First eigenpair of the assembled operator under the config's ``eigen``
-    settings."""
-    return smallest_eigenpair(A, tol=cfg.eigen_tol,
-                              max_iter=cfg.eigen_max_iter,
-                              cg_tol=cfg.eigen_cg_tol)
+# The stages.  grid, assemble, eigenvalue, initial-condition and simulate
+# may serve several rows of a sweep at once: each takes every row it serves,
+# in order, and computes from the first one's config.  The others take one
+# row and work out its report.
+
+def _grid(*rows) -> None:
+    cfg = rows[0].cfg
+    _share(rows, grid=build_grid(cfg.domain, cfg.cells))
 
 
-def _check_hypothesis(cfg: ExperimentConfig, u_max: float):
-    if cfg.mode == "blowup":
-        return check_blowup_hypothesis(cfg.nonlinearity, cfg.alpha, cfg.beta,
-                                       cfg.theta, u_max,
-                                       cfg.hypothesis_samples)
+def _assemble(*rows) -> None:
+    _share(rows, A=assemble_grushin(rows[0].grid, rows[0].cfg.space))
+
+
+def _eigenvalue(*rows) -> None:
+    eig = _eigenpair(rows[0].cfg, rows[0].A)
+    _share(rows, eig=eig)
+    for row in rows:
+        row.rpt.lambda1 = eig.lambda1
+        row.rpt.eigen = {"method": eig.method, "residual": eig.residual,
+                         "iterations": eig.iterations,
+                         "solver_iterations": eig.solver_iterations}
+
+
+def _initial_condition(*rows) -> None:
+    lead = rows[0]
+    _share(rows, u0=build_initial_condition(lead.grid, lead.cfg.initial,
+                                            phi1=lead.eig.phi1))
+
+
+def _functionals(row) -> None:
+    cfg, rpt = row.cfg, row.rpt
+    row.tracker = EnergyTracker(row.grid, cfg.space, cfg.nonlinearity,
+                                theta=cfg.theta)
+    l2, grad, rpt.F0 = row.tracker.measure(row.u0)
+    rpt.I0 = l2 + grad
     if cfg.mode == "global":
-        return check_global_hypothesis(cfg.nonlinearity, cfg.alpha, cfg.beta,
-                                       cfg.theta, u_max,
-                                       cfg.hypothesis_samples)
-    return None
+        rpt.decay_rate = 2.0 - cfg.alpha
 
 
-def _check_constraints(cfg: ExperimentConfig, lambda1: float):
+def _hypothesis(row) -> None:
+    cfg, rpt = row.cfg, row.rpt
+    row.sup0 = float(np.abs(row.u0).max())
+    u_max_pre = cfg.umax_factor * row.sup0
+    f_ok, f_bad = check_f_positive(cfg.nonlinearity, u_max_pre,
+                                   cfg.hypothesis_samples)
+    rpt.f_positive = {"ok": f_ok, "first_nonpositive_u": f_bad,
+                      "u_max": u_max_pre}
+    if not f_ok:
+        warnings.warn(
+            f"source term is not positive on (0, {u_max_pre:g}]: "
+            f"f(u) is non-positive or non-finite at u = {f_bad:g}; "
+            "both theorems assume positivity, so conclusions may not "
+            "transfer")
+    row.hyp0 = _check_hypothesis(cfg, u_max_pre)
+    rpt.hypothesis_initial = row.hyp0 and dataclasses.asdict(row.hyp0)
+
+
+def _constraints(row) -> None:
     """Parameter-range checks for the active mode; details always print both
     sides of the inequality."""
+    cfg, lambda1 = row.cfg, row.eig.lambda1
     ranges = ()
     if cfg.mode == "blowup":
         cap = lambda1 * (cfg.alpha - 2.0) / 2.0
@@ -529,14 +476,67 @@ def _check_constraints(cfg: ExperimentConfig, lambda1: float):
             ("theta > 0", cfg.theta > 0.0, f"theta = {cfg.theta}"))
     elif cfg.mode == "global":
         ranges = decay_ranges(cfg.alpha, cfg.beta, cfg.theta)
-    cons = [{"name": name, "ok": bool(ok), "detail": detail}
-            for name, ok, detail in ranges]
-    return cons, all(c["ok"] for c in cons)
+    row.rpt.constraints = [{"name": name, "ok": bool(ok), "detail": detail}
+                           for name, ok, detail in ranges]
+    row.constraints_ok = all(c["ok"] for c in row.rpt.constraints)
 
 
-def _certify(records, status: str, sigma: float | None,
-             decay_rate: float | None) -> dict:
-    cert = certified_records(records, status)
+def _constants(row) -> None:
+    cfg, rpt = row.cfg, row.rpt
+    row.premises = (cfg.mode != "free" and row.hyp0.holds
+                    and row.constraints_ok and rpt.F0 > 0.0)
+    if cfg.mode == "blowup" and row.premises:
+        rpt.sigma, rpt.M, rpt.Tstar_bound = compute_blowup_constants(
+            cfg.alpha, rpt.F0, rpt.I0)
+    if cfg.mode == "global":
+        rpt.joint_satisfiable = bool(row.hyp0.holds and rpt.F0 > 0.0)
+
+
+def _simulate(*rows) -> None:
+    """One march; each observed state goes to every row's own tracker, in
+    row order.  The trackers fill their lists in place, so a march that
+    raises still leaves each row its records."""
+    lead = rows[0]
+    for row in rows:
+        row.tracker.M = row.rpt.M or 0.0
+
+    def observe(state):
+        for row in rows:
+            row.tracker(state)
+
+    final, _ = run(lead.grid, lead.cfg.space, lead.A, lead.cfg.nonlinearity,
+                   lead.u0, lead.cfg.sim, observer=observe)
+    _share(rows, final=final)
+    for row in rows:
+        row.rpt.sim = {
+            "status": final.status,
+            "t_final": final.t,
+            "t_blow": final.t_blow,
+            "steps": final.steps,
+            "attempts": final.attempts,
+            "rejected": final.rejected,
+            "solver_iterations": final.solver_iterations,
+            "dt_accepted": (None if final.dt_accepted is None
+                            else list(final.dt_accepted)),
+            "reason": final.reason,
+            "final_supnorm": float(np.abs(final.u).max()),
+            "records": len(row.tracker.records),
+        }
+
+
+def _recheck_hypothesis(row) -> None:
+    cfg, rpt = row.cfg, row.rpt
+    hyp1 = _check_hypothesis(
+        cfg, max([row.sup0] + [r.supnorm for r in row.tracker.records]))
+    rpt.hypothesis_trajectory = hyp1 and dataclasses.asdict(hyp1)
+    row.hypotheses_met = bool(row.premises and (hyp1 is None or hyp1.holds))
+    rpt.hypotheses_met = None if cfg.mode == "free" else row.hypotheses_met
+
+
+def _certify(row) -> None:
+    rpt = row.rpt
+    records, sigma, decay_rate = row.tracker.records, rpt.sigma, rpt.decay_rate
+    cert = certified_records(records, row.final.status)
     out = {
         "certified_count": len(cert),
         "excluded_count": len(records) - len(cert),
@@ -560,7 +560,107 @@ def _certify(records, status: str, sigma: float | None,
         dm = decay_margin(cert, decay_rate)
         out.update(decay=dm, decay_rate=decay_rate,
                    decay_ok=bool(dm <= 1.0 + DECAY_MARGIN_TOL))
-    return out
+    rpt.margins = out
+
+
+def _verdict(row) -> None:
+    rpt, final = row.rpt, row.final
+    rpt.verdict = decide_verdict(
+        row.cfg.mode, row.hypotheses_met, final.status, final.t_blow,
+        final.t, rpt.Tstar_bound, rpt.margins["decay"])
+    rpt.consistency = {
+        "blowup_time_slack": BLOWUP_TIME_SLACK,
+        "decay_margin_tol": DECAY_MARGIN_TOL,
+        "certification_rtol": CERT_RTOL,
+    }
+
+
+_STAGES = (("grid", _grid), ("assemble", _assemble),
+           ("eigenvalue", _eigenvalue),
+           ("initial-condition", _initial_condition),
+           ("functionals", _functionals), ("hypothesis", _hypothesis),
+           ("constraints", _constraints), ("constants", _constants),
+           ("simulate", _simulate),
+           ("recheck-hypothesis", _recheck_hypothesis),
+           ("certify", _certify), ("verdict", _verdict))
+
+
+def _run_rows(cfgs, shared=()):
+    """Run the pipeline once per config and yield each row, in input order,
+    when its last stage is done.
+
+    The configs differ in one swept parameter only.  A stage named in
+    ``shared`` runs once for all rows still live, and a failure there fails
+    each of them at that stage's name; every other stage runs row by row,
+    and a row that fails leaves the others.  Rows go through the stages
+    together up to the last shared one and then one at a time, so only the
+    shared work is held for all of them at once.  A warning raised in a
+    stage goes into the report of every row that ran it.
+    """
+    rows = [SimpleNamespace(cfg=cfg, tracker=None, rpt=TheoremReport(
+        mode=cfg.mode, parameters=_parameters_block(cfg))) for cfg in cfgs]
+    split = max([i + 1 for i, (name, _) in enumerate(_STAGES)
+                 if name in shared], default=0)
+    for name, stage in _STAGES[:split]:
+        live = [row for row in rows if row.rpt.failure is None]
+        for group in ([live] if name in shared and live
+                      else [[row] for row in live]):
+            _attempt(name, stage, group)
+    while rows:
+        row = rows.pop(0)   # a finished row is freed once its caller is done
+        for name, stage in _STAGES[split:]:
+            if row.rpt.failure is None:
+                _attempt(name, stage, [row])
+        yield row
+
+
+def _attempt(name: str, stage, rows) -> None:
+    """Run one stage for ``rows``; a failure fails each of them at ``name``,
+    and a march that raised leaves each row the records it made."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            stage(*rows)
+        except Exception as exc:  # pipeline stages fail loudly but locally
+            error = f"{type(exc).__name__}: {exc}"
+            for row in rows:
+                row.rpt.failure = {"stage": name, "error": error}
+                records = row.tracker.records if row.tracker else []
+                if name == "simulate" and records:
+                    row.rpt.sim = {
+                        "status": "failed", "t_final": records[-1].t,
+                        "t_blow": None, "steps": None, "attempts": None,
+                        "rejected": None, "solver_iterations": None,
+                        "dt_accepted": None, "reason": error,
+                        "final_supnorm": records[-1].supnorm,
+                        "records": len(records)}
+    for row in rows:
+        row.rpt.warnings += [str(w.message) for w in caught]
+
+
+def _share(rows, **built) -> None:
+    for row in rows:
+        vars(row).update(built)
+
+
+def _eigenpair(cfg: ExperimentConfig, A):
+    """First eigenpair of the assembled operator under the config's ``eigen``
+    settings."""
+    return smallest_eigenpair(A, tol=cfg.eigen_tol,
+                              max_iter=cfg.eigen_max_iter,
+                              cg_tol=cfg.eigen_cg_tol)
+
+
+def _check_hypothesis(cfg: ExperimentConfig, u_max: float):
+    if cfg.mode == "blowup":
+        return check_blowup_hypothesis(cfg.nonlinearity, cfg.alpha, cfg.beta,
+                                       cfg.theta, u_max,
+                                       cfg.hypothesis_samples)
+    if cfg.mode == "global":
+        return check_global_hypothesis(cfg.nonlinearity, cfg.alpha, cfg.beta,
+                                       cfg.theta, u_max,
+                                       cfg.hypothesis_samples)
+    return None
 
 
 def _dump_matrix(A, path) -> None:
@@ -583,7 +683,14 @@ def _with_axis(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConf
 
 def run_sweep(cfg: ExperimentConfig, axis: str, values, out_dir: str | None = None,
               csv_name: str = "sweep.csv") -> list[dict]:
-    """Run one experiment per value of the swept parameter.
+    """Run the pipeline once per value of the swept parameter.
+
+    Rows share the stages their axis leaves unchanged (``_SHARED``): every
+    axis but ``gamma`` builds the grid, the operator and its eigenpair once;
+    ``amplitude`` then changes u0, so each of its rows marches alone; and
+    ``alpha``, ``beta`` and ``theta``, which the flow does not contain, also
+    share u0 and one march, whose every state each row's own tracker records
+    with its own theta.  Each row gets the numbers its own run would give.
 
     Rows keep the input order.  A run that fails still yields its row, with
     the failure stage in the verdict column.  Only the summary CSV is
@@ -591,25 +698,29 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_dir: str | None = No
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
-    rows = []
+    rows, runs = [], []
     for value in values:
         row = {"value": float(value), "lambda1": None, "F0": None,
                "verdict": None, "outcome": None}
         try:
-            rpt = run_experiment(_with_axis(cfg, axis, value), out_dir=None)
-            row["lambda1"] = rpt.lambda1
-            row["F0"] = rpt.F0
-            if rpt.failure is not None:
-                row["verdict"] = f"Failed[{rpt.failure['stage']}]"
-            else:
-                row["verdict"] = rpt.verdict
-                if rpt.sim["status"] == "blowup":
-                    row["outcome"] = rpt.sim["t_blow"]
-                else:
-                    row["outcome"] = rpt.margins["decay"]
-        except Exception as exc:
+            runs.append((row, _with_axis(cfg, axis, value)))
+        except ValueError as exc:   # a value the config objects reject
             row["verdict"] = f"Failed[{type(exc).__name__}]"
         rows.append(row)
+    # map, unlike a loop variable, holds no finished row while the next runs.
+    reports = map(attrgetter("rpt"),
+                  _run_rows([run_cfg for _, run_cfg in runs], _SHARED[axis]))
+    for (row, _), rpt in zip(runs, reports):
+        row["lambda1"] = rpt.lambda1
+        row["F0"] = rpt.F0
+        if rpt.failure is not None:
+            row["verdict"] = f"Failed[{rpt.failure['stage']}]"
+        else:
+            row["verdict"] = rpt.verdict
+            if rpt.sim["status"] == "blowup":
+                row["outcome"] = rpt.sim["t_blow"]
+            else:
+                row["outcome"] = rpt.margins["decay"]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         lines = ["value,lambda1,F0,verdict,outcome"]

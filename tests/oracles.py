@@ -7,21 +7,25 @@ eigenvalue oracle is a cyclic Jacobi rotation sweep, the surrogate operator
 is a dense Kronecker sum of 1D difference matrices, and the constants oracle
 uses a different algebraic arrangement of the same formulas.  The config
 schema is the JSON Schema the package validated configs with before its
-parser stated each rule itself; tests check it with ``jsonschema``.  Two
+parser stated each rule itself; tests check it with ``jsonschema``.  Other
 oracles are the package's earlier implementations, kept to check that the
 faster ones reproduce them bit for bit: the one-pass Thomas sweep, which
 the separable solver now splits into a kept factorization and a
-substitution, the energy record built on ``np.pad``, and the antiderivative
-``F_values`` whose adaptive Simpson rounds ran over the whole worklist at
-once, evaluating f separately at each segment's two ends.
+substitution; that substitution as it indexed the arrays row by row; the
+energy record built on ``np.pad``; the antiderivative ``F_values`` whose
+adaptive Simpson rounds ran over the whole worklist at once, evaluating f
+separately at each segment's two ends; and the sweep that ran one whole
+``run_experiment`` per value.
 """
 
 import math
+import os
 
 import numpy as np
 
 from grushinlab.nonlinearity import Power, QuadratureError, _eval_ast
 from grushinlab.operators import _degenerate_weight
+from grushinlab.runner import _with_axis, run_experiment
 
 
 def dense_from_csr(n, indptr, indices, values):
@@ -85,6 +89,20 @@ def thomas_reference(diag, off, rhs):
         pivot = diag[i] - off * ratio[i - 1]
         ratio[i] = off / pivot
         x[i] = (rhs[i] - off * x[i - 1]) / pivot
+    for i in range(n - 2, -1, -1):
+        x[i] -= ratio[i] * x[i + 1]
+    return x
+
+
+def substitute_reference(pivot, ratio, off, rhs):
+    """Forward elimination and back substitution with the factorization
+    ``(pivot, ratio)`` of a tridiagonal with constant off-diagonal ``off``,
+    indexing the arrays row by row along axis 0."""
+    n = pivot.shape[0]
+    x = np.empty_like(rhs, dtype=float)
+    x[0] = rhs[0] / pivot[0]
+    for i in range(1, n):
+        x[i] = (rhs[i] - off * x[i - 1]) / pivot[i]
     for i in range(n - 2, -1, -1):
         x[i] -= ratio[i] * x[i + 1]
     return x
@@ -344,3 +362,41 @@ CONFIG_SCHEMA = {
         "notes": {"type": "string"},
     },
 }
+
+
+def sweep_rows_reference(cfg, axis, values, out_dir=None,
+                         csv_name="sweep.csv"):
+    """``run_sweep`` as one whole ``run_experiment`` per value, each building
+    its own grid, operator, eigenpair, initial data and march: the rows, and
+    the summary CSV in ``out_dir`` when given."""
+    rows = []
+    for value in values:
+        row = {"value": float(value), "lambda1": None, "F0": None,
+               "verdict": None, "outcome": None}
+        try:
+            rpt = run_experiment(_with_axis(cfg, axis, value), out_dir=None)
+            row["lambda1"] = rpt.lambda1
+            row["F0"] = rpt.F0
+            if rpt.failure is not None:
+                row["verdict"] = f"Failed[{rpt.failure['stage']}]"
+            else:
+                row["verdict"] = rpt.verdict
+                if rpt.sim["status"] == "blowup":
+                    row["outcome"] = rpt.sim["t_blow"]
+                else:
+                    row["outcome"] = rpt.margins["decay"]
+        except Exception as exc:
+            row["verdict"] = f"Failed[{type(exc).__name__}]"
+        rows.append(row)
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        lines = ["value,lambda1,F0,verdict,outcome"]
+        for row in rows:
+            lines.append(",".join(
+                "" if row[c] is None
+                else (format(row[c], ".17g") if isinstance(row[c], float)
+                      else str(row[c]))
+                for c in ("value", "lambda1", "F0", "verdict", "outcome")))
+        with open(os.path.join(out_dir, csv_name), "w", newline="") as fh:
+            fh.write("\n".join(lines) + "\n")
+    return rows

@@ -36,7 +36,8 @@ from grushinlab.runner import _parameters_block, parse_config_dict
 from conftest import config_path
 from oracles import (CONFIG_SCHEMA, F_values_reference, csr_matvec,
                      dense_from_csr, grushin_energy_reference,
-                     surrogate_dense, thomas_reference)
+                     substitute_reference, surrogate_dense,
+                     thomas_reference)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=100)
@@ -162,6 +163,23 @@ def test_factor_and_substitute_equal_the_thomas_sweep(n, trailing, off, seed):
     rhs = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
     got = _substitute(*_factor(diag, off), off, rhs)
     assert got.tobytes() == thomas_reference(diag, off, rhs).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 40), st.sampled_from([(), (1,), (7,), (3, 2)]),
+       st.floats(-10.0, 10.0), st.integers(0, 2**32 - 1))
+def test_substitute_equals_its_row_indexed_reference(n, trailing, off, seed):
+    # The loop over lists of rows against the body it replaced; () is the
+    # 1-D system of the eigenpair's substitutions.
+    rng = np.random.default_rng(seed)
+    shape = (n,) + trailing
+    diag = 2.0 * abs(off) + rng.uniform(1e-3, 1e3, shape)
+    rhs = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5.0, 5.0, shape)
+    pivot, ratio = _factor(diag, off)
+    got = _substitute(pivot, ratio, off, rhs)
+    want = substitute_reference(pivot, ratio, off, rhs)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @PROPERTY_SETTINGS

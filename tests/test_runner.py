@@ -1,5 +1,7 @@
 """Config parsing, blow-up constants, verdict logic, and the full pipeline."""
 
+import collections
+import contextlib
 import copy
 import json
 import math
@@ -10,12 +12,13 @@ import pytest
 
 from grushinlab import (ConfigError, Power, assemble_grushin, build_grid,
                         compute_blowup_constants, concavity_margin, linalg,
-                        parse_config, read_csv, run_experiment, run_sweep)
+                        parse_config, read_csv, run_experiment, run_sweep,
+                        runner)
 from grushinlab.diagnostics import certified_records
 from grushinlab.nonlinearity import Expression
-from grushinlab.runner import decide_verdict, parse_config_dict
+from grushinlab.runner import SWEEP_AXES, decide_verdict, parse_config_dict
 
-from oracles import blowup_constants_reference
+from oracles import blowup_constants_reference, sweep_rows_reference
 
 
 def minimal_dict(**extra):
@@ -533,3 +536,117 @@ class TestRunSweep:
         cfg = parse_config_dict(fast_dict())
         with pytest.raises(ValueError, match="axis"):
             run_sweep(cfg, "cells", [8, 16])
+
+
+# Small m = 1 and m = 2 problems whose cubic source blows up inside t_end at
+# amplitude 12 (blowup mode) and not at amplitude 4 (global mode), so that
+# sweep rows reach blow-up times, decay margins and several verdicts.
+SWEEP_SPACES = {
+    1: {"space": {"m": 1, "k": 1, "gamma": 1.0},
+        "bounds": [[-1.0, 1.0]] * 2, "cells": [8, 8]},
+    2: {"space": {"m": 2, "k": 1, "gamma": 1.0},
+        "bounds": [[-1.0, 1.0]] * 3, "cells": [4, 4, 4]},
+}
+# Three values per axis.  gamma = -1 and amplitude = 0 are rejected by the
+# objects they build, so those rows fail on their own.
+SWEEP_VALUES = {"gamma": [0.5, -1.0, 1.0], "alpha": [1.0, 2.5, 4.0],
+                "beta": [0.1, 1.0, 3.0], "theta": [-1.0, 0.01, 1.0],
+                "amplitude": [4.0, 0.0, 12.0]}
+
+
+def sweep_dict(m, mode="blowup", **extra):
+    data = copy.deepcopy(SWEEP_SPACES[m])
+    amplitude = 12.0 if mode == "blowup" else 4.0
+    data.update(mode=mode, sim={"t_end": 0.05},
+                initial={"kind": "product_sine", "amplitude": amplitude})
+    data.update(copy.deepcopy(extra))
+    return data
+
+
+def sweep_like_reference(tmp_path, cfg, axis, values):
+    """run_sweep's rows, after checking them (float repr included) and the
+    bytes of its sweep.csv against one whole run per value, and each row's
+    full report against that run's."""
+    rows = run_sweep(cfg, axis, values, out_dir=str(tmp_path / "shared"))
+    ref = sweep_rows_reference(cfg, axis, values,
+                               out_dir=str(tmp_path / "reference"))
+    assert repr(rows) == repr(ref)
+    assert ((tmp_path / "shared" / "sweep.csv").read_bytes()
+            == (tmp_path / "reference" / "sweep.csv").read_bytes())
+    cfgs = []
+    for value in values:
+        with contextlib.suppress(ValueError):
+            cfgs.append(runner._with_axis(cfg, axis, value))
+    shared = runner._run_rows(cfgs, runner._SHARED[axis])
+    assert ([row.rpt.to_json() for row in shared]
+            == [run_experiment(c).to_json() for c in cfgs])
+    return rows
+
+
+class TestSweepSharesWork:
+    """run_sweep runs the stages its axis leaves unchanged once, and each row
+    still equals a whole run_experiment of its own."""
+
+    @pytest.mark.parametrize("mode", ["blowup", "global"])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("axis", SWEEP_AXES)
+    def test_rows_equal_one_run_per_value(self, tmp_path, axis, m, mode):
+        rows = sweep_like_reference(tmp_path, parse_config_dict(
+            sweep_dict(m, mode)), axis, SWEEP_VALUES[axis])
+        failed = [r["verdict"] for r in rows
+                  if r["verdict"].startswith("Failed")]
+        alone = axis in ("gamma", "amplitude")
+        assert failed == (["Failed[ValueError]"] if alone else [])
+
+    @pytest.mark.parametrize("axis, values", [
+        ("gamma", [0.5, 1.0]), ("theta", [0.01, 1.0]),
+        ("amplitude", [4.0, 12.0])])
+    def test_eigensolve_failure_fails_every_row(self, tmp_path, axis, values):
+        cfg = parse_config_dict(sweep_dict(
+            2, eigen={"tol": 1e-14, "max_iter": 1}))
+        rows = sweep_like_reference(tmp_path, cfg, axis, values)
+        assert [r["verdict"] for r in rows] == ["Failed[eigenvalue]"] * 2
+
+    @pytest.mark.parametrize("axis, values", [
+        ("theta", [0.01, 0.5, 1.0]), ("amplitude", [1.0, 1.5])])
+    def test_march_failure_fails_every_row(self, tmp_path, axis, values):
+        # f is non-finite past u = 2, which the growing march reaches.
+        cfg = parse_config_dict(minimal_dict(
+            cells=[16, 16], nonlinearity={"expr": "100*u^3*(2-u)^0.5"},
+            hypothesis={"umax_factor": 1.0}))
+        rows = sweep_like_reference(tmp_path, cfg, axis, values)
+        assert [r["verdict"] for r in rows] == ["Failed[simulate]"] * len(rows)
+
+    def test_row_failing_before_the_march_leaves_the_others(self, tmp_path,
+                                                            monkeypatch):
+        check = runner.check_blowup_hypothesis
+
+        def failing_at_half(nl, alpha, beta, theta, *args):
+            if theta == 0.5:
+                raise ArithmeticError("sampler fails at theta = 0.5")
+            return check(nl, alpha, beta, theta, *args)
+        monkeypatch.setattr(runner, "check_blowup_hypothesis", failing_at_half)
+        rows = sweep_like_reference(tmp_path, parse_config_dict(sweep_dict(1)),
+                                    "theta", [0.01, 0.5, 1.0])
+        assert [r["verdict"] for r in rows] == [
+            "ConsistentWithTheorem", "Failed[hypothesis]",
+            "ConsistentWithTheorem"]
+
+    @pytest.mark.parametrize("axis, eigensolves, marches", [
+        ("gamma", 3, 3), ("alpha", 1, 1), ("beta", 1, 1), ("theta", 1, 1),
+        ("amplitude", 1, 3)])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_counts_its_eigensolves_and_marches(self, monkeypatch, m, axis,
+                                                eigensolves, marches):
+        calls = collections.Counter()
+        for name in ("smallest_eigenpair", "run"):
+            def counted(*args, _name=name, _fn=getattr(runner, name),
+                        **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(runner, name, counted)
+        values = {"gamma": [0.0, 0.5, 1.0],
+                  "amplitude": [2.0, 4.0, 12.0]}.get(axis, SWEEP_VALUES[axis])
+        rows = run_sweep(parse_config_dict(sweep_dict(m)), axis, values)
+        assert not any(r["verdict"].startswith("Failed") for r in rows)
+        assert calls == {"smallest_eigenpair": eigensolves, "run": marches}
