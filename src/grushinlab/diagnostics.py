@@ -43,6 +43,12 @@ class EnergyTracker:
     E accumulates M plus the trapezoid integral of calE over the recorded
     times, so E(t_0) == M on the first record.  Repeated calls at the same
     time are collapsed into one record.
+
+    Only calF and E depend on the tracker's own theta and M.  Trackers that
+    observe one march together may share a one-state slot (``_slot``, a
+    list): the first of them to record a state measures its theta-free part
+    into the slot, the others reuse it, and the march's observer empties the
+    slot once every tracker has seen the state.
     """
 
     def __init__(self, grid: Grid, space: GrushinSpace, nl: Nonlinearity,
@@ -54,20 +60,31 @@ class EnergyTracker:
         self.M = float(M)
         self.records: list[EnergyRecord] = []
         self._weight = _degenerate_weight(grid, space)  # once per run
+        self._slot: list | None = None
+
+    def _state_part(self, u: np.ndarray):
+        """The theta-free part of one state: (l2, grad, F(u), supnorm,
+        min_u)."""
+        return (l2_norm_sq(self.grid, u),
+                _weighted_energy(self.grid, self.space.m, self._weight, u),
+                F_values(self.nl, u), float(np.abs(u).max()), float(u.min()))
+
+    def _calF(self, grad: float, Fu: np.ndarray) -> float:
+        return -0.5 * grad + integral(self.grid, Fu - self.theta)
 
     def measure(self, u: np.ndarray) -> tuple[float, float, float]:
         """(l2, grad, calF) of one state, with
         calF = -1/2 * grad + integral of (F(u) - theta)."""
-        grad = _weighted_energy(self.grid, self.space.m, self._weight, u)
-        calF = -0.5 * grad + integral(self.grid, F_values(self.nl, u)
-                                      - self.theta)
-        return l2_norm_sq(self.grid, u), grad, calF
+        l2, grad, Fu, _, _ = self._state_part(u)
+        return l2, grad, self._calF(grad, Fu)
 
     def __call__(self, state) -> None:
         if self.records and state.t == self.records[-1].t:
             return
-        u = state.u
-        l2, grad, calF = self.measure(u)
+        slot = [] if self._slot is None else self._slot
+        if not slot:
+            slot.append(self._state_part(state.u))
+        l2, grad, Fu, supnorm, min_u = slot[0]
         calE = l2 + grad
         if self.records:
             last = self.records[-1]
@@ -76,8 +93,8 @@ class EnergyTracker:
             E = self.M
         self.records.append(EnergyRecord(
             t=float(state.t), dt=float(state.dt), l2=l2, grad=grad,
-            calE=calE, calF=calF, supnorm=float(np.abs(u).max()),
-            min_u=float(u.min()), E=E))
+            calE=calE, calF=self._calF(grad, Fu), supnorm=supnorm,
+            min_u=min_u, E=E))
 
 
 def _times(records) -> np.ndarray:

@@ -494,15 +494,22 @@ def _constants(row) -> None:
 
 def _simulate(*rows) -> None:
     """One march; each observed state goes to every row's own tracker, in
-    row order.  The trackers fill their lists in place, so a march that
-    raises still leaves each row its records."""
-    lead = rows[0]
+    row order.  The trackers share one slot, so a state's theta-free part
+    (l2, grad, F(u), supnorm, min_u) is measured once and each row adds only
+    its own theta and M; the slot is emptied when the observation ends, so
+    no state outlives it.  The trackers fill their lists in place, so a
+    march that raises still leaves each row its records."""
+    lead, slot = rows[0], []
     for row in rows:
         row.tracker.M = row.rpt.M or 0.0
+        row.tracker._slot = slot
 
     def observe(state):
-        for row in rows:
-            row.tracker(state)
+        try:
+            for row in rows:
+                row.tracker(state)
+        finally:
+            slot.clear()
 
     final, _ = run(lead.grid, lead.cfg.space, lead.A, lead.cfg.nonlinearity,
                    lead.u0, lead.cfg.sim, observer=observe)
@@ -689,8 +696,9 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_dir: str | None = No
     axis but ``gamma`` builds the grid, the operator and its eigenpair once;
     ``amplitude`` then changes u0, so each of its rows marches alone; and
     ``alpha``, ``beta`` and ``theta``, which the flow does not contain, also
-    share u0 and one march, whose every state each row's own tracker records
-    with its own theta.  Each row gets the numbers its own run would give.
+    share u0 and one march, whose every state is measured once and recorded
+    by each row's own tracker with its own theta and M.  Each row gets the
+    numbers its own run would give.
 
     Rows keep the input order.  A run that fails still yields its row, with
     the failure stage in the verdict column.  Only the summary CSV is

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from grushinlab import (ConfigError, Power, assemble_grushin, build_grid,
-                        compute_blowup_constants, concavity_margin, linalg,
+                        compute_blowup_constants, concavity_margin,
+                        diagnostics, linalg,
                         parse_config, read_csv, run_experiment, run_sweep,
                         runner)
 from grushinlab.diagnostics import certified_records
@@ -650,3 +651,47 @@ class TestSweepSharesWork:
         rows = run_sweep(parse_config_dict(sweep_dict(m)), axis, values)
         assert not any(r["verdict"].startswith("Failed") for r in rows)
         assert calls == {"smallest_eigenpair": eigensolves, "run": marches}
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_measures_each_state_once(self, monkeypatch, m):
+        # The rows' trackers share each state's l2, grad and F(u); only
+        # functionals measures u0 once per row, for that row's F0.
+        cfg = parse_config_dict(sweep_dict(m))
+        values = SWEEP_VALUES["theta"]
+        ref = sweep_rows_reference(cfg, "theta", values)
+        records = run_experiment(cfg).sim["records"]
+        calls = collections.Counter()
+        for name in ("F_values", "_weighted_energy"):
+            def counted(*args, _name=name, _fn=getattr(diagnostics, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(diagnostics, name, counted)
+        rows = run_sweep(cfg, "theta", values)
+        assert repr(rows) == repr(ref)
+        assert calls == {"F_values": records + len(values),
+                         "_weighted_energy": records + len(values)}
+
+    def test_rows_survive_a_two_argument_record_wrapper(self, monkeypatch):
+        # A profiler may wrap the tracker's call as record(tracker, state).
+        cfg = parse_config_dict(sweep_dict(2))
+        values = SWEEP_VALUES["theta"]
+        plain = run_sweep(cfg, "theta", values)
+        records = run_experiment(cfg).sim["records"]
+        call, counted = diagnostics.EnergyTracker.__call__, collections.Counter()
+
+        def record(tracker, state):
+            before = len(tracker.records)
+            call(tracker, state)
+            counted["records"] += len(tracker.records) - before
+        monkeypatch.setattr(diagnostics.EnergyTracker, "__call__", record)
+        assert repr(run_sweep(cfg, "theta", values)) == repr(plain)
+        assert counted["records"] == len(values) * records
+
+    def test_expression_source_march_completes(self, tmp_path):
+        # F(u) comes from the batched Simpson quadrature here, not the
+        # closed form of Power.
+        cfg = parse_config_dict(sweep_dict(1, nonlinearity={"expr": "u^3"}))
+        rows = sweep_like_reference(tmp_path, cfg, "theta",
+                                    SWEEP_VALUES["theta"])
+        assert not any(r["verdict"].startswith("Failed") for r in rows)
+        assert run_experiment(cfg).sim["records"] > 10
