@@ -45,10 +45,9 @@ class EnergyTracker:
     time are collapsed into one record.
 
     Only calF and E depend on the tracker's own theta and M.  Trackers that
-    observe one march together may share a one-state slot (``_slot``, a
-    list): the first of them to record a state measures its theta-free part
-    into the slot, the others reuse it, and the march's observer empties the
-    slot once every tracker has seen the state.
+    measure the same states may share a one-state slot (``_slot``, a list):
+    the first measurement of a state puts its theta-free part there, later
+    ones reuse it, and the slot's owner empties it before the next state.
     """
 
     def __init__(self, grid: Grid, space: GrushinSpace, nl: Nonlinearity,
@@ -64,10 +63,14 @@ class EnergyTracker:
 
     def _state_part(self, u: np.ndarray):
         """The theta-free part of one state: (l2, grad, F(u), supnorm,
-        min_u)."""
-        return (l2_norm_sq(self.grid, u),
+        min_u), taken from the slot when it holds one."""
+        slot = [] if self._slot is None else self._slot
+        if not slot:
+            slot.append((
+                l2_norm_sq(self.grid, u),
                 _weighted_energy(self.grid, self.space.m, self._weight, u),
-                F_values(self.nl, u), float(np.abs(u).max()), float(u.min()))
+                F_values(self.nl, u), float(np.abs(u).max()), float(u.min())))
+        return slot[0]
 
     def _calF(self, grad: float, Fu: np.ndarray) -> float:
         return -0.5 * grad + integral(self.grid, Fu - self.theta)
@@ -81,10 +84,7 @@ class EnergyTracker:
     def __call__(self, state) -> None:
         if self.records and state.t == self.records[-1].t:
             return
-        slot = [] if self._slot is None else self._slot
-        if not slot:
-            slot.append(self._state_part(state.u))
-        l2, grad, Fu, supnorm, min_u = slot[0]
+        l2, grad, Fu, supnorm, min_u = self._state_part(state.u)
         calE = l2 + grad
         if self.records:
             last = self.records[-1]

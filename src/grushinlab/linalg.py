@@ -88,20 +88,12 @@ class EigenResult:
     solver_iterations: int = 0
 
 
-def _matvec(A):
-    if isinstance(A, SparseMatrix):
-        return A.apply
-    if callable(A):
-        return A
-    raise TypeError(f"expected SparseMatrix or callable operator, got {type(A)!r}")
-
-
-def cg_solve(A, b: np.ndarray, tol: float = 1e-10, max_iter: int | None = None,
-             x0: np.ndarray | None = None,
+def cg_solve(matvec, b: np.ndarray, tol: float = 1e-10,
+             max_iter: int | None = None, x0: np.ndarray | None = None,
              precond=None) -> tuple[np.ndarray, SolveReport]:
-    """Conjugate gradients for SPD ``A``; converges when ||b - Ax|| <= tol*||b||.
+    """Conjugate gradients for SPD A; converges when ||b - Ax|| <= tol*||b||.
 
-    ``A`` is a :class:`SparseMatrix` or a matvec callable.  ``precond``, if
+    ``matvec`` computes x -> Ax.  ``precond``, if
     given, maps a residual r to M^-1 r for an SPD M close to A
     (preconditioned CG); the stopping test stays on the unpreconditioned
     residual, and without it the iteration is plain CG.  Convergence is
@@ -110,7 +102,6 @@ def cg_solve(A, b: np.ndarray, tol: float = 1e-10, max_iter: int | None = None,
     ``max_iter`` (default 10*N) and :class:`NumericalBreakdown` on NaN/Inf
     or a preconditioner that is not positive definite.
     """
-    mv = _matvec(A)
     b = np.asarray(b, dtype=float)
     N = b.size
     if max_iter is None:
@@ -131,7 +122,7 @@ def cg_solve(A, b: np.ndarray, tol: float = 1e-10, max_iter: int | None = None,
         return z, rz
 
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    r = b - mv(x)
+    r = b - matvec(x)
     rr = float(r @ r)
     if not np.isfinite(rr):
         raise NumericalBreakdown("non-finite initial residual in cg_solve")
@@ -143,7 +134,7 @@ def cg_solve(A, b: np.ndarray, tol: float = 1e-10, max_iter: int | None = None,
     z, rz = preconditioned(r, rr, 0)
     p = z.copy()
     for it in range(1, max_iter + 1):
-        Ap = mv(p)
+        Ap = matvec(p)
         pAp = float(p @ Ap)
         if not np.isfinite(pAp) or pAp <= 0.0:
             raise NumericalBreakdown(
@@ -159,10 +150,10 @@ def cg_solve(A, b: np.ndarray, tol: float = 1e-10, max_iter: int | None = None,
             best_x, best_res = x.copy(), res
         if res <= tol:
             # Recurrence can drift; accept only on the true residual.
-            true_res = float(np.linalg.norm(b - mv(x))) / b_norm
+            true_res = float(np.linalg.norm(b - matvec(x))) / b_norm
             if true_res <= tol:
                 return x, SolveReport(iterations=it, final_residual=true_res)
-            r = b - mv(x)
+            r = b - matvec(x)
             z, rz = preconditioned(r, float(r @ r), it)
             p = z.copy()
             continue

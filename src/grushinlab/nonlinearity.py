@@ -481,13 +481,25 @@ def _sign_terms(nl, alpha, beta, theta, u_max, samples):
     return u, fu, Fu, scales
 
 
-def decay_ranges(alpha: float, beta: float, theta: float):
-    """(name, ok, detail) for each parameter range of the decay theorem."""
-    half = (2.0 - alpha) / 2.0
-    return (("alpha <= 0", alpha <= 0.0, f"alpha = {alpha}"),
-            ("beta >= (2-alpha)/2", beta >= half,
-             f"beta = {beta}, (2-alpha)/2 = {half}"),
-            ("theta >= 0", theta >= 0.0, f"theta = {theta}"))
+def parameter_ranges(mode: str, alpha: float, beta: float, theta: float,
+                     lambda1: float | None):
+    """(name, ok, detail) for each parameter range of the mode's theorem;
+    each detail gives both sides of its inequality.  Only the blow-up bound
+    on beta reads lambda1, so a global-mode caller may pass None."""
+    if mode == "blowup":
+        cap = lambda1 * (alpha - 2.0) / 2.0
+        return (("alpha > 2", alpha > 2.0, f"alpha = {alpha}"),
+                ("0 < beta <= lambda1*(alpha-2)/2", 0.0 < beta <= cap,
+                 f"beta = {beta}, lambda1*(alpha-2)/2 = {cap} "
+                 f"(lambda1 = {lambda1})"),
+                ("theta > 0", theta > 0.0, f"theta = {theta}"))
+    if mode == "global":
+        half = (2.0 - alpha) / 2.0
+        return (("alpha <= 0", alpha <= 0.0, f"alpha = {alpha}"),
+                ("beta >= (2-alpha)/2", beta >= half,
+                 f"beta = {beta}, (2-alpha)/2 = {half}"),
+                ("theta >= 0", theta >= 0.0, f"theta = {theta}"))
+    return ()
 
 
 def check_blowup_hypothesis(nl: Nonlinearity, alpha: float, beta: float,
@@ -497,8 +509,7 @@ def check_blowup_hypothesis(nl: Nonlinearity, alpha: float, beta: float,
 
     The margin is u f(u) + beta u^2 + alpha theta - alpha F(u); nonnegative
     margins (up to the relative floor) mean the condition holds on (0, u_max].
-    Parameter ranges (alpha > 2, beta bounds needing the eigenvalue) are the
-    runner's business, not checked here.
+    Its parameter ranges need the eigenvalue, so the runner checks them.
     """
     u, fu, Fu, scales = _sign_terms(nl, alpha, beta, theta, u_max, samples)
     margins = u * fu + beta * u * u + alpha * theta - alpha * Fu
@@ -510,11 +521,11 @@ def check_global_hypothesis(nl: Nonlinearity, alpha: float, beta: float,
                             samples: int = 10_001) -> HypothesisReport:
     """Sample the decay sign condition alpha*F(u) >= u f(u) + beta u^2 + alpha*theta.
 
-    Also validates the parameter ranges of :func:`decay_ranges`, reporting
-    violations separately from margin failures.
+    Also checks the decay theorem's :func:`parameter_ranges`, which do not
+    need the eigenvalue, and reports violations apart from margin failures.
     """
-    violations = [f"{name} fails: {detail}"
-                  for name, ok, detail in decay_ranges(alpha, beta, theta)
+    violations = [f"{name} fails: {detail}" for name, ok, detail
+                  in parameter_ranges("global", alpha, beta, theta, None)
                   if not ok]
     u, fu, Fu, scales = _sign_terms(nl, alpha, beta, theta, u_max, samples)
     margins = alpha * Fu - u * fu - beta * u * u - alpha * theta

@@ -43,7 +43,7 @@ from .integrator import InitialCondition, SimConfig, build_initial_condition, ru
 from .linalg import smallest_eigenpair
 from .nonlinearity import (Nonlinearity, Power, check_blowup_hypothesis,
                            check_f_positive, check_global_hypothesis,
-                           decay_ranges, parse_expression)
+                           parameter_ranges, parse_expression)
 from .operators import assemble_grushin
 
 BLOWUP_TIME_SLACK = 1.1      # declared factor on the blow-up time bound
@@ -53,11 +53,11 @@ CERT_RTOL = 1e-6             # relative margin tolerance vs. local scale
 MODES = ("blowup", "global", "free")
 # The pipeline stages a sweep runs once for all its rows, by swept axis.  Only
 # gamma changes the operator; alpha, beta and theta do not enter the flow
-# u_t - L u_t = L u + f(u), so their rows also share u0 and one march.
+# u_t - L u_t = L u + f(u): their rows share u0, its measurement and a march.
 _OPERATOR = ("grid", "assemble", "eigenvalue")
 _SHARED = {"gamma": (),
-           **dict.fromkeys(("alpha", "beta", "theta"),
-                           _OPERATOR + ("initial-condition", "simulate")),
+           **dict.fromkeys(("alpha", "beta", "theta"), _OPERATOR + (
+               "initial-condition", "functionals", "simulate")),
            "amplitude": _OPERATOR}
 SWEEP_AXES = tuple(_SHARED)
 
@@ -403,10 +403,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     return rpt
 
 
-# The stages.  grid, assemble, eigenvalue, initial-condition and simulate
-# may serve several rows of a sweep at once: each takes every row it serves,
-# in order, and computes from the first one's config.  The others take one
-# row and work out its report.
+# The stages.  grid, assemble, eigenvalue, initial-condition, functionals
+# and simulate may serve several rows of a sweep at once: each takes every
+# row it serves, in order, and computes from the first one's config.  The
+# others take one row and work out its report.
 
 def _grid(*rows) -> None:
     cfg = rows[0].cfg
@@ -433,20 +433,24 @@ def _initial_condition(*rows) -> None:
                                             phi1=lead.eig.phi1))
 
 
-def _functionals(row) -> None:
-    cfg, rpt = row.cfg, row.rpt
-    row.tracker = EnergyTracker(row.grid, cfg.space, cfg.nonlinearity,
-                                theta=cfg.theta)
-    l2, grad, rpt.F0 = row.tracker.measure(row.u0)
-    rpt.I0 = l2 + grad
-    if cfg.mode == "global":
-        rpt.decay_rate = 2.0 - cfg.alpha
+def _functionals(*rows) -> None:
+    """Each row's tracker, F0 and I0.  The trackers share one slot, so u0
+    is measured once, for them and for the march's t = 0 record."""
+    slot = []
+    for row in rows:
+        cfg, rpt = row.cfg, row.rpt
+        row.tracker = EnergyTracker(row.grid, cfg.space, cfg.nonlinearity,
+                                    theta=cfg.theta)
+        row.tracker._slot = slot
+        l2, grad, rpt.F0 = row.tracker.measure(row.u0)
+        rpt.I0 = l2 + grad
+        if cfg.mode == "global":
+            rpt.decay_rate = 2.0 - cfg.alpha
 
 
 def _hypothesis(row) -> None:
     cfg, rpt = row.cfg, row.rpt
-    row.sup0 = float(np.abs(row.u0).max())
-    u_max_pre = cfg.umax_factor * row.sup0
+    u_max_pre = cfg.umax_factor * float(np.abs(row.u0).max())
     f_ok, f_bad = check_f_positive(cfg.nonlinearity, u_max_pre,
                                    cfg.hypothesis_samples)
     rpt.f_positive = {"ok": f_ok, "first_nonpositive_u": f_bad,
@@ -462,22 +466,11 @@ def _hypothesis(row) -> None:
 
 
 def _constraints(row) -> None:
-    """Parameter-range checks for the active mode; details always print both
-    sides of the inequality."""
-    cfg, lambda1 = row.cfg, row.eig.lambda1
-    ranges = ()
-    if cfg.mode == "blowup":
-        cap = lambda1 * (cfg.alpha - 2.0) / 2.0
-        ranges = (
-            ("alpha > 2", cfg.alpha > 2.0, f"alpha = {cfg.alpha}"),
-            ("0 < beta <= lambda1*(alpha-2)/2", 0.0 < cfg.beta <= cap,
-             f"beta = {cfg.beta}, lambda1*(alpha-2)/2 = {cap} "
-             f"(lambda1 = {lambda1})"),
-            ("theta > 0", cfg.theta > 0.0, f"theta = {cfg.theta}"))
-    elif cfg.mode == "global":
-        ranges = decay_ranges(cfg.alpha, cfg.beta, cfg.theta)
-    row.rpt.constraints = [{"name": name, "ok": bool(ok), "detail": detail}
-                           for name, ok, detail in ranges]
+    cfg = row.cfg
+    row.rpt.constraints = [
+        {"name": name, "ok": bool(ok), "detail": detail}
+        for name, ok, detail in parameter_ranges(
+            cfg.mode, cfg.alpha, cfg.beta, cfg.theta, row.eig.lambda1)]
     row.constraints_ok = all(c["ok"] for c in row.rpt.constraints)
 
 
@@ -499,17 +492,16 @@ def _simulate(*rows) -> None:
     its own theta and M; the slot is emptied when the observation ends, so
     no state outlives it.  The trackers fill their lists in place, so a
     march that raises still leaves each row its records."""
-    lead, slot = rows[0], []
+    lead = rows[0]
     for row in rows:
         row.tracker.M = row.rpt.M or 0.0
-        row.tracker._slot = slot
 
     def observe(state):
         try:
             for row in rows:
                 row.tracker(state)
         finally:
-            slot.clear()
+            lead.tracker._slot.clear()
 
     final, _ = run(lead.grid, lead.cfg.space, lead.A, lead.cfg.nonlinearity,
                    lead.u0, lead.cfg.sim, observer=observe)
@@ -533,8 +525,8 @@ def _simulate(*rows) -> None:
 
 def _recheck_hypothesis(row) -> None:
     cfg, rpt = row.cfg, row.rpt
-    hyp1 = _check_hypothesis(
-        cfg, max([row.sup0] + [r.supnorm for r in row.tracker.records]))
+    # The first record is u0's.
+    hyp1 = _check_hypothesis(cfg, max(r.supnorm for r in row.tracker.records))
     rpt.hypothesis_trajectory = hyp1 and dataclasses.asdict(hyp1)
     row.hypotheses_met = bool(row.premises and (hyp1 is None or hyp1.holds))
     rpt.hypotheses_met = None if cfg.mode == "free" else row.hypotheses_met
@@ -659,15 +651,11 @@ def _eigenpair(cfg: ExperimentConfig, A):
 
 
 def _check_hypothesis(cfg: ExperimentConfig, u_max: float):
-    if cfg.mode == "blowup":
-        return check_blowup_hypothesis(cfg.nonlinearity, cfg.alpha, cfg.beta,
-                                       cfg.theta, u_max,
-                                       cfg.hypothesis_samples)
-    if cfg.mode == "global":
-        return check_global_hypothesis(cfg.nonlinearity, cfg.alpha, cfg.beta,
-                                       cfg.theta, u_max,
-                                       cfg.hypothesis_samples)
-    return None
+    # check_<mode>_hypothesis, none in free mode; looked up when called, so a
+    # wrapper set on this module since import is the one that runs.
+    check = globals().get(f"check_{cfg.mode}_hypothesis")
+    return check and check(cfg.nonlinearity, cfg.alpha, cfg.beta, cfg.theta,
+                           u_max, cfg.hypothesis_samples)
 
 
 def _dump_matrix(A, path) -> None:
@@ -688,21 +676,21 @@ def _with_axis(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConf
     return replace(cfg, initial=replace(cfg.initial, amplitude=float(value)))
 
 
-def run_sweep(cfg: ExperimentConfig, axis: str, values, out_dir: str | None = None,
-              csv_name: str = "sweep.csv") -> list[dict]:
+def run_sweep(cfg: ExperimentConfig, axis: str, values,
+              out_dir: str | None = None) -> list[dict]:
     """Run the pipeline once per value of the swept parameter.
 
     Rows share the stages their axis leaves unchanged (``_SHARED``): every
     axis but ``gamma`` builds the grid, the operator and its eigenpair once;
     ``amplitude`` then changes u0, so each of its rows marches alone; and
     ``alpha``, ``beta`` and ``theta``, which the flow does not contain, also
-    share u0 and one march, whose every state is measured once and recorded
-    by each row's own tracker with its own theta and M.  Each row gets the
-    numbers its own run would give.
+    share u0 and one march.  Every state of that march, u0 included, is
+    measured once, and each row's own tracker adds its own theta and M.
+    Each row gets the numbers its own run would give.
 
     Rows keep the input order.  A run that fails still yields its row, with
-    the failure stage in the verdict column.  Only the summary CSV is
-    written; per-run artifacts are suppressed.
+    the failure stage in the verdict column.  Only the summary CSV,
+    ``sweep.csv``, is written; per-run artifacts are suppressed.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
@@ -738,6 +726,6 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values, out_dir: str | None = No
                 else (format(row[c], ".17g") if isinstance(row[c], float)
                       else str(row[c]))
                 for c in ("value", "lambda1", "F0", "verdict", "outcome")))
-        with open(os.path.join(out_dir, csv_name), "w", newline="") as fh:
+        with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
     return rows

@@ -49,19 +49,19 @@ class TestCgSolve:
     def test_identity_converges_immediately(self):
         A = diag_matrix(np.ones(5))
         b = np.array([1.0, -2.0, 0.5, 3.0, 0.0])
-        x, report = cg_solve(A, b)
+        x, report = cg_solve(A.apply, b)
         assert np.allclose(x, b, rtol=0.0, atol=1e-12)
         assert report.iterations <= 1
 
     def test_diagonal_two(self):
         A = diag_matrix(2.0 * np.ones(4))
         b = np.array([2.0, 4.0, -6.0, 1.0])
-        x, _ = cg_solve(A, b)
+        x, _ = cg_solve(A.apply, b)
         assert np.allclose(x, b / 2.0, rtol=1e-12, atol=0.0)
 
     def test_zero_rhs_short_circuits(self):
         A = diag_matrix(np.ones(3))
-        x, report = cg_solve(A, np.zeros(3))
+        x, report = cg_solve(A.apply, np.zeros(3))
         assert np.array_equal(x, np.zeros(3))
         assert report.iterations == 0
 
@@ -82,7 +82,7 @@ class TestCgSolve:
     def test_warm_start_uses_given_iterate(self):
         A = diag_matrix(np.array([1.0, 2.0, 3.0]))
         b = np.array([1.0, 2.0, 3.0])
-        x, report = cg_solve(A, b, x0=np.array([1.0, 1.0, 1.0]))
+        x, report = cg_solve(A.apply, b, x0=np.array([1.0, 1.0, 1.0]))
         assert np.allclose(x, np.array([1.0, 1.0, 1.0]))
         assert report.iterations == 0
 
@@ -101,12 +101,12 @@ class TestCgSolve:
     def test_nan_rhs_raises_breakdown(self):
         A = diag_matrix(np.ones(3))
         with pytest.raises(NumericalBreakdown):
-            cg_solve(A, np.array([np.nan, 1.0, 0.0]))
+            cg_solve(A.apply, np.array([np.nan, 1.0, 0.0]))
 
     def test_indefinite_matrix_raises(self):
         A = diag_matrix(np.array([-1.0, -1.0]))
         with pytest.raises(SolverError):
-            cg_solve(A, np.array([1.0, 2.0]))
+            cg_solve(A.apply, np.array([1.0, 2.0]))
 
 
 class TestPreconditionedCg:
@@ -122,7 +122,7 @@ class TestPreconditionedCg:
     def test_indefinite_preconditioner_raises(self):
         A = diag_matrix([1.0, 2.0, 3.0])
         with pytest.raises(NumericalBreakdown, match="M\\^-1"):
-            cg_solve(A, np.ones(3), precond=lambda r: -r)
+            cg_solve(A.apply, np.ones(3), precond=lambda r: -r)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("k, cells", [(1, (12, 12, 12)), (2, (6, 6, 6, 6))])

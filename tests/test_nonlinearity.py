@@ -11,7 +11,7 @@ from grushinlab import (Power, check_blowup_hypothesis, check_f_positive,
 from grushinlab.nonlinearity import (MAX_DEPTH, DomainError, Expression,
                                      ExpressionError, F_values,
                                      QuadratureError, eval_f, f_values,
-                                     sample_points)
+                                     parameter_ranges, sample_points)
 
 
 class TestParser:
@@ -314,6 +314,17 @@ class TestGlobalHypothesis:
                                       theta=1.0, u_max=0.1)
         assert ok.constraint_violations == ()
         assert any("beta" in v for v in low.constraint_violations)
+
+
+class TestParameterRanges:
+    def test_free_mode_has_none(self):
+        assert parameter_ranges("free", 4.0, 0.1, 0.01, 2.0) == ()
+
+    def test_blowup_beta_range_is_half_open(self):
+        # lambda1*(alpha-2)/2 = 2 here.
+        assert [parameter_ranges("blowup", 4.0, beta, 0.01, 2.0)[1][1]
+                for beta in (0.0, 1e-9, 2.0, 2.0 + 1e-9)] == [
+                    False, True, True, False]
 
 
 class TestPositivityScan:

@@ -70,3 +70,11 @@ def test_readme_config_format_names_every_key():
     section = section.split("\n## ", 1)[0]
     assert [key for key in config_keys(_SHAPE)
             if not re.search(f"[`\"]{re.escape(key)}[`\"]", section)] == []
+
+
+def test_readme_names_every_shipped_config():
+    names = [os.path.basename(path) for path in
+             glob.glob(os.path.join(REPO_ROOT, "configs", "*.json"))]
+    assert names
+    assert [name for name in names
+            if f"`configs/{name}`" not in read_readme()] == []

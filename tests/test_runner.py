@@ -3,6 +3,7 @@
 import collections
 import contextlib
 import copy
+import glob
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from grushinlab.diagnostics import certified_records
 from grushinlab.nonlinearity import Expression
 from grushinlab.runner import SWEEP_AXES, decide_verdict, parse_config_dict
 
+from conftest import CONFIG_DIR, config_path
 from oracles import blowup_constants_reference, sweep_rows_reference
 
 
@@ -181,11 +183,77 @@ class TestParseConfig:
             parse_config(str(arr))
 
     def test_shipped_configs_parse(self):
-        from conftest import config_path
-        for name in ("blowup_cubic.json", "global_decay.json",
-                     "free_sine.json"):
+        for name in SHIPPED_VERDICTS:
             cfg = parse_config(config_path(name))
             assert cfg.space.n == 2
+
+
+# Every shipped config and the verdict it reaches; between them they reach
+# every verdict but InconsistencyFlag, and free mode's null.
+SHIPPED_VERDICTS = {"blowup_cubic.json": "ConsistentWithTheorem",
+                    "blowup_before_window.json": "Inconclusive",
+                    "global_decay.json": "HypothesesNotMet",
+                    "free_sine.json": None}
+
+
+class TestShippedConfigs:
+    def test_every_shipped_config_has_its_verdict_listed(self):
+        names = [os.path.basename(path)
+                 for path in glob.glob(os.path.join(CONFIG_DIR, "*.json"))]
+        assert sorted(names) == sorted(SHIPPED_VERDICTS)
+
+    @pytest.mark.parametrize("name, verdict", SHIPPED_VERDICTS.items())
+    def test_shipped_config_reaches_its_verdict(self, request, name, verdict):
+        if name == "blowup_cubic.json":
+            rpt = request.getfixturevalue("blowup_outcome").report
+        else:
+            rpt = run_experiment(parse_config(config_path(name)))
+        assert rpt.failure is None
+        assert rpt.verdict == verdict
+
+
+class TestConstraints:
+    """The report's constraints block: the mode's three parameter ranges in
+    order, each detail giving both sides of its inequality."""
+
+    def test_blowup_ranges_read_the_reports_lambda1(self, blowup_outcome):
+        rpt = blowup_outcome.report
+        cap = rpt.lambda1 * (4.0 - 2.0) / 2.0
+        assert rpt.constraints == [
+            {"name": "alpha > 2", "ok": True, "detail": "alpha = 4.0"},
+            {"name": "0 < beta <= lambda1*(alpha-2)/2", "ok": True,
+             "detail": f"beta = 0.1, lambda1*(alpha-2)/2 = {cap} "
+                       f"(lambda1 = {rpt.lambda1})"},
+            {"name": "theta > 0", "ok": True, "detail": "theta = 0.01"}]
+
+    @pytest.mark.parametrize("beta, met", [(0.1, True), (100.0, False)])
+    def test_blowup_beta_above_its_cap_is_not_met(self, beta, met):
+        # At amplitude 12, F0 > 0 and the sign condition holds, so the beta
+        # range alone decides whether the premises are met.
+        rpt = run_experiment(parse_config_dict(fast_dict(
+            mode="blowup", alpha=4.0, beta=beta, theta=0.01,
+            initial={"kind": "product_sine", "amplitude": 12.0})))
+        assert rpt.F0 > 0.0 and rpt.hypothesis_initial["holds"]
+        assert [c["ok"] for c in rpt.constraints] == [True, met, True]
+        assert rpt.constraints[1]["detail"] == (
+            f"beta = {beta}, lambda1*(alpha-2)/2 = {rpt.lambda1} "
+            f"(lambda1 = {rpt.lambda1})")
+        assert rpt.hypotheses_met is met
+        assert (rpt.verdict == "HypothesesNotMet") is not met
+
+    @pytest.mark.parametrize("beta", [2.0, 1.0])
+    def test_global_ranges_agree_with_the_sign_check(self, beta):
+        rpt = run_experiment(parse_config_dict(fast_dict(
+            mode="global", alpha=-2.0, beta=beta, theta=1.0)))
+        assert rpt.constraints == [
+            {"name": "alpha <= 0", "ok": True, "detail": "alpha = -2.0"},
+            {"name": "beta >= (2-alpha)/2", "ok": beta >= 2.0,
+             "detail": f"beta = {beta}, (2-alpha)/2 = 2.0"},
+            {"name": "theta >= 0", "ok": True, "detail": "theta = 1.0"}]
+        assert rpt.hypothesis_initial["constraint_violations"] == tuple(
+            f"{c['name']} fails: {c['detail']}"
+            for c in rpt.constraints if not c["ok"])
+        assert rpt.verdict == "HypothesesNotMet"
 
 
 class TestBlowupConstants:
@@ -654,22 +722,25 @@ class TestSweepSharesWork:
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_measures_each_state_once(self, monkeypatch, m):
-        # The rows' trackers share each state's l2, grad and F(u); only
-        # functionals measures u0 once per row, for that row's F0.
+        # Each state's l2, grad and F(u) are measured once, in one run and
+        # for all rows of a sweep: functionals measures u0 for every row's
+        # F0 and I0, and the march's t = 0 record reuses that measurement.
         cfg = parse_config_dict(sweep_dict(m))
         values = SWEEP_VALUES["theta"]
         ref = sweep_rows_reference(cfg, "theta", values)
-        records = run_experiment(cfg).sim["records"]
+        plain = run_experiment(cfg)
+        records = plain.sim["records"]
         calls = collections.Counter()
         for name in ("F_values", "_weighted_energy"):
             def counted(*args, _name=name, _fn=getattr(diagnostics, name)):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(diagnostics, name, counted)
-        rows = run_sweep(cfg, "theta", values)
-        assert repr(rows) == repr(ref)
-        assert calls == {"F_values": records + len(values),
-                         "_weighted_energy": records + len(values)}
+        assert run_experiment(cfg).to_json() == plain.to_json()
+        assert calls == {"F_values": records, "_weighted_energy": records}
+        calls.clear()
+        assert repr(run_sweep(cfg, "theta", values)) == repr(ref)
+        assert calls == {"F_values": records, "_weighted_energy": records}
 
     def test_rows_survive_a_two_argument_record_wrapper(self, monkeypatch):
         # A profiler may wrap the tracker's call as record(tracker, state).
