@@ -8,27 +8,31 @@ source explicitly:
 
 a first-order scheme whose stiffness lives entirely in the SPD solve.
 The operator's own ``SparseMatrix.solver`` decides how it is solved: exactly
-when the operator has one x-axis, by conjugate gradients preconditioned with
-the separable surrogate when it has more, and by plain conjugate gradients
-when the matrix was not assembled by ``assemble_grushin``, whose ``solver``
-is None.  Both CG paths stop on the true residual at ``cg_tol``.
-Step size adapts on the relative sup-norm change per step;
+when the operator has one x-axis, or when its weight and the separable
+surrogate's differ on at most one x-node (as at gamma = 1); otherwise by
+conjugate gradients preconditioned with the separable surrogate, and by
+plain conjugate gradients when the matrix was not assembled by
+``assemble_grushin``, whose ``solver`` is None.  Both CG paths stop on the
+true residual at ``cg_tol``, which the exact path does not use.
+Step size adapts on the relative sup-norm change per step, and a step whose
+new state leaves an expression source's domain is rejected too;
 runaway growth is declared blow-up either by threshold or by the controller
-collapsing below dt_min.  Each state carries the work done so far: step
-attempts, rejected attempts, the CG iterations of the step solves and the
-smallest and largest accepted dt.
+collapsing below dt_min, and a march that cannot stay inside the source's
+domain above dt_min ends failed.  Each state carries the work done so far:
+step attempts, rejected attempts, the CG iterations of the step solves and
+the smallest and largest accepted dt.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .diagnostics import EnergyTracker
 from .geometry import Grid, GrushinSpace
 from .linalg import SolverError, cg_solve
-from .nonlinearity import Nonlinearity, f_values
+from .nonlinearity import DomainError, Nonlinearity, Power, f_values
 from .operators import SparseMatrix, apply
 
 
@@ -71,7 +75,10 @@ class SimState:
     status in {"running", "completed", "blowup", "failed"}, plus the work so
     far: step attempts, attempts rejected by the step controller, the CG
     iterations summed over the step solves (0 on the exact path), and the
-    smallest and largest accepted dt (None before the first accepted step)."""
+    smallest and largest accepted dt (None before the first accepted step).
+    ``f_at`` is (u, f(u)) when the step that made the state evaluated f
+    there, as an expression source's domain check does, so the next step
+    need not; it is used only while ``u`` is that same array."""
 
     t: float
     u: np.ndarray
@@ -84,6 +91,8 @@ class SimState:
     rejected: int = 0
     solver_iterations: int = 0
     dt_accepted: tuple[float, float] | None = None
+    f_at: tuple[np.ndarray, np.ndarray] | None = field(default=None,
+                                                       repr=False)
 
 
 @dataclass(frozen=True)
@@ -136,13 +145,14 @@ def build_initial_condition(grid: Grid, ic: InitialCondition,
     return ic.amplitude * values
 
 
-def _advance(u: np.ndarray, dt: float, A: SparseMatrix, nl: Nonlinearity,
+def _advance(u: np.ndarray, dt: float, A: SparseMatrix, f_u: np.ndarray,
              cg_tol: float) -> tuple[np.ndarray, int]:
-    """Solve (I + (1+dt)L) u_new = (I + L) u + dt f(u) with L = -A; return
-    u_new and the CG iterations spent.  Exact when ``A.solver`` is exact,
-    else by CG, preconditioned by ``A.solver`` when there is one."""
+    """Solve (I + (1+dt)L) u_new = (I + L) u + dt f_u with L = -A and
+    f_u = f(u); return u_new and the CG iterations spent.  Exact when
+    ``A.solver`` is exact, else by CG, preconditioned by ``A.solver`` when
+    there is one."""
     Au = apply(A, u)
-    rhs = u - Au + dt * f_values(nl, u)
+    rhs = u - Au + dt * f_u
     c = 1.0 + dt
     solver = A.solver
     if solver is not None and solver.exact:
@@ -159,12 +169,18 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
 
     Retries with halved dt while the relative sup-norm change exceeds
     step_change_high; halving past dt_min declares blow-up at the current
-    time.  After acceptance the threshold check runs, then dt grows by 1.5x
+    time.  A candidate state where an expression source f is non-finite
+    (:class:`DomainError`) is rejected the same way, and halving past dt_min
+    for that ends the run ``failed`` with the error's text as the reason; a
+    Power source is finite at every finite u and is not checked.  After
+    acceptance the threshold check runs, then dt grows by 1.5x
     (capped at dt_max) if the change was below step_change_low.  ``dt_cap``
     temporarily limits the attempted dt (used to land on t_end) without
     feeding back into the controller.  Every solve goes through ``A.solver``,
     so calls on one operator share its factorization.  Every solve counts as
     an attempt, and every attempt the controller turns down as rejected.
+    f is evaluated at the old state once per step, unless the state carries
+    it, and at each candidate that is checked.
     """
     if state.status != "running":
         return state
@@ -172,18 +188,30 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
     u_norm = float(np.abs(state.u).max())
     work = {"attempts": state.attempts, "rejected": state.rejected,
             "solver_iterations": state.solver_iterations}
+    known = state.f_at
+    f_u = (known[1] if known is not None and known[0] is state.u
+           else f_values(nl, state.u))
     while True:
         work["attempts"] += 1
         try:
-            u_new, iterations = _advance(state.u, dt_try, A, nl, cfg.cg_tol)
+            u_new, iterations = _advance(state.u, dt_try, A, f_u, cfg.cg_tol)
         except SolverError as exc:
             return replace(state, status="failed",
                            reason=f"linear solve: {exc}", **work)
         work["solver_iterations"] += iterations
         change = float(np.abs(u_new - state.u).max()) / max(u_norm, 1e-300)
-        if change > cfg.step_change_high:
+        f_new = domain_exit = None
+        if change <= cfg.step_change_high and not isinstance(nl, Power):
+            try:
+                f_new = f_values(nl, u_new)
+            except DomainError as exc:
+                domain_exit = exc
+        if change > cfg.step_change_high or domain_exit is not None:
             work["rejected"] += 1
             if dt_try <= cfg.dt_min * (1.0 + 1e-12):
+                if domain_exit is not None:
+                    return replace(state, status="failed",
+                                   reason=str(domain_exit), **work)
                 return replace(state, status="blowup", t_blow=state.t,
                                reason="step size exhausted below dt_min",
                                **work)
@@ -196,7 +224,8 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
     lo, hi = state.dt_accepted or (dt_try, dt_try)
     nxt = SimState(t=state.t + dt_try, u=u_new, dt=dt_next,
                    steps=state.steps + 1,
-                   dt_accepted=(min(lo, dt_try), max(hi, dt_try)), **work)
+                   dt_accepted=(min(lo, dt_try), max(hi, dt_try)),
+                   f_at=None if f_new is None else (u_new, f_new), **work)
     if float(np.abs(u_new).max()) >= cfg.blowup_threshold:
         return replace(nxt, status="blowup", t_blow=nxt.t,
                        reason="sup-norm reached blowup_threshold")

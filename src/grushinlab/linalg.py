@@ -17,14 +17,21 @@ sec. 4.3): a solve costs a substitution with the factorization of the last
 (c, shift), which the solver keeps in 2 N floats, and a new pair refactors
 first.
 
-*Preconditioner* (m >= 2).  The weight |x|^(2 gamma) is not separable, so the
+*Exact solve* (m >= 2, weights equal but on at most one x-node).  The
 solver inverts the operator with the additively separable surrogate weight
-sum_d |x_d|^(2 gamma) instead: per y-mode a Kronecker sum of m tridiagonals
-K_d + mu_j diag(|x_d|^(2 gamma)), each eigendecomposed once per grid.  The
-two weights are spectrally equivalent, so conjugate gradients preconditioned
-with it (:func:`cg_solve` with ``precond``) converge in a few iterations
-whatever the grid (Concus and Golub, SIAM J. Numer. Anal. 10, 1973).  Time
-steps and the inner solves of :func:`inverse_iteration` both use it.
+sum_d |x_d|^(2 gamma): per y-mode a Kronecker sum of m tridiagonals
+K_d + mu_j diag(|x_d|^(2 gamma)), each eigendecomposed once per grid.  At
+gamma == 1, |x|^2 = sum_d x_d^2, and A's weight differs from the surrogate's
+only where ``_degenerate_weight`` lifts the origin node off zero.  A
+rank-one Sherman-Morrison correction per y-mode then makes every solve
+exact, and the first eigenpair is the root of a secular equation in the
+mode j = 1 (see :class:`SeparableSolver`).
+
+*Preconditioner* (m >= 2 otherwise).  The two weights are spectrally
+equivalent, so conjugate gradients preconditioned with the surrogate solve
+(:func:`cg_solve` with ``precond``) converge in a few iterations whatever
+the grid (Concus and Golub, SIAM J. Numer. Anal. 10, 1973).  Time steps and
+the inner solves of :func:`inverse_iteration` both use it.
 
 *Oracle*.  Plain conjugate gradients and unpreconditioned inverse iteration
 remain for matrices not built by ``assemble_grushin``, whose ``solver`` is
@@ -77,7 +84,7 @@ class EigenResult:
     """Smallest eigenpair; phi1 has l2_norm_sq == 1 and its largest-magnitude
     entry is positive.  residual is ||B phi - lambda phi||_2 / ||phi||_2.
     method is "inverse-iteration" (iterations counts outer steps) or
-    "separable" (iterations counts Sturm bisection steps);
+    "separable" (iterations counts bisection steps);
     solver_iterations sums the inner CG iterations, 0 for "separable"."""
 
     lambda1: float
@@ -171,11 +178,13 @@ def smallest_eigenpair(A: SparseMatrix, tol: float = 1e-8,
                        cell_volume: float | None = None) -> EigenResult:
     """Smallest eigenpair of B = -A, for A symmetric and negative definite.
 
-    Exact from ``A.solver`` when A was assembled with one x-axis (``tol``,
-    ``max_iter`` and ``cg_tol`` then have nothing to tune), else by
-    :func:`inverse_iteration`, preconditioned by ``A.solver`` when A was
-    assembled.  l2_norm_sq(phi1) == 1 under the rectangle rule with
-    ``cell_volume``, by default that of A's grid (1.0 without one).
+    Exact from ``A.solver`` when A was assembled and its solver is exact:
+    one x-axis, or weights that differ on at most one x-node, as at
+    gamma == 1 (``tol``, ``max_iter`` and ``cg_tol`` then have nothing to
+    tune).  Otherwise by :func:`inverse_iteration`, preconditioned by
+    ``A.solver`` when A was assembled.  l2_norm_sq(phi1) == 1 under the
+    rectangle rule with ``cell_volume``, by default that of A's grid (1.0
+    without one).
     """
     solver = A.solver
     if solver is not None and solver.exact:
@@ -189,8 +198,9 @@ def inverse_iteration(A: SparseMatrix, tol: float = 1e-8,
                       max_iter: int = 10_000, cg_tol: float = 1e-10,
                       cell_volume: float | None = None,
                       precond=None) -> EigenResult:
-    """Smallest eigenpair of B = -A by inverse power iteration, the m >= 2
-    path and, without ``precond``, the test oracle of both paths.
+    """Smallest eigenpair of B = -A by inverse power iteration, the path of
+    an inexact solver and, without ``precond``, the test oracle of the
+    exact ones.
 
     B is SPD and its smallest eigenvalue is the discrete Rayleigh minimum
     grushin_energy(u)/l2_norm_sq(u).  Starts from the all-ones vector, solves
@@ -289,11 +299,42 @@ def _has_eigenvalue_below(diag: list, off_sq: float, s: float) -> bool:
     return False
 
 
+def _bisect(below, lo: float, hi: float) -> tuple[float, int]:
+    """Bisect the bracket [lo, hi] of a smallest eigenvalue to the last bit,
+    where ``below(s)`` tells whether there is an eigenvalue below s; return
+    the final lower end and the number of tests made."""
+    steps = 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, steps
+        steps += 1
+        if below(mid):
+            hi = mid
+        else:
+            lo = mid
+
+
+def _mode_products(X: np.ndarray, bases, inverse: bool = False):
+    """Apply Q^T (or Q, when ``inverse``) of every x-axis to X of shape
+    (modes, nodes of the x-axes), one batched product per x-axis and mode.
+    Each product contracts the leading x-axis and moves it last, so m of
+    them restore the axis order."""
+    modes = X.shape[0]
+    for Q in bases:
+        if inverse:
+            Q = Q.transpose(0, 2, 1)
+        X = X.reshape(modes, Q.shape[1], -1).transpose(0, 2, 1) @ Q
+    return X.reshape(modes, -1)
+
+
 class SeparableSolver:
-    """Solves with shift*I - c*A for an assembled operator A: exactly when
-    m == 1 (``exact``), and with the separable surrogate weight
-    sum_d |x_d|^(2 gamma) in place of |x|^(2 gamma) when m >= 2, which makes
-    it a preconditioner for A.  The first eigenpair of -A is exact for m == 1.
+    """Solves with shift*I - c*A for an assembled operator A, exactly
+    (``exact``) when m == 1 or when the separable surrogate weight
+    sum_d |x_d|^(2 gamma) equals A's weight |x|^(2 gamma) on every x-node but
+    at most one, and else with the surrogate in place of A, which makes it a
+    preconditioner for A.  The first eigenpair of -A is exact whenever the
+    solve is.
 
     Built once per grid: one orthonormal DST-I matrix per y-axis (symmetric
     and its own inverse) and the y-mode eigenvalues mu; for m == 1 the x-line
@@ -303,7 +344,18 @@ class SeparableSolver:
     the factorization of the last ``(c, shift)``: the kept Thomas pivots and
     ratios of every y-mode (m == 1, 2 N floats), or two batched products per
     x-axis around a division by the kept denominators shift + c * lam
-    (m >= 2, N floats).  A new pair refactors first.
+    (m >= 2, N floats, and N more for the update below when a node is
+    lifted).  A new pair refactors first.
+
+    At gamma == 1 the two weights differ at most on the origin node o, when
+    it is a node: there ``_degenerate_weight`` lifts A's weight off zero, by
+    delta = (h_min / 2)^2.  With such a lifted node o, where A's weight
+    exceeds the surrogate's by delta, y-mode j of shift*I - c*A is the
+    surrogate's x-problem S_j plus rho_j e_o e_o^T, rho_j = c * delta * mu_j,
+    and a Sherman-Morrison update per y-mode, made in the surrogate's
+    eigenbasis, solves it exactly (the capacitance method of Buzbee, Dorr,
+    George and Golub, SIAM J. Numer. Anal. 8, 1971, whose capacitance matrix
+    is 1 x 1 per y-mode).
     """
 
     def __init__(self, grid: Grid, space: GrushinSpace) -> None:
@@ -311,7 +363,6 @@ class SeparableSolver:
             raise ValueError("the separable solver needs a grid with m + k "
                              "axes")
         self.m = m = space.m
-        self.exact = m == 1
         self.shape = grid.shape
         self._key = self._factors = None
         self.sines = []
@@ -324,15 +375,18 @@ class SeparableSolver:
             mu_d = (2.0 * np.sin(0.5 * np.pi * j / c) / float(grid.h[d])) ** 2
             mu = np.add.outer(mu, mu_d)
         self.mu = mu.ravel()
-        if self.exact:
+        weight = _degenerate_weight(grid, space)
+        if m == 1:
+            self.exact = True
             self.inv_h2 = 1.0 / float(grid.h[0]) ** 2
-            self.W = _degenerate_weight(grid, space).ravel()
+            self.W = weight.ravel()
             return
         # Per y-mode j and x-axis d: T = K_d + mu_j diag(|x_d|^(2 gamma)) =
         # Q diag(lam) Q^T.  self.lam[j, i_1, ..., i_m] sums lam over the
         # x-axes, the eigenvalues of the surrogate's j-th x-problem.
         self.bases = []
         self.lam = np.zeros((self.mu.size,) + (1,) * m)
+        surrogate = np.zeros((1,) * m)
         for d in range(m):
             n, inv_h2 = grid.shape[d], 1.0 / float(grid.h[d]) ** 2
             w = np.abs(grid.axis_coords(d)) ** (2.0 * space.gamma)
@@ -345,6 +399,24 @@ class SeparableSolver:
             shape = [self.mu.size] + [1] * m
             shape[1 + d] = n
             self.lam = self.lam + lam.reshape(shape)
+            surrogate = surrogate + w.reshape(shape[1:])
+        # At gamma == 1 both weights sum the same squares in the same order,
+        # so off the origin they agree to the bit.
+        lift = weight.reshape(grid.shape[:m]) - surrogate
+        lifted = np.flatnonzero(lift)
+        self.exact = lifted.size <= 1
+        # The lifted node o's entries in every eigenvector of the surrogate's
+        # x-problems, q[j] = (x)_d Q_d[j][o_d, :], and the lift delta.
+        self.q, self.delta = None, 0.0
+        if lifted.size == 1:
+            o = np.unravel_index(lifted[0], lift.shape)
+            self.delta = float(lift[o])
+            q = np.ones((self.mu.size,) + (1,) * m)
+            for d, Q in enumerate(self.bases):
+                shape = [self.mu.size] + [1] * m
+                shape[1 + d] = Q.shape[1]
+                q = q * Q[:, o[d], :].reshape(shape)
+            self.q = q.reshape(self.mu.size, -1)
 
     def _transform(self, U: np.ndarray) -> np.ndarray:
         """Orthonormal DST-I along every y-axis of a grid-shaped array."""
@@ -355,7 +427,9 @@ class SeparableSolver:
     def solve(self, b: np.ndarray, c: float, shift: float = 1.0) -> np.ndarray:
         """x with (shift*I - c*A) x = b, for finite c >= 0 and shift >= 0
         not both 0 (else ValueError); exact up to rounding when ``exact``,
-        else with A's surrogate."""
+        else with A's surrogate.  With a lifted node the update is made
+        between the two halves of the surrogate solve, in its eigenbasis,
+        where the lifted node's row of the x-problems is q."""
         b = np.asarray(b, dtype=float)
         if not np.all(np.isfinite(b)):
             raise NumericalBreakdown("non-finite right-hand side in the "
@@ -364,73 +438,100 @@ class SeparableSolver:
             self._factors = self._factorize(c, shift)
             self._key = (c, shift)
         rhs = self._transform(b.reshape(self.shape))
-        if self.exact:
+        if self.m == 1:
             x = _substitute(*self._factors, rhs.reshape(self.shape[0], -1))
         else:
-            # Each product contracts the leading x-axis and moves it last,
-            # so m of them restore the axis order.
-            modes = self.mu.size
-            X = rhs.reshape(-1, modes).T
-            for Q in self.bases:
-                X = X.reshape(modes, Q.shape[1], -1).transpose(0, 2, 1) @ Q
-            X = X.reshape(self.lam.shape) / self._factors
-            for Q in self.bases:
-                X = (X.reshape(modes, Q.shape[1], -1).transpose(0, 2, 1)
-                     @ Q.transpose(0, 2, 1))
-            x = X.reshape(modes, -1).T
+            denominators, update = self._factors
+            X = _mode_products(rhs.reshape(-1, self.mu.size).T, self.bases)
+            X = X / denominators
+            if update is not None:
+                X -= np.einsum("ji,ji->j", self.q, X)[:, None] * update
+            x = _mode_products(X, self.bases, inverse=True).T
         return self._transform(x.reshape(self.shape)).ravel()
 
     def _factorize(self, c: float, shift: float):
         """What :meth:`solve` keeps for ``(c, shift)``: (pivot, ratio, off)
-        of every y-mode's x-tridiagonal when m == 1, the denominators
-        shift + c * lam when m >= 2."""
+        of every y-mode's x-tridiagonal when m == 1; when m >= 2, the
+        denominators shift + c * lam and, with a lifted node, the update
+        rho_j g_j / (1 + rho_j q_j . g_j) of every y-mode, where
+        g_j = q_j / denominators_j is S_j^-1 e_o in the eigenbasis."""
         if not (np.isfinite(c) and np.isfinite(shift) and c >= 0.0
                 and shift >= 0.0 and (c > 0.0 or shift > 0.0)):
             raise ValueError("the separable solve needs finite c >= 0 and "
                              f"shift >= 0, not both 0; got c={c!r}, "
                              f"shift={shift!r}")
-        if not self.exact:
-            return shift + c * self.lam
+        if self.m > 1:
+            denominators = (shift + c * self.lam).reshape(self.mu.size, -1)
+            if self.q is None:
+                return denominators, None
+            g = self.q / denominators
+            rho = c * self.delta * self.mu
+            g *= (rho / (1.0 + rho * np.einsum("ji,ji->j", self.q, g)))[:, None]
+            return denominators, g
         off = -c * self.inv_h2
         diag = shift + c * (2.0 * self.inv_h2
                             + np.multiply.outer(self.W, self.mu))
         return _factor(diag, off) + (off,)
 
     def eigenpair(self, A: SparseMatrix, cell_volume=None) -> EigenResult:
-        """First eigenpair of -A from the y-mode j = 1.
+        """First eigenpair of -A from the y-mode j = 1; needs ``exact``.
 
-        lambda1 is the smallest eigenvalue of K_x + mu_1 diag(W), bracketed
-        in [0, min diagonal] and bisected with Sturm tests to the last bit;
-        one factorization of the shifted tridiagonal and two substitutions
-        give its x-profile.  phi1 is that profile times the first sine of
-        every y-axis, and lambda1 and the residual are measured against the
-        assembled ``A``.  Needs m == 1.
+        m == 1: lambda1 is the smallest eigenvalue of K_x + mu_1 diag(W),
+        bracketed in [0, min diagonal] and bisected with Sturm tests to the
+        last bit; one factorization of the shifted tridiagonal and two
+        substitutions give its x-profile.
+
+        m >= 2: in the surrogate's eigenbasis the x-problem is
+        diag(d) + rho g g^T, with d = lam[0], g = q[0] and rho =
+        delta * mu_1.  lambda1 is the root of the secular equation
+        1 + rho sum g_i^2 / (d_i - lambda) = 0 next to min d, bisected to the
+        last bit (Golub, SIAM Rev. 15, 1973), and the x-profile is
+        g / (d - lambda1) mapped back through the bases.  Without a lifted
+        node lambda1 is min d and the profile its eigenvector.
+
+        phi1 is the x-profile times the first sine of every y-axis, and
+        lambda1 and the residual are measured against the assembled ``A``.
         """
         if not self.exact:
-            raise ValueError("the separable eigenpair needs m == 1")
-        diag = 2.0 * self.inv_h2 + self.mu[0] * self.W
-        entries = diag.tolist()
-        lo, hi = 0.0, min(entries)
-        steps = 0
-        while True:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            steps += 1
-            if _has_eigenvalue_below(entries, self.inv_h2 ** 2, mid):
-                hi = mid
+            raise ValueError("the separable eigenpair needs an exact solver: "
+                             "m == 1, or weights that differ on at most one "
+                             "x-node")
+        if self.m == 1:
+            diag = 2.0 * self.inv_h2 + self.mu[0] * self.W
+            entries = diag.tolist()
+            lo, steps = _bisect(
+                lambda s: _has_eigenvalue_below(entries, self.inv_h2 ** 2, s),
+                0.0, min(entries))
+            # A shift a few rounding units of |T| below lambda1 keeps
+            # T - shift SPD, so Thomas needs no pivoting, and each solve
+            # shrinks every other eigenvector against the first by
+            # (lambda1 - shift) / (lambda_j - shift); two solves put them
+            # below rounding.
+            shift = lo - 64.0 * np.finfo(float).eps * (max(entries)
+                                                         + 2.0 * self.inv_h2)
+            pivot, ratio = _factor(diag - shift, -self.inv_h2)
+            v = np.ones(diag.size)
+            for _ in range(2):
+                v = _substitute(pivot, ratio, -self.inv_h2, v)
+        else:
+            d = self.lam[0].ravel()
+            if self.q is None:
+                v, steps = (d == d.min()).astype(float), 0
             else:
-                lo = mid
-        # A shift a few rounding units of |T| below lambda1 keeps T - shift
-        # SPD, so Thomas needs no pivoting, and each solve shrinks every
-        # other eigenvector against the first by (lambda1 - shift) /
-        # (lambda_j - shift); two solves put them below rounding.
-        shift = lo - 64.0 * np.finfo(float).eps * (max(entries)
-                                                     + 2.0 * self.inv_h2)
-        pivot, ratio = _factor(diag - shift, -self.inv_h2)
-        v = np.ones(diag.size)
-        for _ in range(2):
-            v = _substitute(pivot, ratio, -self.inv_h2, v)
+                g, rho = self.q[0], self.delta * self.mu[0]
+                # Weyl's bound and interlacing bracket lambda1: it lies
+                # between min d and min d + rho |g|^2, and below the second
+                # smallest d.  There is an eigenvalue below s exactly when
+                # 1/rho + sum g_i^2 / (d_i - s) > 0 inside that bracket.
+                first, spread = float(d.min()), rho * float(g @ g)
+                second = float(np.partition(d, 1)[1]) if d.size > 1 else np.inf
+                lo, steps = _bisect(
+                    lambda s: 1.0 / rho + float(np.sum(g * g / (d - s))) > 0.0,
+                    first + min(spread, 0.0),
+                    min(second, first + max(spread, 0.0)))
+                v = g / (d - lo)
+            v = _mode_products(v[None], [Q[:1] for Q in self.bases],
+                               inverse=True)[0]
         for S in self.sines:
             v = np.multiply.outer(v, S[0])
         v = v.ravel() / float(np.linalg.norm(v))

@@ -4,9 +4,9 @@ Two variants: a signed power law c*sign(u)*|u|^p with the exact antiderivative,
 and a parsed arithmetic expression in u whose antiderivative is computed by
 adaptive Simpson quadrature.  The quadrature evaluates f once at each
 distinct nodal value and runs its halving rounds in fixed blocks of
-segments, so its temporaries stay block-sized; the peak memory of one call
-is then that of sorting the nodal values with ``np.unique``, about seven
-copies of the state.  The module also
+segments, so its temporaries stay block-sized; the peak memory of one call,
+sorting the nodal values included, is then about six copies of the state.
+The module also
 hosts the numeric checks of the two structural inequalities (one forcing
 finite-time blow-up, one forcing exponential decay) that the experiment
 runner certifies.
@@ -368,6 +368,26 @@ def _simpson_batch(fun, x: np.ndarray, tol: float) -> np.ndarray:
         depth += 1
 
 
+def _distinct(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of 0 and u, and the index among them of 0
+    and of each entry of u: ``np.unique(..., return_inverse=True)`` of the
+    two, from one argsort and without its copies of the input and the
+    ranks, so about four arrays of the input's size are alive at once."""
+    x = np.concatenate([[0.0], np.ravel(u)])
+    order = np.argsort(x)
+    x = x[order]
+    first = np.empty(x.size, dtype=bool)
+    first[0] = True
+    np.not_equal(x[1:], x[:-1], out=first[1:])
+    vs = x[first]
+    del x
+    rank = np.cumsum(first, dtype=np.intp)
+    rank -= 1
+    node = np.empty_like(rank)
+    node[order] = rank
+    return vs, node
+
+
 def F_values(nl: Nonlinearity, u: np.ndarray) -> np.ndarray:
     """Vectorized antiderivative F(u) = integral of f from 0 to u.
 
@@ -379,8 +399,7 @@ def F_values(nl: Nonlinearity, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=float)
     if isinstance(nl, Power):
         return nl.c * np.abs(u) ** (nl.p + 1.0) / (nl.p + 1.0)
-    vs, node = np.unique(np.concatenate([[0.0], np.ravel(u)]),
-                         return_inverse=True)
+    vs, node = _distinct(u)
     fun = lambda x: _eval_ast(nl.ast, x)
     try:
         pieces = _simpson_batch(fun, vs, 1e-12)

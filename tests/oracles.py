@@ -14,7 +14,8 @@ the separable solver now splits into a kept factorization and a
 substitution; that substitution as it indexed the arrays row by row; the
 energy record built on ``np.pad``; the antiderivative ``F_values`` whose
 adaptive Simpson rounds ran over the whole worklist at once, evaluating f
-separately at each segment's two ends; and the sweep that ran one whole
+separately at each segment's two ends, and the ``np.unique`` call that found
+its distinct values; and the sweep that ran one whole
 ``run_experiment`` per value.
 """
 
@@ -176,14 +177,19 @@ def _simpson_batch_reference(fun, a, b, tol, max_depth=60):
     return out
 
 
+def distinct_reference(u):
+    """The sorted distinct values of 0 and u and the index among them of 0
+    and of each entry of u, by ``np.unique``."""
+    return np.unique(np.concatenate([[0.0], np.ravel(u)]), return_inverse=True)
+
+
 def F_values_reference(nl, u):
     """F(u), the integral of f from 0 to u, by adaptive Simpson over the
     segments between the sorted unique values of u and 0, summed in order."""
     u = np.asarray(u, dtype=float)
     if isinstance(nl, Power):
         return nl.c * np.abs(u) ** (nl.p + 1.0) / (nl.p + 1.0)
-    vs, node = np.unique(np.concatenate([[0.0], np.ravel(u)]),
-                         return_inverse=True)
+    vs, node = distinct_reference(u)
     fun = lambda x: _eval_ast(nl.ast, x)
     try:
         pieces = _simpson_batch_reference(fun, vs[:-1], vs[1:], 1e-12)

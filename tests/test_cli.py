@@ -22,8 +22,9 @@ def base_config():
 
 
 def m2_config():
-    """m = 2, k = 1: the eigensolve is inverse iteration, which can fail."""
-    return dict(base_config(), space={"m": 2, "k": 1, "gamma": 1.0},
+    """m = 2, k = 1 at gamma = 1.5: the eigensolve is inverse iteration,
+    which can fail."""
+    return dict(base_config(), space={"m": 2, "k": 1, "gamma": 1.5},
                 bounds=[[0.0, 1.0]] * 3, cells=[4, 4, 4])
 
 

@@ -145,6 +145,59 @@ class TestStep:
         assert out.t_blow == 0.0
         assert "dt_min" in out.reason
 
+    def test_domain_exit_is_rejected(self):
+        # f is non-finite past u = 2: the step from sup u = 1.9 at dt = 0.01
+        # lands past it, so it is rejected and retried at half the size.
+        space, grid, A = small_setup(cells=(4, 4))
+        ic = build_initial_condition(
+            grid, InitialCondition(kind="product_sine", amplitude=1.9))
+        nl = parse_expression("100*u^3*(2-u)^0.5")
+        state = SimState(t=0.0, u=ic, dt=1e-2, steps=0)
+        out = step(state, A, nl, SimConfig(dt_init=1e-2, dt_max=1e-2))
+        assert (out.status, out.steps, out.attempts, out.rejected) == (
+            "running", 1, 2, 1)
+        assert out.t == 5e-3
+        assert 1.9 < out.u.max() < 2.0
+        # With no room to halve, the exit ends the march failed, not blowup.
+        stuck = step(state, A, nl, SimConfig(dt_init=1e-2, dt_min=1e-2,
+                                             dt_max=1e-2))
+        assert (stuck.status, stuck.rejected, stuck.t_blow) == ("failed", 1,
+                                                                None)
+        assert stuck.reason.startswith(
+            "expression '100*u^3*(2-u)^0.5' is non-finite at u = 2.0")
+        assert stuck.u is state.u
+
+    def test_power_candidate_is_not_evaluated(self, monkeypatch):
+        # A Power source is finite at every finite u, so a step evaluates f
+        # once, at the old state, whatever its attempts; an expression also
+        # checks each candidate the controller accepts, and the next step
+        # reuses that f.
+        space, grid, A = small_setup()
+        ic = build_initial_condition(
+            grid, InitialCondition(kind="product_sine", amplitude=100.0))
+        calls = []
+        f_values = integrator.f_values
+
+        def counted(nl, u):
+            calls.append(nl)
+            return f_values(nl, u)
+        monkeypatch.setattr(integrator, "f_values", counted)
+        state = SimState(t=0.0, u=ic, dt=1e-3, steps=0)
+        out = step(state, A, Power(3.0, 1.0), SimConfig(dt_init=1e-3))
+        assert out.rejected > 0 and len(calls) == 1 and out.f_at is None
+        calls.clear()
+        nl = parse_expression("u^3")
+        out = step(state, A, nl, SimConfig(dt_init=1e-3))
+        assert out.rejected > 0 and len(calls) == 2
+        assert out.f_at[0] is out.u
+        assert out.f_at[1].tobytes() == f_values(nl, out.u).tobytes()
+        again = step(out, A, nl, SimConfig(dt_init=1e-3))
+        assert len(calls) == 3 and again.steps == 2
+        # A state whose u is replaced evaluates f at the new u.
+        moved = step(replace(out, u=0.5 * out.u), A, nl,
+                     SimConfig(dt_init=1e-3))
+        assert len(calls) == 5 and moved.steps == 2
+
     def test_threshold_declares_blowup(self):
         space, grid, A = small_setup(cells=(4, 4),
                                      bounds=((0.0, 2.0), (0.0, 2.0)))
@@ -323,23 +376,41 @@ class TestSimConfigValidation:
             SimConfig(record_every=0)
 
 
-def test_m2_march_with_pcg_matches_plain_cg():
-    # Preconditioning changes how each step is solved, not what it solves:
-    # the controller sees the same steps and the records agree to the CG
-    # tolerance.
-    space = GrushinSpace(2, 1, 1.0)
-    grid = build_grid(BoxDomain([(-1.0, 1.0)] * 3), (8, 8, 8))
+def _march_against_plain_cg(gamma, cells):
+    """The m = 2 march of ``run`` on an assembled operator and on its
+    hand-built copy, which has no solver and so runs plain CG."""
+    space = GrushinSpace(2, 1, gamma)
+    grid = build_grid(BoxDomain([(-1.0, 1.0)] * 3), (cells,) * 3)
     A = assemble_grushin(grid, space)
     u0 = build_initial_condition(
         grid, InitialCondition(kind="product_sine", amplitude=2.0))
     nl, cfg = Power(3.0, 1.0), SimConfig(t_end=0.2, dt_init=1e-2)
-    pcg, pcg_records = run(grid, space, A, nl, u0, cfg)
+    fast, fast_records = run(grid, space, A, nl, u0, cfg)
     hand_built = SparseMatrix(A.n, A.diagonals, symmetric=True)
     cg, cg_records = run(grid, space, hand_built, nl, u0, cfg)
-    assert (pcg.steps, pcg.status, pcg.attempts) == (cg.steps, cg.status,
-                                                     cg.attempts)
-    assert 0 < pcg.solver_iterations < cg.solver_iterations / 4
-    assert [r.t for r in pcg_records] == [r.t for r in cg_records]
-    assert np.allclose(pcg.u, cg.u, rtol=0.0, atol=1e-8 * np.abs(cg.u).max())
-    for a, b in zip(pcg_records, cg_records):
+    assert (fast.steps, fast.status, fast.attempts) == (cg.steps, cg.status,
+                                                        cg.attempts)
+    assert [r.t for r in fast_records] == [r.t for r in cg_records]
+    assert np.allclose(fast.u, cg.u, rtol=0.0, atol=1e-8 * np.abs(cg.u).max())
+    for a, b in zip(fast_records, cg_records):
         assert a.calE == pytest.approx(b.calE, rel=1e-8)
+    return A, fast, cg
+
+
+def test_m2_march_with_pcg_matches_plain_cg():
+    # Preconditioning changes how each step is solved, not what it solves:
+    # the controller sees the same steps and the records agree to the CG
+    # tolerance.  At gamma = 1.5 the separable solver only preconditions;
+    # plain CG needs more iterations as the grid is refined and PCG does
+    # not, so 12 cells per axis show the gap.
+    A, pcg, cg = _march_against_plain_cg(1.5, 12)
+    assert not A.solver.exact
+    assert 0 < pcg.solver_iterations < cg.solver_iterations / 4
+
+
+def test_exact_m2_march_matches_plain_cg():
+    # At gamma = 1 the solver inverts the step matrix itself, origin node
+    # included, so no step iterates.
+    A, exact, cg = _march_against_plain_cg(1.0, 8)
+    assert A.solver.exact and A.solver.q is not None
+    assert exact.solver_iterations == 0 < cg.solver_iterations

@@ -1,6 +1,6 @@
 """Conjugate gradients (plain and preconditioned), the separable solver
-(exact for m = 1, a preconditioner for m >= 2) and the smallest eigenpair of
-the discrete operator."""
+(exact for m = 1 and at gamma = 1, a preconditioner otherwise) and the
+smallest eigenpair of the discrete operator."""
 
 import os
 import subprocess
@@ -240,16 +240,20 @@ class TestOneEntryPoint:
     @pytest.mark.parametrize("m, cells, method", [
         (1, (10, 8), "separable"),
         (2, (5, 4, 4), "inverse-iteration"),
+        (2, (4, 4, 4), "separable"),
     ])
     def test_assembled_operator_picks_its_path(self, m, cells, method):
+        # At m = 2 the path follows gamma: gamma = 1 is exact and
+        # gamma = 1.5 iterates.
+        gamma = 1.5 if method == "inverse-iteration" else 1.0
         grid, space, A = grushin_setup([(-1.0, 1.0)] + [(0.0, 1.5)] * m,
-                                       cells, gamma=1.0, m=m, k=1)
+                                       cells, gamma=gamma, m=m, k=1)
         eig = smallest_eigenpair(A)
         assert eig.method == method
         assert l2_norm_sq(grid, eig.phi1) == pytest.approx(1.0, rel=1e-12)
         assert eig.phi1[np.argmax(np.abs(eig.phi1))] > 0.0
-        assert A.solver.exact == (m == 1)
-        assert (eig.solver_iterations == 0) == (m == 1)
+        assert A.solver.exact == (method == "separable")
+        assert (eig.solver_iterations == 0) == (method == "separable")
 
     def test_hand_built_matrix_takes_inverse_iteration(self):
         A = diag_matrix([-3.0, -1.0, -2.0])
@@ -315,14 +319,35 @@ class TestSeparableSolver:
         got = SeparableSolver(grid, space).solve(b, 1.25)
         assert np.abs(got - x).max() <= 1e-13 * np.abs(x).max()
 
-    def test_needs_one_x_axis(self):
-        # With m = 2 the solver is a preconditioner and has no eigenpair.
+    def test_inexact_solver_has_no_eigenpair(self):
+        # With m = 2 at gamma = 1.5 the weights differ on every x-node, so
+        # the solver is a preconditioner and has no eigenpair.
         grid, space, A = grushin_setup([(0.0, 1.0)] * 3, (3, 3, 3),
-                                       gamma=1.0, m=2)
+                                       gamma=1.5, m=2)
         solver = SeparableSolver(grid, space)
         assert not solver.exact
         with pytest.raises(ValueError, match="m == 1"):
             solver.eigenpair(A)
+
+    @pytest.mark.parametrize("bounds, lifted", [
+        ([(-1.0, 1.0)] * 3, True), ([(0.0, 1.0)] * 3, False),
+        ([(-1.0, 1.0), (0.0, 1.0), (-1.0, 1.0)], False)])
+    def test_exact_at_gamma_one(self, bounds, lifted):
+        # |x|^2 = x_1^2 + x_2^2, so the weights differ at most on the origin
+        # node, which a 4-cell axis on [-1, 1] puts on the grid.
+        grid, space, A = grushin_setup(bounds, (4, 4, 4), gamma=1.0, m=2)
+        solver = SeparableSolver(grid, space)
+        assert solver.exact
+        assert (solver.q is not None) == lifted
+        x = np.random.default_rng(7).standard_normal(grid.N)
+        got = solver.solve(x - 1.25 * apply(A, x), 1.25)
+        assert np.abs(got - x).max() <= 1e-13 * np.abs(x).max()
+        eig = solver.eigenpair(A)
+        dense = -dense_from_csr(A.n, A.indptr, A.indices, A.values)
+        assert eig.lambda1 == pytest.approx(jacobi_eigenvalues(dense)[0],
+                                            rel=1e-12)
+        assert eig.residual <= 1e-12 * eig.lambda1
+        assert (eig.iterations > 0) == lifted
 
     def test_surrogate_solve_matches_dense_oracle_at_m3(self):
         # tests/test_properties.py draws the m = 2 cases.

@@ -29,13 +29,13 @@ from grushinlab.linalg import (SeparableSolver, _factor, _substitute,
                                cg_solve, inverse_iteration,
                                smallest_eigenpair)
 from grushinlab.nonlinearity import (_BLOCK, Expression, ExpressionError,
-                                     F_values, _eval_ast)
+                                     F_values, _distinct, _eval_ast)
 from grushinlab.operators import SparseMatrix
 from grushinlab.runner import _parameters_block, parse_config_dict
 
 from conftest import config_path
 from oracles import (CONFIG_SCHEMA, F_values_reference, csr_matvec,
-                     dense_from_csr, grushin_energy_reference,
+                     dense_from_csr, distinct_reference, grushin_energy_reference,
                      substitute_reference, surrogate_dense,
                      thomas_reference)
 
@@ -69,6 +69,32 @@ def operators(draw, m=None):
         u = np.zeros(grid.N)
         u[rng.integers(grid.N)] = rng.choice([-1.0, 1.0]) * rng.random() + 0.5
     return grid, space, A, u
+
+
+@st.composite
+def gamma_one_operators(draw):
+    """(grid, space, A, u) at gamma = 1 with m in {2, 3}.  With ``origin``
+    every x-axis is a symmetric interval with an even cell count, which puts
+    the origin on a node; otherwise the x-bounds are drawn freely."""
+    m = draw(st.integers(2, 3))
+    k = draw(st.integers(1, 2)) if m == 2 else 1
+    origin = draw(st.booleans())
+    bounds, cells = [], []
+    for d in range(m + k):
+        if d < m and origin:
+            half = draw(st.floats(0.25, 1.5))
+            bounds.append((-half, half))
+            cells.append(2 * draw(st.integers(1, 3)))
+            continue
+        lo = draw(st.floats(-2.0, 1.0))
+        bounds.append((lo, lo + draw(st.floats(0.25, 3.0))))
+        cells.append(draw(st.integers(2, 6)))
+    space = GrushinSpace(m, k, 1.0)
+    grid = build_grid(BoxDomain(bounds), tuple(cells))
+    A = assemble_grushin(grid, space)
+    u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(
+        grid.N)
+    return grid, space, A, u, origin
 
 
 @st.composite
@@ -198,11 +224,43 @@ def test_separable_eigenpair_matches_inverse_iteration(case):
 @PROPERTY_SETTINGS
 @given(operators(m=2), st.floats(0.5, 2.0), st.sampled_from([0.0, 1.0]))
 def test_surrogate_solve_matches_dense_oracle(case, c, shift):
-    grid, space, _, b = case
-    x = SeparableSolver(grid, space).solve(b, c, shift=shift)
-    dense = shift * np.eye(grid.N) + c * surrogate_dense(grid, space)
-    ref = np.linalg.solve(dense, b)
+    # An exact solver (one x-node, or weights equal but on one node) inverts
+    # A itself; the others invert the surrogate.
+    grid, space, A, b = case
+    solver = SeparableSolver(grid, space)
+    x = solver.solve(b, c, shift=shift)
+    if solver.exact:
+        oracle = -dense_from_csr(A.n, A.indptr, A.indices, A.values)
+    else:
+        oracle = surrogate_dense(grid, space)
+    ref = np.linalg.solve(shift * np.eye(grid.N) + c * oracle, b)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@PROPERTY_SETTINGS
+@given(gamma_one_operators(), st.floats(0.5, 2.0), st.sampled_from([0.0, 1.0]))
+def test_gamma_one_solve_matches_dense_operator(case, c, shift):
+    grid, space, A, b, origin = case
+    solver = SeparableSolver(grid, space)
+    assert solver.exact
+    if origin:
+        assert solver.q is not None
+    x = solver.solve(b, c, shift=shift)
+    dense = -dense_from_csr(A.n, A.indptr, A.indices, A.values)
+    ref = np.linalg.solve(shift * np.eye(grid.N) + c * dense, b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+@PROPERTY_SETTINGS
+@given(gamma_one_operators())
+def test_secular_eigenpair_matches_inverse_iteration(case):
+    grid, space, A, _, _ = case
+    eig = SeparableSolver(grid, space).eigenpair(A)
+    ref = inverse_iteration(A, tol=1e-10, cell_volume=grid.cell_volume)
+    assert eig.method == "separable"
+    assert abs(eig.lambda1 - ref.lambda1) <= 1e-10 * ref.lambda1
+    assert np.abs(eig.phi1 - ref.phi1).max() <= 1e-6 * np.abs(ref.phi1).max()
+    assert eig.residual <= 1e-12 * eig.lambda1
 
 
 @PROPERTY_SETTINGS
@@ -223,7 +281,9 @@ def test_preconditioned_inverse_iteration_matches_oracle(case):
     grid, space, A, _ = case
     eig = smallest_eigenpair(A, tol=1e-10)
     ref = inverse_iteration(A, tol=1e-10)
-    assert eig.method == ref.method == "inverse-iteration"
+    assert ref.method == "inverse-iteration"
+    assert eig.method == ("separable" if A.solver.exact
+                          else "inverse-iteration")
     assert abs(eig.lambda1 - ref.lambda1) <= 1e-10 * ref.lambda1
 
 
@@ -456,6 +516,19 @@ def _outcome(fn, nl, u):
         return fn(nl, u).tobytes()
     except Exception as exc:
         return type(exc), str(exc)
+
+
+@PROPERTY_SETTINGS
+@given(quadrature_inputs(), st.sampled_from([0.0, 0.1, 0.5]))
+def test_distinct_values_are_np_unique(case, negative_zeros):
+    # Signed zeros compare equal, so -0.0 and 0.0 share an index, and the
+    # value kept for them is the one np.unique keeps.
+    _, u = case
+    rng = np.random.default_rng(u.size)
+    u = np.where((u == 0.0) & (rng.random(u.size) < negative_zeros), -0.0, u)
+    got, want = _distinct(u), distinct_reference(u)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @PROPERTY_SETTINGS

@@ -13,7 +13,7 @@ import pytest
 
 from grushinlab import (ConfigError, Power, assemble_grushin, build_grid,
                         compute_blowup_constants, concavity_margin,
-                        diagnostics, linalg,
+                        diagnostics, integrator, linalg,
                         parse_config, read_csv, run_experiment, run_sweep,
                         runner)
 from grushinlab.diagnostics import certified_records
@@ -32,9 +32,24 @@ def minimal_dict(**extra):
     return data
 
 
-# A small m = 2, k = 1 problem, where the eigensolve is inverse iteration.
-M2_SPACE = {"space": {"m": 2, "k": 1, "gamma": 1.0},
+# A small m = 2, k = 1 problem at gamma = 1.5, where the step solves run
+# preconditioned CG and the eigensolve is inverse iteration.
+M2_SPACE = {"space": {"m": 2, "k": 1, "gamma": 1.5},
             "bounds": [[0.0, 1.0]] * 3, "cells": [4, 4, 4]}
+# The same at gamma = 1 on [-1, 1]^3, where both are exact, origin included.
+M2_EXACT_SPACE = {"space": {"m": 2, "k": 1, "gamma": 1.0},
+                  "bounds": [[-1.0, 1.0]] * 3, "cells": [4, 4, 4]}
+
+
+def fail_late_steps(monkeypatch):
+    """Make every step of a march that has passed t = 0.05 raise."""
+    step = integrator.step
+
+    def failing(state, *args, **kwargs):
+        if state.t > 0.05:
+            raise ArithmeticError("step past t = 0.05")
+        return step(state, *args, **kwargs)
+    monkeypatch.setattr(integrator, "step", failing)
 
 
 def fast_dict(**extra):
@@ -185,12 +200,13 @@ class TestParseConfig:
     def test_shipped_configs_parse(self):
         for name in SHIPPED_VERDICTS:
             cfg = parse_config(config_path(name))
-            assert cfg.space.n == 2
+            assert cfg.space.n == (3 if name == "blowup_m2.json" else 2)
 
 
 # Every shipped config and the verdict it reaches; between them they reach
 # every verdict but InconsistencyFlag, and free mode's null.
 SHIPPED_VERDICTS = {"blowup_cubic.json": "ConsistentWithTheorem",
+                    "blowup_m2.json": "ConsistentWithTheorem",
                     "blowup_before_window.json": "Inconclusive",
                     "global_decay.json": "HypothesesNotMet",
                     "free_sine.json": None}
@@ -210,6 +226,12 @@ class TestShippedConfigs:
             rpt = run_experiment(parse_config(config_path(name)))
         assert rpt.failure is None
         assert rpt.verdict == verdict
+        if name == "blowup_m2.json":
+            # m = 2 at gamma = 1: every solve is exact, origin included.
+            assert rpt.warnings == []
+            assert rpt.eigen["method"] == "separable"
+            assert rpt.eigen["residual"] <= 1e-12 * rpt.lambda1
+            assert rpt.sim["solver_iterations"] == 0
 
 
 class TestConstraints:
@@ -401,8 +423,10 @@ class TestRunExperiment:
         assert rpt.verdict is None
         assert rpt.lambda1 is not None  # earlier stages already landed
 
-    def test_march_failure_keeps_partial_records(self, tmp_path):
-        # f is non-finite past u = 2, which the growing march reaches.
+    def test_march_failure_keeps_partial_records(self, tmp_path,
+                                                 monkeypatch):
+        # The growing march raises once it passes t = 0.05.
+        fail_late_steps(monkeypatch)
         cfg = parse_config_dict(minimal_dict(
             cells=[16, 16], nonlinearity={"expr": "100*u^3*(2-u)^0.5"},
             hypothesis={"umax_factor": 1.0}))
@@ -421,7 +445,7 @@ class TestRunExperiment:
         assert rpt.sim["attempts"] is None
         assert rpt.sim["dt_accepted"] is None
         assert rpt.sim["reason"] == rpt.failure["error"]
-        assert "'100*u^3*(2-u)^0.5'" in rpt.sim["reason"]
+        assert "ArithmeticError: step past t = 0.05" in rpt.sim["reason"]
         saved = json.loads((out / "report.json").read_text())
         assert saved["sim"] == rpt.sim
 
@@ -433,7 +457,30 @@ class TestRunExperiment:
         assert rpt.f_positive["ok"] is False
         assert rpt.f_positive["first_nonpositive_u"] > 2.0
         assert any("non-finite" in w for w in rpt.warnings)
-        assert rpt.failure["stage"] == "simulate"
+        # The march stops short of u = 2 instead of raising; see
+        # test_domain_exit_ends_the_march_failed.
+        assert rpt.failure is None and rpt.sim["status"] == "failed"
+
+    def test_domain_exit_ends_the_march_failed(self, tmp_path):
+        # free_sine.json with a source that is non-finite past u = 2: steps
+        # whose new state leaves f's domain are rejected, and once they
+        # shrink dt below dt_min the march ends failed, not blowup, with
+        # every record inside the domain.
+        data = json.loads(open(config_path("free_sine.json")).read())
+        data["nonlinearity"] = {"expr": "100*u^3*(2-u)^0.5"}
+        out = tmp_path / "exit"
+        rpt = run_experiment(parse_config_dict(data), out_dir=str(out))
+        assert rpt.failure is None
+        sim = rpt.sim
+        assert sim["status"] == "failed" and sim["t_blow"] is None
+        assert sim["reason"].startswith(
+            "expression '100*u^3*(2-u)^0.5' is non-finite at u = 2.0")
+        assert sim["rejected"] > 0
+        assert sim["dt_accepted"][0] < 1e-10
+        assert 0.126 < sim["t_final"] < 0.13
+        rows = read_csv(str(out / "records.csv"))
+        assert len(rows) == sim["records"]
+        assert max(r.supnorm for r in rows) < 2.0
 
     @pytest.mark.parametrize("mode", ["blowup", "global"])
     def test_non_finite_f_fails_the_sign_condition(self, mode):
@@ -459,7 +506,8 @@ class TestRunExperiment:
         assert any("straddling x = 0" in w for w in rpt.warnings)
 
     def test_eigensolver_failure_reports_stage(self):
-        # m = 2, because only the m >= 2 eigensolve iterates and can fail.
+        # m = 2 at gamma = 1.5, because only an inexact solver's eigensolve
+        # iterates and can fail.
         cfg = parse_config_dict(fast_dict(eigen={"tol": 1e-14, "max_iter": 1},
                                           **M2_SPACE))
         rpt = run_experiment(cfg)
@@ -476,16 +524,23 @@ class TestRunExperiment:
         assert m2.eigen["method"] == "inverse-iteration"
         assert m2.eigen["iterations"] >= 1
         assert 0.0 <= m2.eigen["residual"] <= 1e-8 * m2.lambda1
+        exact = run_experiment(parse_config_dict(fast_dict(**M2_EXACT_SPACE)))
+        assert exact.eigen["method"] == "separable"
+        assert exact.eigen["iterations"] > 0
+        assert 0.0 <= exact.eigen["residual"] <= 1e-12 * exact.lambda1
 
     def test_report_counts_the_solver_work(self):
         m1 = run_experiment(parse_config_dict(fast_dict()))
         m2 = run_experiment(parse_config_dict(fast_dict(**M2_SPACE)))
-        for rpt in (m1, m2):
+        exact = run_experiment(parse_config_dict(fast_dict(**M2_EXACT_SPACE)))
+        for rpt in (m1, m2, exact):
             sim = rpt.sim
             assert sim["attempts"] == sim["steps"] + sim["rejected"]
-        # The m = 1 solves are exact; m = 2 runs preconditioned CG.
-        assert m1.sim["solver_iterations"] == 0
-        assert m1.eigen["solver_iterations"] == 0
+        # The m = 1 and the m = 2, gamma = 1 solves are exact; m = 2 at
+        # gamma = 1.5 runs preconditioned CG.
+        for rpt in (m1, exact):
+            assert rpt.sim["solver_iterations"] == 0
+            assert rpt.eigen["solver_iterations"] == 0
         assert m2.sim["solver_iterations"] >= m2.sim["attempts"]
         assert m2.eigen["solver_iterations"] >= m2.eigen["iterations"]
 
@@ -668,18 +723,23 @@ class TestSweepSharesWork:
         assert failed == (["Failed[ValueError]"] if alone else [])
 
     @pytest.mark.parametrize("axis, values", [
-        ("gamma", [0.5, 1.0]), ("theta", [0.01, 1.0]),
+        ("gamma", [0.5, 1.5]), ("theta", [0.01, 1.0]),
         ("amplitude", [4.0, 12.0])])
     def test_eigensolve_failure_fails_every_row(self, tmp_path, axis, values):
+        # At gamma = 1 the eigensolve is exact and cannot fail, so the
+        # sweeps run at gamma = 1.5, and the gamma axis avoids 1.
         cfg = parse_config_dict(sweep_dict(
-            2, eigen={"tol": 1e-14, "max_iter": 1}))
+            2, eigen={"tol": 1e-14, "max_iter": 1},
+            space={"m": 2, "k": 1, "gamma": 1.5}))
         rows = sweep_like_reference(tmp_path, cfg, axis, values)
         assert [r["verdict"] for r in rows] == ["Failed[eigenvalue]"] * 2
 
     @pytest.mark.parametrize("axis, values", [
         ("theta", [0.01, 0.5, 1.0]), ("amplitude", [1.0, 1.5])])
-    def test_march_failure_fails_every_row(self, tmp_path, axis, values):
-        # f is non-finite past u = 2, which the growing march reaches.
+    def test_march_failure_fails_every_row(self, tmp_path, axis, values,
+                                           monkeypatch):
+        # Every row's march raises once it passes t = 0.05.
+        fail_late_steps(monkeypatch)
         cfg = parse_config_dict(minimal_dict(
             cells=[16, 16], nonlinearity={"expr": "100*u^3*(2-u)^0.5"},
             hypothesis={"umax_factor": 1.0}))
