@@ -34,8 +34,9 @@ def main():
     for c in rpt.constraints:
         print(f"constraint ok      = {c['ok']}  [{c['name']}: {c['detail']}]")
     print(f"simulation status  = {rpt.sim['status']} ({rpt.sim['reason']})")
+    slack = rpt.consistency["blowup_time_slack"]
     print(f"t_blow             = {rpt.sim['t_blow']:.6f}"
-          f"  (bound x1.1 = {1.1 * rpt.Tstar_bound:.6f})")
+          f"  (bound x{slack:g} = {slack * rpt.Tstar_bound:.6f})")
     m = rpt.margins
     print(f"monotonicity margin= {m['monotonicity']:.6e}"
           f"  ok={m['monotonicity_ok']}")

@@ -11,7 +11,7 @@ on decay runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 
 import numpy as np
 
@@ -19,13 +19,11 @@ from .geometry import Grid, GrushinSpace, integral
 from .nonlinearity import F_values, Nonlinearity
 from .operators import _degenerate_weight, _weighted_energy, l2_norm_sq
 
-CSV_HEADER = "t,dt,l2,grad,calE,calF,supnorm,min_u,E"
 
-_FIELDS = tuple(CSV_HEADER.split(","))
-
-
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class EnergyRecord:
+    """One recorded instant; its fields, in order, are the CSV's columns."""
+
     t: float
     dt: float
     l2: float
@@ -35,6 +33,10 @@ class EnergyRecord:
     supnorm: float
     min_u: float
     E: float
+
+
+_FIELDS = tuple(f.name for f in dataclasses.fields(EnergyRecord))
+CSV_HEADER = ",".join(_FIELDS)
 
 
 class EnergyTracker:

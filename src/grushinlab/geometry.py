@@ -45,11 +45,6 @@ class GrushinSpace:
         """Ambient dimension m + k."""
         return self.m + self.k
 
-    @property
-    def Q(self) -> float:
-        """Homogeneous dimension; see :func:`homogeneous_dimension`."""
-        return homogeneous_dimension(self)
-
 
 def homogeneous_dimension(space: GrushinSpace) -> float:
     """Scaling exponent of Lebesgue measure under the anisotropic dilation.

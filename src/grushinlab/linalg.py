@@ -334,7 +334,8 @@ class SeparableSolver:
     sum_d |x_d|^(2 gamma) equals A's weight |x|^(2 gamma) on every x-node but
     at most one, and else with the surrogate in place of A, which makes it a
     preconditioner for A.  The first eigenpair of -A is exact whenever the
-    solve is.
+    solve is.  ``_degenerate_weight`` first checks that the grid has the
+    space's m + k axes.
 
     Built once per grid: one orthonormal DST-I matrix per y-axis (symmetric
     and its own inverse) and the y-mode eigenvalues mu; for m == 1 the x-line
@@ -359,9 +360,7 @@ class SeparableSolver:
     """
 
     def __init__(self, grid: Grid, space: GrushinSpace) -> None:
-        if grid.n != space.n:
-            raise ValueError("the separable solver needs a grid with m + k "
-                             "axes")
+        weight = _degenerate_weight(grid, space)
         self.m = m = space.m
         self.shape = grid.shape
         self._key = self._factors = None
@@ -375,7 +374,6 @@ class SeparableSolver:
             mu_d = (2.0 * np.sin(0.5 * np.pi * j / c) / float(grid.h[d])) ** 2
             mu = np.add.outer(mu, mu_d)
         self.mu = mu.ravel()
-        weight = _degenerate_weight(grid, space)
         if m == 1:
             self.exact = True
             self.inv_h2 = 1.0 / float(grid.h[0]) ** 2

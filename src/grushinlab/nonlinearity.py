@@ -250,11 +250,6 @@ def f_values(nl: Nonlinearity, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def eval_f(nl: Nonlinearity, u: float) -> float:
-    """Pointwise f(u)."""
-    return float(f_values(nl, np.asarray(float(u))))
-
-
 _BLOCK = 2048        # segments per block of a halving round: 16 KB per array
 _SIMPSON_DEPTH = 60  # halvings before a segment that has not settled fails
 

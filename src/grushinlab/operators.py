@@ -126,6 +126,8 @@ def _degenerate_weight(grid: Grid, space: GrushinSpace) -> np.ndarray:
     Exactly on the plane x = 0 the coefficient is taken at the nearest
     x-staggered midpoint (half the smallest x-spacing off the plane) so the
     y-direction couplings there stay positive instead of collapsing to 0.
+    This is the one check that the grid has the space's m + k axes; the
+    assembly and the separable solver call it before anything else.
     """
     if grid.n != space.n:
         raise ValueError(f"grid has {grid.n} axes, space expects {space.n}")
@@ -149,8 +151,7 @@ def assemble_grushin(grid: Grid, space: GrushinSpace) -> SparseMatrix:
     eliminated boundary nodes.  y-direction edge weights depend only on the
     x-part of the node line; see :func:`_degenerate_weight`.
     """
-    if grid.n != space.n:
-        raise ValueError(f"grid has {grid.n} axes, space expects {space.n}")
+    W = _degenerate_weight(grid, space)
     if space.m == 1 and grid.domain.straddles_x_zero(space.m):
         warnings.warn(
             "m == 1 with a domain straddling x = 0: the region off the "
@@ -160,7 +161,6 @@ def assemble_grushin(grid: Grid, space: GrushinSpace) -> SparseMatrix:
             UserWarning, stacklevel=2)
 
     shape, N = grid.shape, grid.N
-    W = _degenerate_weight(grid, space)
     diag = np.zeros(shape)
     diagonals = {}
     for d in range(grid.n):

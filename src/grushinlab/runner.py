@@ -60,6 +60,8 @@ _SHARED = {"gamma": (),
                "initial-condition", "functionals", "simulate")),
            "amplitude": _OPERATOR}
 SWEEP_AXES = tuple(_SHARED)
+# run_sweep's row keys, in the column order of sweep.csv.
+_SWEEP_COLUMNS = ("value", "lambda1", "F0", "verdict", "outcome")
 
 
 class ConfigError(ValueError):
@@ -507,20 +509,30 @@ def _simulate(*rows) -> None:
                    lead.u0, lead.cfg.sim, observer=observe)
     _share(rows, final=final)
     for row in rows:
-        row.rpt.sim = {
-            "status": final.status,
-            "t_final": final.t,
-            "t_blow": final.t_blow,
-            "steps": final.steps,
-            "attempts": final.attempts,
-            "rejected": final.rejected,
-            "solver_iterations": final.solver_iterations,
-            "dt_accepted": (None if final.dt_accepted is None
-                            else list(final.dt_accepted)),
-            "reason": final.reason,
-            "final_supnorm": float(np.abs(final.u).max()),
-            "records": len(row.tracker.records),
-        }
+        row.rpt.sim = _sim_block(row.tracker.records, final)
+
+
+def _sim_block(records, final=None, error=None) -> dict:
+    """The report's ``sim`` block of a march that ended in state ``final``,
+    or of one that raised ``error``: that one is "failed" at its last
+    record, and its counters are null."""
+    def of_final(name, raised=None):
+        return raised if final is None else getattr(final, name)
+    last, dt_accepted = records[-1], of_final("dt_accepted")
+    return {
+        "status": of_final("status", "failed"),
+        "t_final": of_final("t", last.t),
+        "t_blow": of_final("t_blow"),
+        "steps": of_final("steps"),
+        "attempts": of_final("attempts"),
+        "rejected": of_final("rejected"),
+        "solver_iterations": of_final("solver_iterations"),
+        "dt_accepted": None if dt_accepted is None else list(dt_accepted),
+        "reason": of_final("reason", error),
+        "final_supnorm": (last.supnorm if final is None
+                          else float(np.abs(final.u).max())),
+        "records": len(records),
+    }
 
 
 def _recheck_hypothesis(row) -> None:
@@ -626,13 +638,7 @@ def _attempt(name: str, stage, rows) -> None:
                 row.rpt.failure = {"stage": name, "error": error}
                 records = row.tracker.records if row.tracker else []
                 if name == "simulate" and records:
-                    row.rpt.sim = {
-                        "status": "failed", "t_final": records[-1].t,
-                        "t_blow": None, "steps": None, "attempts": None,
-                        "rejected": None, "solver_iterations": None,
-                        "dt_accepted": None, "reason": error,
-                        "final_supnorm": records[-1].supnorm,
-                        "records": len(records)}
+                    row.rpt.sim = _sim_block(records, error=error)
     for row in rows:
         row.rpt.warnings += [str(w.message) for w in caught]
 
@@ -651,9 +657,10 @@ def _eigenpair(cfg: ExperimentConfig, A):
 
 
 def _check_hypothesis(cfg: ExperimentConfig, u_max: float):
-    # check_<mode>_hypothesis, none in free mode; looked up when called, so a
-    # wrapper set on this module since import is the one that runs.
-    check = globals().get(f"check_{cfg.mode}_hypothesis")
+    # None in free mode.  The mapping is built when called, so a wrapper set
+    # on this module since import is the one that runs.
+    check = {"blowup": check_blowup_hypothesis,
+             "global": check_global_hypothesis}.get(cfg.mode)
     return check and check(cfg.nonlinearity, cfg.alpha, cfg.beta, cfg.theta,
                            u_max, cfg.hypothesis_samples)
 
@@ -688,16 +695,16 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values,
     measured once, and each row's own tracker adds its own theta and M.
     Each row gets the numbers its own run would give.
 
-    Rows keep the input order.  A run that fails still yields its row, with
-    the failure stage in the verdict column.  Only the summary CSV,
-    ``sweep.csv``, is written; per-run artifacts are suppressed.
+    Rows keep the input order, and each holds the keys of
+    ``_SWEEP_COLUMNS``, which are also the columns of ``sweep.csv``, the
+    only file written; per-run artifacts are suppressed.  A run that fails
+    still yields its row, with the failure stage in the verdict column.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}; pick one of {SWEEP_AXES}")
     rows, runs = [], []
     for value in values:
-        row = {"value": float(value), "lambda1": None, "F0": None,
-               "verdict": None, "outcome": None}
+        row = {**dict.fromkeys(_SWEEP_COLUMNS), "value": float(value)}
         try:
             runs.append((row, _with_axis(cfg, axis, value)))
         except ValueError as exc:   # a value the config objects reject
@@ -719,13 +726,13 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values,
                 row["outcome"] = rpt.margins["decay"]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        lines = ["value,lambda1,F0,verdict,outcome"]
+        lines = [",".join(_SWEEP_COLUMNS)]
         for row in rows:
             lines.append(",".join(
                 "" if row[c] is None
                 else (format(row[c], ".17g") if isinstance(row[c], float)
                       else str(row[c]))
-                for c in ("value", "lambda1", "F0", "verdict", "outcome")))
+                for c in _SWEEP_COLUMNS))
         with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
             fh.write("\n".join(lines) + "\n")
     return rows

@@ -28,6 +28,11 @@ def m2_config():
                 bounds=[[0.0, 1.0]] * 3, cells=[4, 4, 4])
 
 
+def free_sine():
+    with open(config_path("free_sine.json")) as fh:
+        return json.load(fh)
+
+
 def write_config(tmp_path, data, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
@@ -81,6 +86,15 @@ class TestSubcommands:
         assert payload["blowup"]["holds"] is True  # alpha=4 cubic default
         assert payload["global"]["holds"] is False
         assert payload["f_positive"]["ok"] is True
+
+    def test_check_hypothesis_with_phi1_initial_data(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path,
+                            dict(free_sine(), initial={"kind": "phi1"}))
+        code, out, _ = run_cli(["check-hypothesis", cfgp], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {"u_max", "blowup", "global", "f_positive"}
+        assert payload["u_max"] > 0.0
 
     def test_sweep_emits_rows_and_csv(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, base_config())
@@ -157,6 +171,14 @@ class TestExitCodes:
                                 "--out", str(tmp_path / "deep")], capsys)
         assert code == 2
         assert "nests deeper" in err
+
+    def test_missing_initial_file_outside_pipeline(self, tmp_path, capsys):
+        cfgp = write_config(tmp_path, dict(free_sine(), initial={
+            "kind": "file", "path": "missing.txt"}))
+        code, out, err = run_cli(["check-hypothesis", cfgp], capsys)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: FileNotFoundError")
 
     def test_sweep_rejects_bad_values(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, base_config())

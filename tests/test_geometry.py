@@ -18,9 +18,9 @@ class TestGrushinSpace:
             space = GrushinSpace(m, k, gamma)
             assert space.n == m + k
             if gamma == 0.0:
-                assert space.Q == space.n
+                assert homogeneous_dimension(space) == space.n
             else:
-                assert space.Q > space.n
+                assert homogeneous_dimension(space) > space.n
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):
@@ -176,4 +176,5 @@ class TestMeasureScaling:
 
         base = integral(grid, grid.nodal_values(g))
         moved = integral(grid, grid.nodal_values(g_dilated))
-        assert moved == pytest.approx(lam ** (-space.Q) * base, rel=5e-3)
+        assert moved == pytest.approx(
+            lam ** (-homogeneous_dimension(space)) * base, rel=5e-3)

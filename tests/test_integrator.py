@@ -288,6 +288,19 @@ class TestStep:
         assert blown.attempts - 5 == blown.rejected - 2 >= 1
         assert blown.dt_accepted is None
 
+    def test_solve_failure_fails_the_step(self):
+        # f(1e200) overflows, and the separable solve rejects the non-finite
+        # right-hand side: the step fails on its first attempt.
+        with pytest.warns(UserWarning, match="straddling"):
+            space, grid, A = small_setup(gamma=1.0,
+                                         bounds=((-1.0, 1.0), (-1.0, 1.0)))
+        state = SimState(t=0.0, u=np.full(grid.N, 1e200), dt=1e-3, steps=0)
+        with np.errstate(over="ignore"):
+            out = step(state, A, Power(3.0, 1.0), SimConfig())
+        assert out.status == "failed"
+        assert out.reason.startswith("linear solve: ")
+        assert (out.attempts, out.rejected) == (1, 0)
+
 
 class TestRun:
     def test_march_tracks_semidiscrete_decay(self, unit16):

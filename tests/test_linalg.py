@@ -329,6 +329,12 @@ class TestSeparableSolver:
         with pytest.raises(ValueError, match="m == 1"):
             solver.eigenpair(A)
 
+    def test_axis_count_mismatch_rejected(self):
+        grid, _, _ = grushin_setup([(0.0, 1.0)] * 2, (4, 4), gamma=0.0)
+        with pytest.raises(ValueError, match="grid has 2 axes, space "
+                                             "expects 3"):
+            SeparableSolver(grid, GrushinSpace(2, 1, 0.0))
+
     @pytest.mark.parametrize("bounds, lifted", [
         ([(-1.0, 1.0)] * 3, True), ([(0.0, 1.0)] * 3, False),
         ([(-1.0, 1.0), (0.0, 1.0), (-1.0, 1.0)], False)])

@@ -10,38 +10,46 @@ from grushinlab import (Power, check_blowup_hypothesis, check_f_positive,
                         check_global_hypothesis, eval_F, parse_expression)
 from grushinlab.nonlinearity import (MAX_DEPTH, DomainError, Expression,
                                      ExpressionError, F_values,
-                                     QuadratureError, eval_f, f_values,
+                                     QuadratureError, f_values,
                                      parameter_ranges, sample_points)
 
 
 class TestParser:
     def test_cubic_at_two(self):
-        assert eval_f(parse_expression("u^3"), 2.0) == pytest.approx(8.0)
+        assert (f_values(parse_expression("u^3"), np.asarray(2.0))
+                == pytest.approx(8.0))
 
     def test_sum_of_powers_at_one(self):
-        assert eval_f(parse_expression("2*u^3 + u^5"), 1.0) == pytest.approx(3.0)
+        assert (f_values(parse_expression("2*u^3 + u^5"), np.asarray(1.0))
+                == pytest.approx(3.0))
 
     def test_whitespace_is_ignored(self):
-        assert eval_f(parse_expression("  u ^ 3  "), 2.0) == pytest.approx(8.0)
+        assert (f_values(parse_expression("  u ^ 3  "), np.asarray(2.0))
+                == pytest.approx(8.0))
 
     def test_caret_is_right_associative(self):
         # u^2^3 parses as u^(2^3) = u^8, not (u^2)^3 = u^6.
-        assert eval_f(parse_expression("u^2^3"), 2.0) == pytest.approx(256.0)
+        assert (f_values(parse_expression("u^2^3"), np.asarray(2.0))
+                == pytest.approx(256.0))
 
     def test_power_binds_tighter_than_product(self):
-        assert eval_f(parse_expression("2*u^3"), 2.0) == pytest.approx(16.0)
+        assert (f_values(parse_expression("2*u^3"), np.asarray(2.0))
+                == pytest.approx(16.0))
 
     def test_unary_minus(self):
-        assert eval_f(parse_expression("-u"), 3.0) == pytest.approx(-3.0)
-        assert eval_f(parse_expression("u^3 - -u"), 2.0) == pytest.approx(10.0)
+        assert (f_values(parse_expression("-u"), np.asarray(3.0))
+                == pytest.approx(-3.0))
+        assert (f_values(parse_expression("u^3 - -u"), np.asarray(2.0))
+                == pytest.approx(10.0))
 
     def test_parentheses_and_division(self):
         e = parse_expression("u/(1+u^2)")
-        assert eval_f(e, 1.0) == pytest.approx(0.5)
-        assert eval_f(e, 3.0) == pytest.approx(0.3)
+        assert f_values(e, np.asarray(1.0)) == pytest.approx(0.5)
+        assert f_values(e, np.asarray(3.0)) == pytest.approx(0.3)
 
     def test_scientific_notation_coefficient(self):
-        assert eval_f(parse_expression("1e-2*u"), 10.0) == pytest.approx(0.1)
+        assert (f_values(parse_expression("1e-2*u"), np.asarray(10.0))
+                == pytest.approx(0.1))
 
     def test_double_caret_reports_offset(self):
         with pytest.raises(ExpressionError) as exc:
@@ -105,11 +113,11 @@ class TestSourceTermValidation:
 class TestEvaluation:
     def test_power_odd_extension(self):
         nl = Power(p=3.0, c=1.0)
-        assert eval_f(nl, -1.0) == pytest.approx(-1.0)
-        assert eval_f(nl, 2.0) == pytest.approx(8.0)
+        assert f_values(nl, np.asarray(-1.0)) == pytest.approx(-1.0)
+        assert f_values(nl, np.asarray(2.0)) == pytest.approx(8.0)
         # Non-integer exponent stays real on negative inputs.
         frac = Power(p=1.5, c=2.0)
-        assert eval_f(frac, -4.0) == pytest.approx(-16.0)
+        assert f_values(frac, np.asarray(-4.0)) == pytest.approx(-16.0)
 
     def test_f_values_vectorized_shape(self):
         u = np.array([[0.0, 1.0], [2.0, -1.0]])
@@ -169,7 +177,7 @@ class TestAntiderivative:
         h = 1e-4
         for u in np.linspace(0.1, 5.0, 50):
             dq = (eval_F(e, u + h) - eval_F(e, u - h)) / (2.0 * h)
-            assert dq == pytest.approx(eval_f(e, u), abs=1e-6)
+            assert dq == pytest.approx(f_values(e, np.asarray(u)), abs=1e-6)
 
     def test_power_and_expression_agree(self):
         p = Power(p=3.0, c=2.0)

@@ -78,3 +78,24 @@ def test_readme_names_every_shipped_config():
     assert names
     assert [name for name in names
             if f"`configs/{name}`" not in read_readme()] == []
+
+
+def test_modules_use_every_name_they_import():
+    # __init__.py imports names only to export them.
+    package = os.path.dirname(grushinlab.__file__)
+    unused = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        if os.path.basename(path) == "__init__.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [(os.path.basename(path), name)
+                   for name in sorted(imported - used)]
+    assert unused == []
