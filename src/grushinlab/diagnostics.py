@@ -198,8 +198,6 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 50
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> np.ndarray:
-    if hi <= lo:
-        return np.array([lo])
     raw = (hi - lo) / n
     mag = 10.0 ** np.floor(np.log10(raw))
     step = min(s * mag for s in (1.0, 2.0, 5.0, 10.0) if s * mag >= raw)

@@ -14,13 +14,13 @@ conjugate gradients preconditioned with the separable surrogate, and by
 plain conjugate gradients when the matrix was not assembled by
 ``assemble_grushin``, whose ``solver`` is None.  Both CG paths stop on the
 true residual at ``cg_tol``, which the exact path does not use.
-Step size adapts on the relative sup-norm change per step, and a step whose
-new state leaves an expression source's domain is rejected too;
-runaway growth is declared blow-up either by threshold or by the controller
-collapsing below dt_min, and a march that cannot stay inside the source's
-domain above dt_min ends failed.  Each state carries the work done so far:
-step attempts, rejected attempts, the CG iterations of the step solves and
-the smallest and largest accepted dt.
+Step size adapts on the relative sup-norm change per step.  A candidate
+that passes that test is checked by evaluating f there, and is rejected too
+where an expression source leaves its domain; the f of an accepted state is
+handed on to the next step.  Blow-up is declared by threshold or by runaway
+change at dt_min, and a domain exit at dt_min ends the march failed.  Each
+state carries the work done so far: step attempts, rejected attempts, the CG
+iterations of the step solves and the smallest and largest accepted dt.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from .diagnostics import EnergyTracker
 from .geometry import Grid, GrushinSpace
 from .linalg import SolverError, cg_solve
-from .nonlinearity import DomainError, Nonlinearity, Power, f_values
+from .nonlinearity import DomainError, Nonlinearity, f_values
 from .operators import SparseMatrix, apply
 
 
@@ -76,9 +76,9 @@ class SimState:
     far: step attempts, attempts rejected by the step controller, the CG
     iterations summed over the step solves (0 on the exact path), and the
     smallest and largest accepted dt (None before the first accepted step).
-    ``f_at`` is (u, f(u)) when the step that made the state evaluated f
-    there, as an expression source's domain check does, so the next step
-    need not; it is used only while ``u`` is that same array."""
+    ``f_at`` is (u, f(u)), evaluated by the check of the step that made the
+    state, so the next step need not; it is None only at a state no step
+    made, and is used only while ``u`` is that same array."""
 
     t: float
     u: np.ndarray
@@ -167,20 +167,20 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
          dt_cap: float | None = None) -> SimState:
     """One accepted step (or a terminal status change).
 
-    Retries with halved dt while the relative sup-norm change exceeds
-    step_change_high; halving past dt_min declares blow-up at the current
-    time.  A candidate state where an expression source f is non-finite
-    (:class:`DomainError`) is rejected the same way, and halving past dt_min
-    for that ends the run ``failed`` with the error's text as the reason; a
-    Power source is finite at every finite u and is not checked.  After
-    acceptance the threshold check runs, then dt grows by 1.5x
-    (capped at dt_max) if the change was below step_change_low.  ``dt_cap``
-    temporarily limits the attempted dt (used to land on t_end) without
-    feeding back into the controller.  Every solve goes through ``A.solver``,
-    so calls on one operator share its factorization.  Every solve counts as
-    an attempt, and every attempt the controller turns down as rejected.
-    f is evaluated at the old state once per step, unless the state carries
-    it, and at each candidate that is checked.
+    Every candidate is checked: one whose relative sup-norm change exceeds
+    step_change_high is rejected, and otherwise f is evaluated there, so one
+    where an expression source is non-finite (:class:`DomainError`) is
+    rejected too.  A rejection halves dt; at dt_min it ends the march
+    instead, ``blowup`` at the current time for a change too large and
+    ``failed`` with the error's text as the reason for a domain exit.  After
+    acceptance the threshold check runs, then dt grows by 1.5x (capped at
+    dt_max) if the change was below step_change_low.  ``dt_cap`` limits the
+    attempted dt (``run`` passes the time left, to land on t_end), and the
+    controller carries on from the dt it used.  Every solve goes through
+    ``A.solver``, so calls on one operator share its factorization.  Every
+    solve counts as an attempt, and every rejection as rejected.  f is
+    evaluated at the old state only when the state does not carry it, and
+    the accepted state carries the f of its check in ``f_at``.
     """
     if state.status != "running":
         return state
@@ -200,24 +200,19 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
                            reason=f"linear solve: {exc}", **work)
         work["solver_iterations"] += iterations
         change = float(np.abs(u_new - state.u).max()) / max(u_norm, 1e-300)
-        f_new = domain_exit = None
-        if change <= cfg.step_change_high and not isinstance(nl, Power):
+        if change > cfg.step_change_high:
+            end = {"status": "blowup", "t_blow": state.t,
+                   "reason": "step size exhausted below dt_min"}
+        else:
             try:
                 f_new = f_values(nl, u_new)
+                break
             except DomainError as exc:
-                domain_exit = exc
-        if change > cfg.step_change_high or domain_exit is not None:
-            work["rejected"] += 1
-            if dt_try <= cfg.dt_min * (1.0 + 1e-12):
-                if domain_exit is not None:
-                    return replace(state, status="failed",
-                                   reason=str(domain_exit), **work)
-                return replace(state, status="blowup", t_blow=state.t,
-                               reason="step size exhausted below dt_min",
-                               **work)
-            dt_try = max(0.5 * dt_try, cfg.dt_min)
-            continue
-        break
+                end = {"status": "failed", "reason": str(exc)}
+        work["rejected"] += 1
+        if dt_try <= cfg.dt_min * (1.0 + 1e-12):
+            return replace(state, **end, **work)
+        dt_try = max(0.5 * dt_try, cfg.dt_min)
     dt_next = dt_try
     if change < cfg.step_change_low:
         dt_next = min(1.5 * dt_next, cfg.dt_max)
@@ -225,7 +220,7 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
     nxt = SimState(t=state.t + dt_try, u=u_new, dt=dt_next,
                    steps=state.steps + 1,
                    dt_accepted=(min(lo, dt_try), max(hi, dt_try)),
-                   f_at=None if f_new is None else (u_new, f_new), **work)
+                   f_at=(u_new, f_new), **work)
     if float(np.abs(u_new).max()) >= cfg.blowup_threshold:
         return replace(nxt, status="blowup", t_blow=nxt.t,
                        reason="sup-norm reached blowup_threshold")
@@ -253,8 +248,7 @@ def run(grid: Grid, space: GrushinSpace, A: SparseMatrix, nl: Nonlinearity,
         if remaining <= t_tol:
             state = replace(state, status="completed")
             break
-        state = step(state, A, nl, cfg,
-                     dt_cap=remaining if remaining < state.dt else None)
+        state = step(state, A, nl, cfg, dt_cap=remaining)
         if state.status == "running" and state.steps % cfg.record_every == 0:
             observer(state)
     observer(state)

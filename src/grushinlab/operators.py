@@ -82,8 +82,10 @@ class SparseMatrix:
     @cached_property
     def solver(self):
         """The :class:`~grushinlab.linalg.SeparableSolver` of an assembled
-        operator (exact iff it has one x-axis), built on first access and
-        kept; None for a matrix not built by :func:`assemble_grushin`."""
+        operator (exact when it has one x-axis, or when its weight and the
+        separable surrogate's differ on at most one x-node, as at gamma = 1),
+        built on first access and kept; None for a matrix not built by
+        :func:`assemble_grushin`."""
         from .linalg import SeparableSolver   # linalg imports this module
         if self.space is None:
             return None

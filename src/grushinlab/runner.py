@@ -184,8 +184,6 @@ def _at(pointer: str):
     key or a ValueError from its constructor) as a ConfigError there."""
     try:
         yield
-    except ConfigError:
-        raise
     except KeyError as exc:
         raise ConfigError([f"{pointer}: missing key {exc.args[0]!r}"]) from None
     except ValueError as exc:

@@ -299,6 +299,15 @@ class TestSvg:
         assert text.startswith("<svg")
         assert text.rstrip().endswith("</svg>")
 
+    def test_single_record_plots_at_the_centre(self, tmp_path):
+        # One record spans no range in t or in the field; both ranges widen
+        # by 0.5 each way, which puts the lone point mid-plot.
+        path = tmp_path / "single.svg"
+        emit_svg_plot(make_records([0.25], [2.0]), ["calE"], path)
+        text = path.read_text()
+        assert text.count("<polyline") == 1
+        assert 'points="425.00,245.00"' in text
+
     def test_one_polyline_per_field(self, tmp_path):
         path = tmp_path / "three.svg"
         recs = make_records([0.0, 0.5, 1.0], [1.0, 2.0, 3.0])

@@ -60,6 +60,18 @@ class TestInitialCondition:
         with pytest.raises(ValueError, match="eigenvector"):
             build_initial_condition(grid, InitialCondition(kind="phi1"))
 
+    def test_eigenmode_with_negative_entries_rejected(self):
+        # Dips below -1e-10 * max|phi1| are not rounding: they are refused,
+        # while shallower ones are scrubbed to zero.
+        space, grid, _ = small_setup()
+        ic = InitialCondition(kind="phi1")
+        phi = np.ones(grid.N)
+        phi[0] = -1e-11
+        assert build_initial_condition(grid, ic, phi1=phi)[0] == 0.0
+        phi[0] = -1e-9
+        with pytest.raises(ValueError, match="negative entries"):
+            build_initial_condition(grid, ic, phi1=phi)
+
     def test_file_round_trip(self, tmp_path):
         space, grid, _ = small_setup()
         values = np.linspace(0.5, 1.0, grid.N)
@@ -167,11 +179,11 @@ class TestStep:
             "expression '100*u^3*(2-u)^0.5' is non-finite at u = 2.0")
         assert stuck.u is state.u
 
-    def test_power_candidate_is_not_evaluated(self, monkeypatch):
-        # A Power source is finite at every finite u, so a step evaluates f
-        # once, at the old state, whatever its attempts; an expression also
-        # checks each candidate the controller accepts, and the next step
-        # reuses that f.
+    def test_every_candidate_is_checked_and_its_f_handed_on(self,
+                                                             monkeypatch):
+        # Whatever the source, a step evaluates f at the old state and at
+        # each candidate that passes the change test; the accepted state
+        # carries that f, and the next step reuses it.
         space, grid, A = small_setup()
         ic = build_initial_condition(
             grid, InitialCondition(kind="product_sine", amplitude=100.0))
@@ -183,8 +195,13 @@ class TestStep:
             return f_values(nl, u)
         monkeypatch.setattr(integrator, "f_values", counted)
         state = SimState(t=0.0, u=ic, dt=1e-3, steps=0)
-        out = step(state, A, Power(3.0, 1.0), SimConfig(dt_init=1e-3))
-        assert out.rejected > 0 and len(calls) == 1 and out.f_at is None
+        power = Power(3.0, 1.0)
+        out = step(state, A, power, SimConfig(dt_init=1e-3))
+        assert out.rejected > 0 and len(calls) == 2
+        assert out.f_at[0] is out.u
+        assert out.f_at[1].tobytes() == f_values(power, out.u).tobytes()
+        again = step(out, A, power, SimConfig(dt_init=1e-3))
+        assert len(calls) == 3 and again.steps == 2
         calls.clear()
         nl = parse_expression("u^3")
         out = step(state, A, nl, SimConfig(dt_init=1e-3))
@@ -220,12 +237,15 @@ class TestStep:
                         status="completed")
         assert step(done, A, Power(3.0, 1.0), SimConfig()) is done
 
-    def test_dt_cap_limits_attempt_without_feedback(self, unit16):
+    def test_dt_cap_limits_attempt_and_controller_carries_on(self, unit16):
+        # The capped step changes u little, so the next dt grows from the
+        # capped 1e-5, not from the state's 1e-2.
         zero = parse_expression("0*u")
         cfg = SimConfig(dt_init=1e-3, dt_max=1e-2)
         state = SimState(t=0.0, u=unit16.eig.phi1.copy(), dt=1e-2, steps=0)
         out = step(state, unit16.A, zero, cfg, dt_cap=1e-5)
         assert out.t == pytest.approx(1e-5)
+        assert out.dt == pytest.approx(1.5e-5)
 
     def test_exact_solver_without_being_passed_one(self, monkeypatch):
         space, grid, A = small_setup(cells=(12, 10), gamma=1.0,

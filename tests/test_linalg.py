@@ -98,6 +98,28 @@ class TestCgSolve:
         assert err.best_x.shape == b.shape
         assert isinstance(err, SolverError)
 
+    def test_convergence_is_confirmed_on_the_true_residual(self):
+        # The first true-residual check (the matvec's second product with
+        # the iterate array) is perturbed, so the recurrence's convergence
+        # is turned down and CG restarts from the true residual.
+        A = diag_matrix(np.arange(1.0, 6.0))
+        b = np.ones(5)
+        _, plain = cg_solve(A.apply, b)
+        iterate_products = []
+
+        def matvec(v):
+            out = A.apply(v)
+            if not iterate_products or v is iterate_products[0]:
+                iterate_products.append(v)
+                if len(iterate_products) == 2:
+                    out = out + 1e-3
+            return out
+        x, report = cg_solve(matvec, b)
+        assert (plain.iterations, report.iterations) == (5, 6)
+        assert len(iterate_products) == 4
+        assert np.allclose(x, 1.0 / np.arange(1.0, 6.0), rtol=1e-12, atol=0.0)
+        assert report.final_residual <= 1e-10
+
     def test_nan_rhs_raises_breakdown(self):
         A = diag_matrix(np.ones(3))
         with pytest.raises(NumericalBreakdown):

@@ -1,11 +1,17 @@
 """The package surface: the names ``grushinlab`` exports, the imports of its
-users, and the README's account of the config format."""
+users, the demos that run on it, and the README's account of the config
+format."""
 
 import ast
 import glob
 import os
 import re
+import shutil
+import subprocess
+import sys
 import types
+
+import pytest
 
 import grushinlab
 from grushinlab.runner import _SHAPE
@@ -56,6 +62,23 @@ def test_users_imports_from_the_package_resolve():
     assert {where for where, _ in imported} == {where for where, _ in codes}
     assert [(where, name) for where, name in imported
             if not hasattr(grushinlab, name)] == []
+
+
+@pytest.mark.parametrize("script", sorted(
+    os.path.basename(path)
+    for path in glob.glob(os.path.join(REPO_ROOT, "demos", "*.py"))))
+def test_demo_runs(script, tmp_path):
+    # Run from a copy: blowup_run.py writes its artifacts next to itself.
+    for folder in ("demos", "configs"):
+        shutil.copytree(os.path.join(REPO_ROOT, folder), tmp_path / folder,
+                        ignore=shutil.ignore_patterns("out"))
+    package = os.path.dirname(os.path.dirname(grushinlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(tmp_path / "demos" / script)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
 
 
 def config_keys(shape):
