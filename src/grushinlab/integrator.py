@@ -25,7 +25,8 @@ iterations of the step solves and the smallest and largest accepted dt.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -51,6 +52,10 @@ class SimConfig:
     record_every: int = 1
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.t_end <= 0.0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
         if not (0.0 < self.dt_min <= self.dt_init <= self.dt_max):
@@ -106,6 +111,8 @@ class InitialCondition:
     def __post_init__(self) -> None:
         if self.kind not in ("product_sine", "phi1", "file"):
             raise ValueError(f"unknown initial-condition kind {self.kind!r}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"amplitude must be finite, got {self.amplitude}")
         if self.amplitude <= 0.0:
             raise ValueError(f"amplitude must be positive, got {self.amplitude}")
         if self.kind == "file" and not self.path:

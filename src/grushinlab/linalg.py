@@ -3,7 +3,9 @@
 Every operator built by ``assemble_grushin`` owns a :class:`SeparableSolver`,
 ``SparseMatrix.solver``, built on first use and kept, so the eigensolve and
 every time step share it; :func:`smallest_eigenpair` is the one eigensolver
-entry point.  The solver plays one of three roles.
+entry point.  The solver builds the dense DST-I matrix of every y-axis on
+its first solve; the eigenpair reads only their first rows, in closed form,
+so an eigensolve alone builds none.  The solver plays one of three roles.
 
 *Exact solve* (m == 1).  The y-edge weights depend only on x, so
 -A = K_x (x) I + diag(W) (x) K_y, where K_d is the 1D Dirichlet
@@ -41,6 +43,7 @@ None, and as the test oracles of both other roles.  numpy only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -251,28 +254,40 @@ def _eigen_result(A, v, lam, residual, iterations, method, cell_volume,
                        method, solver_iterations)
 
 
+def _rows(a: np.ndarray) -> list:
+    """The rows of ``a`` along axis 0 as a list, which indexes faster than
+    the array: Python floats for a 1-D array, whose arithmetic is also
+    faster than numpy scalars', else views of its rows."""
+    return a.tolist() if a.ndim == 1 else list(a)
+
+
 def _factor(diag, off: float):
     """LU factorization of the tridiagonal matrix with main diagonal ``diag``
     and the constant off-diagonal ``off``, along axis 0: the pivots and the
     ratios off / pivot.  Trailing axes are independent matrices.  No
     pivoting: the matrix must be diagonally dominant or SPD."""
-    pivot = np.empty_like(diag)
-    ratio = np.empty_like(diag)
-    pivot[0] = diag[0]
-    ratio[0] = off / diag[0]
-    for i in range(1, diag.shape[0]):
-        pivot[i] = diag[i] - off * ratio[i - 1]
+    d = _rows(diag)
+    # A 1-D factorization is gathered in lists of Python floats; a batch is
+    # written row by row into its arrays, so each row's temporaries are
+    # freed as it is stored.
+    if diag.ndim == 1:
+        pivot, ratio = [0.0] * len(d), [0.0] * len(d)
+    else:
+        pivot, ratio = np.empty_like(diag), np.empty_like(diag)
+    pivot[0] = d[0]
+    ratio[0] = off / d[0]
+    for i in range(1, len(d)):
+        pivot[i] = d[i] - off * ratio[i - 1]
         ratio[i] = off / pivot[i]
-    return pivot, ratio
+    return np.asarray(pivot, dtype=float), np.asarray(ratio, dtype=float)
 
 
 def _substitute(pivot, ratio, off: float, rhs):
     """Solve with the factorization ``_factor(diag, off)``: forward
     elimination, then back substitution, along axis 0 of ``rhs``."""
     n = pivot.shape[0]
-    # Lists of rows (numpy scalars for a 1-D system) index faster than the
-    # arrays, so the solution's rows are gathered in a list and stored once.
-    b, p, r = list(rhs), list(pivot), list(ratio)
+    # The solution's rows are gathered in a list and stored once.
+    b, p, r = _rows(rhs), _rows(pivot), _rows(ratio)
     xs = [b[0] / p[0]]
     for i in range(1, n):
         xs.append((b[i] - off * xs[i - 1]) / p[i])
@@ -315,6 +330,15 @@ def _bisect(below, lo: float, hi: float) -> tuple[float, int]:
             lo = mid
 
 
+def _sine_rows(n: int, c: int, rows: int) -> np.ndarray:
+    """The first ``rows`` rows of the orthonormal DST-I matrix of a y-axis
+    with n interior nodes and c cells: sqrt(2/c) sin(pi i j / c).  The
+    first row alone is the x-independent factor of phi1 along the axis, and
+    it is byte-equal to row 0 of the whole matrix."""
+    j = np.arange(1, n + 1)
+    return np.sqrt(2.0 / c) * np.sin(np.pi * np.outer(j[:rows], j) / c)
+
+
 def _mode_products(X: np.ndarray, bases, inverse: bool = False):
     """Apply Q^T (or Q, when ``inverse``) of every x-axis to X of shape
     (modes, nodes of the x-axes), one batched product per x-axis and mode.
@@ -337,11 +361,13 @@ class SeparableSolver:
     solve is.  ``_degenerate_weight`` first checks that the grid has the
     space's m + k axes.
 
-    Built once per grid: one orthonormal DST-I matrix per y-axis (symmetric
-    and its own inverse) and the y-mode eigenvalues mu; for m == 1 the x-line
+    Built once per grid: the y-mode eigenvalues mu; for m == 1 the x-line
     weights W, for m >= 2 the eigendecomposition of every x-tridiagonal
-    K_d + mu_j diag(|x_d|^(2 gamma)), one batched ``eigh`` per x-axis.  A
-    solve costs two dense y-transforms and, in between, a substitution with
+    K_d + mu_j diag(|x_d|^(2 gamma)), one batched ``eigh`` per x-axis.  The
+    dense orthonormal DST-I matrix of every y-axis (symmetric and its own
+    inverse), ``sines``, is built on the first solve and kept; the
+    eigenpair reads only the first sine row of each axis and builds none.
+    A solve costs two dense y-transforms and, in between, a substitution with
     the factorization of the last ``(c, shift)``: the kept Thomas pivots and
     ratios of every y-mode (m == 1, 2 N floats), or two batched products per
     x-axis around a division by the kept denominators shift + c * lam
@@ -364,14 +390,12 @@ class SeparableSolver:
         self.m = m = space.m
         self.shape = grid.shape
         self._key = self._factors = None
-        self.sines = []
+        # (nodes, cells) of every y-axis, for the sines.
+        self._y_axes = list(zip(grid.shape[m:], grid.cells[m:]))
         mu = np.zeros(())
-        for d in range(m, grid.n):
-            n, c = grid.shape[d], grid.cells[d]
+        for (n, c), h in zip(self._y_axes, grid.h[m:]):
             j = np.arange(1, n + 1)
-            self.sines.append(np.sqrt(2.0 / c)
-                              * np.sin(np.pi * np.outer(j, j) / c))
-            mu_d = (2.0 * np.sin(0.5 * np.pi * j / c) / float(grid.h[d])) ** 2
+            mu_d = (2.0 * np.sin(0.5 * np.pi * j / c) / float(h)) ** 2
             mu = np.add.outer(mu, mu_d)
         self.mu = mu.ravel()
         if m == 1:
@@ -415,6 +439,12 @@ class SeparableSolver:
                 shape[1 + d] = Q.shape[1]
                 q = q * Q[:, o[d], :].reshape(shape)
             self.q = q.reshape(self.mu.size, -1)
+
+    @cached_property
+    def sines(self) -> list:
+        """The orthonormal DST-I matrix of every y-axis, built on first use
+        (the first solve) and kept."""
+        return [_sine_rows(n, c, n) for n, c in self._y_axes]
 
     def _transform(self, U: np.ndarray) -> np.ndarray:
         """Orthonormal DST-I along every y-axis of a grid-shaped array."""
@@ -530,8 +560,8 @@ class SeparableSolver:
                 v = g / (d - lo)
             v = _mode_products(v[None], [Q[:1] for Q in self.bases],
                                inverse=True)[0]
-        for S in self.sines:
-            v = np.multiply.outer(v, S[0])
+        for n, c in self._y_axes:
+            v = np.multiply.outer(v, _sine_rows(n, c, 1)[0])
         v = v.ravel() / float(np.linalg.norm(v))
         Bv = -A.apply(v)
         lam = float(v @ Bv)

@@ -15,7 +15,11 @@ The matrix is stored by its diagonals (the DIA format; Saad, Iterative
 Methods for Sparse Linear Systems, 2nd ed., SIAM 2003, sec. 3.4): the main
 diagonal and, for each axis, the pair at plus and minus that axis's stride.
 The product adds the diagonals in ascending offset order, which is each
-row's column order, so it rounds exactly as a CSR product does.  numpy only.
+row's column order, so it rounds exactly as a CSR product does.  A matrix
+keeps every diagonal read-only and copies one only when its caller could
+still write to it; the assembly freezes the arrays it builds and hands them
+over, so the pair of diagonals at plus and minus a stride is one array.
+numpy only.
 """
 
 from __future__ import annotations
@@ -35,7 +39,9 @@ class SparseMatrix:
 
     ``diagonals`` maps each offset o to the entries A[i, i+o] in row order,
     n - |o| of them; it is kept in ascending offset order, which is each
-    row's column order, and every diagonal is frozen read-only.
+    row's column order, and every diagonal is frozen read-only.  A float
+    diagonal is copied only when it, or the array that owns its memory, is
+    writeable; one no caller can write to is kept as it is.
     ``indptr``/``indices``/``values`` (and ``nnz``) are a read-only CSR view
     of the nonzero entries, built on first access.  Only
     :func:`assemble_grushin` sets ``grid`` and ``space``, and so gives the
@@ -51,12 +57,11 @@ class SparseMatrix:
     def __post_init__(self) -> None:
         diagonals = {}
         for o in sorted(self.diagonals):
-            c = np.array(self.diagonals[o], dtype=float)
+            c = _read_only(self.diagonals[o])
             if c.shape != (self.n - abs(o),):
                 raise ValueError(f"diagonal {o} of a {self.n}x{self.n} matrix "
                                  f"needs {self.n - abs(o)} entries, got "
                                  f"shape {c.shape}")
-            c.flags.writeable = False
             diagonals[int(o)] = c
         object.__setattr__(self, "diagonals", diagonals)
 
@@ -101,6 +106,19 @@ class SparseMatrix:
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return apply(self, u)
+
+
+def _read_only(a) -> np.ndarray:
+    """``a`` as a read-only float array: ``a`` itself when neither it nor
+    the array that owns its memory is writeable, else a frozen copy."""
+    c = np.asarray(a, dtype=float)
+    owner = c
+    while isinstance(owner.base, np.ndarray):
+        owner = owner.base
+    if c.flags.writeable or owner.flags.writeable:
+        c = c.copy()
+        c.flags.writeable = False
+    return c
 
 
 def apply(A: SparseMatrix, u: np.ndarray) -> np.ndarray:
@@ -151,7 +169,8 @@ def assemble_grushin(grid: Grid, space: GrushinSpace) -> SparseMatrix:
     Off-diagonal entries are +w_e/h_d^2 for each interior edge, the diagonal
     collects -sum(w_e/h_d^2) over all incident edges including those to
     eliminated boundary nodes.  y-direction edge weights depend only on the
-    x-part of the node line; see :func:`_degenerate_weight`.
+    x-part of the node line; see :func:`_degenerate_weight`.  The arrays
+    built here are frozen and handed to the matrix uncopied.
     """
     W = _degenerate_weight(grid, space)
     if space.m == 1 and grid.domain.straddles_x_zero(space.m):
@@ -176,8 +195,10 @@ def assemble_grushin(grid: Grid, space: GrushinSpace) -> SparseMatrix:
             continue
         edge = np.array(np.broadcast_to(w / h2, shape))
         edge[(slice(None),) * d + (-1,)] = 0.0   # the last layer has no edge
+        edge.flags.writeable = False
         stride = int(np.prod(shape[d + 1:]))
         diagonals[-stride] = diagonals[stride] = edge.ravel()[:N - stride]
+    diag.flags.writeable = False
     diagonals[0] = diag.ravel()
     return SparseMatrix(N, diagonals, symmetric=True, grid=grid, space=space)
 

@@ -1,6 +1,6 @@
 """Time stepping: initial data, the semi-implicit step, and the adaptive march."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -31,6 +31,11 @@ class TestInitialCondition:
             InitialCondition(kind="product_sine", amplitude=-1.0)
         with pytest.raises(ValueError):
             InitialCondition(kind="file")
+
+    def test_non_finite_amplitude_rejected(self):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="amplitude must be finite"):
+                InitialCondition(kind="product_sine", amplitude=value)
 
     def test_product_sine_peaks_at_center(self):
         space, grid, _ = small_setup()
@@ -407,6 +412,13 @@ class TestSimConfigValidation:
             SimConfig(cg_tol=0.0)
         with pytest.raises(ValueError):
             SimConfig(record_every=0)
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(SimConfig)])
+    def test_non_finite_value_rejected(self, name):
+        # A NaN or infinite horizon once let the march run forever.
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                SimConfig(**{name: value})
 
 
 def _march_against_plain_cg(gamma, cells):

@@ -5,6 +5,7 @@ smallest eigenpair of the discrete operator."""
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -234,6 +235,28 @@ class TestSmallestEigenpair:
         assert lam_large <= lam_small * (1.0 + 1e-10)
         assert lam_large < lam_small
 
+    def test_peak_memory_of_a_fresh_eigensolve(self):
+        # In units of one 127 x 127 state (8 N bytes): assembly hands its
+        # frozen arrays to the matrix, whose stride pairs share one array,
+        # and the eigenpair builds no sine matrix, so assembly plus the
+        # eigensolve peak at about 7.1 states.  Copying every diagonal and
+        # building the 127 x 127 sine matrix put the peak at about 10.
+        # A small solve first, so that one-time first-use allocations fall
+        # outside the trace.
+        smallest_eigenpair(grushin_setup([(-1.0, 1.0)] * 2, (8, 8),
+                                         gamma=1.0)[2])
+        grid = build_grid(BoxDomain([(-1.0, 1.0)] * 2), (128, 128))
+        space = GrushinSpace(1, 1, 1.0)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                smallest_eigenpair(assemble_grushin(grid, space))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * 8 * grid.N
+
     def test_requires_symmetric_flag(self):
         A = SparseMatrix(n=2, diagonals={0: [-1.0, -2.0]}, symmetric=False)
         with pytest.raises(ValueError):
@@ -406,6 +429,27 @@ class TestSeparableSolver:
         b[2] = np.nan
         with pytest.raises(NumericalBreakdown):
             SeparableSolver(grid, space).solve(b, 1.0)
+
+    @pytest.mark.parametrize("m, cells", [(1, (9, 7)), (2, (4, 4, 5))])
+    def test_eigenpair_builds_no_sine_matrix(self, m, cells):
+        # The eigenpair reads only the first sine row of every y-axis, so
+        # the dense matrices wait for the first solve; the result is the
+        # same bytes before and after they are built.  At m = 2 the origin
+        # is a lifted node, so the secular equation is solved.
+        grid, space, A = grushin_setup([(-1.0, 1.0)] * (m + 1), cells,
+                                       gamma=1.0, m=m)
+        first = smallest_eigenpair(A)
+        assert "sines" not in vars(A.solver)
+        A.solver.solve(np.ones(grid.N), 1.0)
+        assert [S.shape for S in A.solver.sines] == [(cells[-1] - 1,) * 2]
+        again = smallest_eigenpair(A)
+        for eig in (first, again):
+            assert eig.method == "separable"
+        assert first.phi1.tobytes() == again.phi1.tobytes()
+        assert (first.lambda1.hex(), first.residual.hex(), first.iterations,
+                first.solver_iterations) == (
+            again.lambda1.hex(), again.residual.hex(), again.iterations,
+            again.solver_iterations)
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_kept_factorization_matches_a_fresh_solver(self, m):

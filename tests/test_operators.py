@@ -135,6 +135,30 @@ class TestSparseMatrixStructure:
         A = make_identity(3)
         assert not A.diagonals[0].flags.writeable
 
+    @pytest.mark.parametrize("kind", [
+        "writeable", "int", "read-only", "read-only view of writeable"])
+    def test_diagonal_copied_only_when_writeable(self, kind):
+        # A diagonal no caller can write to is kept; any other is copied,
+        # so the caller's later writes leave the matrix as it was.
+        base = np.arange(1, 5) if kind == "int" else np.arange(1.0, 5.0)
+        d = base[1:] if kind == "read-only view of writeable" else base
+        if kind.startswith("read-only"):
+            d.flags.writeable = False
+        A = SparseMatrix(n=d.size, diagonals={0: d})
+        c = A.diagonals[0]
+        assert c.dtype == float and not c.flags.writeable
+        assert np.shares_memory(c, base) == (kind == "read-only")
+        if base.flags.writeable:
+            base[:] = 0
+        assert c.tolist() == [float(v) for v in range(5 - c.size, 5)]
+
+    def test_assembled_stride_pairs_share_one_read_only_array(self):
+        grid, space = unit_square((5, 4))
+        A = assemble_grushin(grid, space)
+        for o in (1, 3):   # the strides of the 4 x 3 interior
+            assert np.shares_memory(A.diagonals[o], A.diagonals[-o])
+        assert not any(c.flags.writeable for c in A.diagonals.values())
+
     def test_negative_definiteness(self):
         space = GrushinSpace(1, 2, 1.0)
         grid = build_grid(BoxDomain([(-1.0, 1.0), (0.0, 1.0), (0.0, 1.0)]),

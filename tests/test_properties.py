@@ -25,8 +25,8 @@ from grushinlab import (BoxDomain, ConfigError, GrushinSpace, Power, apply,
                         assemble_grushin, build_grid, grushin_energy,
                         integral, l2_norm_sq, parse_expression)
 from grushinlab.diagnostics import EnergyTracker
-from grushinlab.linalg import (SeparableSolver, _factor, _substitute,
-                               cg_solve, inverse_iteration,
+from grushinlab.linalg import (SeparableSolver, _factor, _sine_rows,
+                               _substitute, cg_solve, inverse_iteration,
                                smallest_eigenpair)
 from grushinlab.nonlinearity import (_BLOCK, Expression, ExpressionError,
                                      F_values, _distinct, _eval_ast)
@@ -206,6 +206,18 @@ def test_substitute_equals_its_row_indexed_reference(n, trailing, off, seed):
     want = substitute_reference(pivot, ratio, off, rhs)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 600))
+def test_first_sine_row_equals_row_zero_of_the_matrix(n):
+    # The eigenpair reads the first row alone, the solves the whole matrix
+    # of a y-axis with n interior nodes; phi1 stays the same bytes only if
+    # the two agree bit for bit.
+    c = n + 1
+    row = np.sqrt(2.0 / c) * np.sin(np.pi * np.arange(1, n + 1) / c)
+    assert _sine_rows(n, c, 1)[0].tobytes() == row.tobytes()
+    assert _sine_rows(n, c, n)[0].tobytes() == row.tobytes()
 
 
 @PROPERTY_SETTINGS
