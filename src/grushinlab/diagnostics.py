@@ -12,6 +12,7 @@ on decay runs.
 from __future__ import annotations
 
 import dataclasses
+from functools import cached_property
 
 import numpy as np
 
@@ -60,8 +61,13 @@ class EnergyTracker:
         self.theta = float(theta)
         self.M = float(M)
         self.records: list[EnergyRecord] = []
-        self._weight = _degenerate_weight(grid, space)  # once per run
         self._slot: list | None = None
+
+    @cached_property
+    def _weight(self) -> np.ndarray:
+        """The y-edge weight, built when this tracker first measures a
+        state itself: trackers that share a slot build it once."""
+        return _degenerate_weight(self.grid, self.space)
 
     def _state_part(self, u: np.ndarray):
         """The theta-free part of one state: (l2, grad, F(u), supnorm,

@@ -9,6 +9,7 @@ defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,7 +117,7 @@ class Grid:
     def n(self) -> int:
         return len(self.cells)
 
-    @property
+    @cached_property
     def cell_volume(self) -> float:
         """Quadrature weight of one node, the product of the spacings."""
         return float(np.prod(self.h))

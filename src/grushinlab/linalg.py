@@ -447,9 +447,15 @@ class SeparableSolver:
         return [_sine_rows(n, c, n) for n, c in self._y_axes]
 
     def _transform(self, U: np.ndarray) -> np.ndarray:
-        """Orthonormal DST-I along every y-axis of a grid-shaped array."""
+        """Orthonormal DST-I along every y-axis of a grid-shaped array.  On
+        the last axis it is the 2-D product that ``np.tensordot`` would make
+        there, without its wrapper and the no-op ``moveaxis``."""
+        last = U.ndim - 1
         for d, S in enumerate(self.sines, start=self.m):
-            U = np.moveaxis(np.tensordot(U, S, axes=([d], [0])), -1, d)
+            if d == last:
+                U = np.dot(U.reshape(-1, S.shape[0]), S).reshape(U.shape)
+            else:
+                U = np.moveaxis(np.tensordot(U, S, axes=([d], [0])), -1, d)
         return U
 
     def solve(self, b: np.ndarray, c: float, shift: float = 1.0) -> np.ndarray:
@@ -563,7 +569,13 @@ class SeparableSolver:
         for n, c in self._y_axes:
             v = np.multiply.outer(v, _sine_rows(n, c, 1)[0])
         v = v.ravel() / float(np.linalg.norm(v))
-        Bv = -A.apply(v)
+        # B v and then the residual B v - lam v, in A v's buffer, which is
+        # freed before phi1 is scaled.
+        Bv = A.apply(v)
+        np.negative(Bv, out=Bv)
         lam = float(v @ Bv)
-        return _eigen_result(A, v, lam, float(np.linalg.norm(Bv - lam * v)),
-                             steps, "separable", cell_volume)
+        Bv -= lam * v
+        residual = float(np.linalg.norm(Bv))
+        del Bv
+        return _eigen_result(A, v, lam, residual, steps, "separable",
+                             cell_volume)

@@ -223,10 +223,26 @@ def _weighted_energy(grid: Grid, m: int, W: np.ndarray,
     U = u.reshape(grid.shape)
     total = 0.0
     for d in range(grid.n):
-        D = np.diff(U, axis=d, prepend=0.0, append=0.0)
-        w = 1.0 if d < m else W
-        total += float((w * D * D).sum()) / float(grid.h[d]) ** 2
+        D = _edge_differences(U, d)
+        wDD = D if d < m else W * D   # w = 1 on x-edges, and 1 * D == D
+        wDD *= D
+        total += float(wDD.sum()) / float(grid.h[d]) ** 2
     return total * grid.cell_volume
+
+
+def _edge_differences(U: np.ndarray, d: int) -> np.ndarray:
+    """The differences of U along axis d with a zero layer on either side,
+    ``np.diff(U, axis=d, prepend=0.0, append=0.0)`` without its padded
+    copy: first layer U[0], then U[1:] - U[:-1], then -U[-1]."""
+    shape = list(U.shape)
+    shape[d] += 1
+    D = np.empty(shape)
+    at = lambda i: (slice(None),) * d + (i,)   # layer(s) i along axis d
+    D[at(0)] = U[at(0)]
+    np.subtract(U[at(slice(1, None))], U[at(slice(None, -1))],
+                out=D[at(slice(1, -1))])
+    np.negative(U[at(-1)], out=D[at(-1)])
+    return D
 
 
 def l2_norm_sq(grid: Grid, u: np.ndarray) -> float:

@@ -12,7 +12,8 @@ oracles are the package's earlier implementations, kept to check that the
 faster ones reproduce them bit for bit: the one-pass Thomas sweep, which
 the separable solver now splits into a kept factorization and a
 substitution; that substitution as it indexed the arrays row by row; the
-energy record built on ``np.pad``; the antiderivative ``F_values`` whose
+y-axis transform that ran ``np.tensordot`` on every axis; the energy record
+built on ``np.pad``; the antiderivative ``F_values`` whose
 adaptive Simpson rounds ran over the whole worklist at once, evaluating f
 separately at each segment's two ends, and the ``np.unique`` call that found
 its distinct values; and the sweep that ran one whole
@@ -107,6 +108,14 @@ def substitute_reference(pivot, ratio, off, rhs):
     for i in range(n - 2, -1, -1):
         x[i] -= ratio[i] * x[i + 1]
     return x
+
+
+def transform_reference(U, sines, m):
+    """Orthonormal DST-I along every y-axis of a grid-shaped array, one
+    ``np.tensordot`` per axis, whose result axis is moved back in place."""
+    for d, S in enumerate(sines, start=m):
+        U = np.moveaxis(np.tensordot(U, S, axes=([d], [0])), -1, d)
+    return U
 
 
 def grushin_energy_reference(grid, space, u):

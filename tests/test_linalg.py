@@ -21,7 +21,8 @@ from grushinlab.linalg import (NonConvergence, NumericalBreakdown,
 from grushinlab.operators import SparseMatrix
 
 from conftest import config_path
-from oracles import dense_from_csr, jacobi_eigenvalues, surrogate_dense
+from oracles import (dense_from_csr, jacobi_eigenvalues, surrogate_dense,
+                     transform_reference)
 
 
 def diag_matrix(values):
@@ -238,9 +239,12 @@ class TestSmallestEigenpair:
     def test_peak_memory_of_a_fresh_eigensolve(self):
         # In units of one 127 x 127 state (8 N bytes): assembly hands its
         # frozen arrays to the matrix, whose stride pairs share one array,
-        # and the eigenpair builds no sine matrix, so assembly plus the
-        # eigensolve peak at about 7.1 states.  Copying every diagonal and
-        # building the 127 x 127 sine matrix put the peak at about 10.
+        # the eigenpair builds no sine matrix, and its closing check forms
+        # B v and the residual in A v's buffer and frees it before phi1 is
+        # scaled, so assembly plus the eigensolve peak at about 6.1 states.
+        # Negating A v into a new array and forming the residual apart put
+        # the peak at about 7.1; copying every diagonal and building the
+        # 127 x 127 sine matrix, at about 10.
         # A small solve first, so that one-time first-use allocations fall
         # outside the trace.
         smallest_eigenpair(grushin_setup([(-1.0, 1.0)] * 2, (8, 8),
@@ -255,7 +259,7 @@ class TestSmallestEigenpair:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 7.5 * 8 * grid.N
+        assert peak < 6.5 * 8 * grid.N
 
     def test_requires_symmetric_flag(self):
         A = SparseMatrix(n=2, diagonals={0: [-1.0, -2.0]}, symmetric=False)
@@ -450,6 +454,22 @@ class TestSeparableSolver:
                 first.solver_iterations) == (
             again.lambda1.hex(), again.residual.hex(), again.iterations,
             again.solver_iterations)
+
+    @pytest.mark.parametrize("m, k, cells", [
+        (1, 1, (9, 8)), (1, 2, (6, 8, 7)), (2, 1, (6, 5, 8))])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_transform_matches_the_tensordot_oracle(self, m, k, cells, order):
+        # The last y-axis takes the 2-D product directly; with k = 2 the
+        # first y-axis is not last and still goes through np.tensordot.
+        # An m = 2 solve hands the transform a transposed, F-ordered array.
+        grid, space, A = grushin_setup([(-1.0, 1.0)] * (m + k), cells,
+                                       gamma=1.0, m=m)
+        U = np.random.default_rng(m + k).standard_normal(grid.shape)
+        U = np.asarray(U, order=order)
+        got = A.solver._transform(U)
+        want = transform_reference(U, A.solver.sines, m)
+        assert got.shape == want.shape == grid.shape
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("m", [1, 2])
     def test_kept_factorization_matches_a_fresh_solver(self, m):

@@ -13,9 +13,10 @@ import pytest
 
 from grushinlab import (ConfigError, Power, assemble_grushin, build_grid,
                         compute_blowup_constants, concavity_margin,
-                        diagnostics, integrator, linalg,
-                        parse_config, read_csv, run_experiment, run_sweep,
-                        runner)
+                        check_blowup_hypothesis, check_f_positive,
+                        check_global_hypothesis, diagnostics, integrator,
+                        linalg, nonlinearity, parse_config, read_csv,
+                        run_experiment, run_sweep, runner)
 from grushinlab.diagnostics import certified_records
 from grushinlab.nonlinearity import Expression
 from grushinlab.runner import SWEEP_AXES, decide_verdict, parse_config_dict
@@ -678,6 +679,22 @@ SWEEP_VALUES = {"gamma": [0.5, -1.0, 1.0], "alpha": [1.0, 2.5, 4.0],
                 "amplitude": [4.0, 0.0, 12.0]}
 
 
+# Six theta rows, as many as the sweep benchmark runs.
+THETA_ROWS = [0.01, 0.2, 0.4, 0.6, 0.8, 1.0]
+
+
+def count_calls(monkeypatch, module, *names):
+    """A Counter of the calls made to each named function of ``module``
+    through its module global."""
+    calls = collections.Counter()
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def sweep_dict(m, mode="blowup", **extra):
     data = copy.deepcopy(SWEEP_SPACES[m])
     amplitude = 12.0 if mode == "blowup" else 4.0
@@ -801,6 +818,63 @@ class TestSweepSharesWork:
         calls.clear()
         assert repr(run_sweep(cfg, "theta", values)) == repr(ref)
         assert calls == {"F_values": records, "_weighted_energy": records}
+
+    @pytest.mark.parametrize("mode", ["blowup", "global"])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_samples_each_premise_grid_once(self, monkeypatch, m, mode):
+        # theta enters neither f, F nor u_max, and the rows share u0 and one
+        # march: the checks before the march sample one grid and those after
+        # it another, two in all where six rows made twelve.  F on a grid is
+        # computed once too, and each row's report is its own run's.
+        cfg = parse_config_dict(sweep_dict(m, mode))
+        ref = sweep_rows_reference(cfg, "theta", THETA_ROWS)
+        calls = count_calls(monkeypatch, nonlinearity,
+                            "sample_points", "F_values")
+        nonlinearity._samples.cache_clear()
+        assert repr(run_sweep(cfg, "theta", THETA_ROWS)) == repr(ref)
+        assert calls == {"sample_points": 2, "F_values": 2}
+
+    @pytest.mark.parametrize("mode, grids", [("free", 0), ("blowup", 2)])
+    def test_only_a_sign_condition_samples_F(self, monkeypatch, mode, grids):
+        # Free mode checks only that f > 0, so it computes no F on a
+        # sampling grid; the march's records take F from diagnostics.
+        cfg = parse_config_dict(sweep_dict(1, mode))
+        calls = count_calls(monkeypatch, nonlinearity, "F_values")
+        nonlinearity._samples.cache_clear()
+        rpt = run_experiment(cfg)
+        assert rpt.failure is None and rpt.f_positive["ok"]
+        assert calls["F_values"] == grids
+
+    def test_shared_samples_are_read_only(self):
+        nonlinearity._samples.cache_clear()
+        s = nonlinearity._samples(Power(3.0, 1.0), 2.0, 101)
+        for a in (s.u, s.defined, s.fu, s.Fu):
+            assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            s.fu[0] = -1.0
+
+    @pytest.mark.parametrize("nl, u_max", [
+        (Power(3.0, 1.0), 10.0), (Expression("u^3 - u/(1+u)"), 2.0),
+        (Expression("u*(2-u)^0.5"), 3.0)])   # non-finite past u = 2
+    def test_reports_equal_with_the_samples_cold_and_warm(self, nl, u_max):
+        checks = [
+            lambda: check_blowup_hypothesis(nl, 4.0, 0.1, 0.01, u_max, 501),
+            lambda: check_global_hypothesis(nl, -2.0, 2.0, 1.0, u_max, 501),
+            lambda: check_f_positive(nl, u_max, 501)]
+        for check in checks:
+            nonlinearity._samples.cache_clear()
+            cold = check()
+            for other in checks:   # warm: every check has used the grid
+                other()
+            assert repr(check()) == repr(cold)
+
+    def test_builds_one_weight_per_sweep(self, monkeypatch):
+        # The six trackers share a slot, and only the first measures a
+        # state itself, so only it builds the y-edge weight.
+        calls = count_calls(monkeypatch, diagnostics, "_degenerate_weight")
+        rows = run_sweep(parse_config_dict(sweep_dict(2)), "theta", THETA_ROWS)
+        assert not any(r["verdict"].startswith("Failed") for r in rows)
+        assert calls == {"_degenerate_weight": 1}
 
     def test_rows_survive_a_two_argument_record_wrapper(self, monkeypatch):
         # A profiler may wrap the tracker's call as record(tracker, state).
