@@ -456,12 +456,14 @@ class TestSeparableSolver:
             again.solver_iterations)
 
     @pytest.mark.parametrize("m, k, cells", [
-        (1, 1, (9, 8)), (1, 2, (6, 8, 7)), (2, 1, (6, 5, 8))])
+        (1, 1, (9, 8)), (1, 2, (6, 8, 7)), (1, 3, (6, 9, 8, 7)),
+        (2, 1, (6, 5, 8))])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_transform_matches_the_tensordot_oracle(self, m, k, cells, order):
-        # The last y-axis takes the 2-D product directly; with k = 2 the
-        # first y-axis is not last and still goes through np.tensordot.
-        # An m = 2 solve hands the transform a transposed, F-ordered array.
+        # Each y-axis is swapped last for one 2-D product, where
+        # np.tensordot moves it last: with k = 2 the first y-axis is not
+        # last, and with k = 3 a swap and a move order the rows apart.  An
+        # m = 2 solve hands the transform a transposed, F-ordered array.
         grid, space, A = grushin_setup([(-1.0, 1.0)] * (m + k), cells,
                                        gamma=1.0, m=m)
         U = np.random.default_rng(m + k).standard_normal(grid.shape)

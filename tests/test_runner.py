@@ -784,13 +784,7 @@ class TestSweepSharesWork:
     @pytest.mark.parametrize("m", [1, 2])
     def test_counts_its_eigensolves_and_marches(self, monkeypatch, m, axis,
                                                 eigensolves, marches):
-        calls = collections.Counter()
-        for name in ("smallest_eigenpair", "run"):
-            def counted(*args, _name=name, _fn=getattr(runner, name),
-                        **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(runner, name, counted)
+        calls = count_calls(monkeypatch, runner, "smallest_eigenpair", "run")
         values = {"gamma": [0.0, 0.5, 1.0],
                   "amplitude": [2.0, 4.0, 12.0]}.get(axis, SWEEP_VALUES[axis])
         rows = run_sweep(parse_config_dict(sweep_dict(m)), axis, values)
@@ -807,12 +801,8 @@ class TestSweepSharesWork:
         ref = sweep_rows_reference(cfg, "theta", values)
         plain = run_experiment(cfg)
         records = plain.sim["records"]
-        calls = collections.Counter()
-        for name in ("F_values", "_weighted_energy"):
-            def counted(*args, _name=name, _fn=getattr(diagnostics, name)):
-                calls[_name] += 1
-                return _fn(*args)
-            monkeypatch.setattr(diagnostics, name, counted)
+        calls = count_calls(monkeypatch, diagnostics,
+                            "F_values", "_weighted_energy")
         assert run_experiment(cfg).to_json() == plain.to_json()
         assert calls == {"F_values": records, "_weighted_energy": records}
         calls.clear()
