@@ -214,32 +214,19 @@ class TestAntiderivative:
         # One 127 x 127 state is 129 KB.  Rounds walked in blocks of 4,096
         # segments peak at about 8.4 states (6.4 with blocks of 2,048, 12.7
         # with 8,192); rounds built over the whole worklist at once peak at
-        # about 26.
+        # about 26.  u^3 settles in the first round; (2-u)^0.5 is not smooth
+        # at u = 2, so segments near it are halved for seven rounds, and the
+        # first round still sets the peak.
         u = np.random.default_rng(0).uniform(0.0, 2.0, 16_129)
-        e = parse_expression("u^3")
-        F_values(e, u)
-        tracemalloc.start()
-        try:
+        for e in (parse_expression("u^3"), parse_expression("u*(2-u)^0.5")):
             F_values(e, u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * 8 * u.size
-
-    def test_peak_memory_of_a_refining_source_stays_a_few_states(self):
-        # (2-u)^0.5 is not smooth at u = 2, so segments near it are halved
-        # for seven rounds; the first round still sets the peak, about 8.4
-        # states as for u^3.
-        u = np.random.default_rng(0).uniform(0.0, 2.0, 16_129)
-        e = parse_expression("u*(2-u)^0.5")
-        F_values(e, u)
-        tracemalloc.start()
-        try:
-            F_values(e, u)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 12 * 8 * u.size
+            tracemalloc.start()
+            try:
+                F_values(e, u)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 12 * 8 * u.size
 
 
 class TestSamplePoints:
