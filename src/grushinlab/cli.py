@@ -22,8 +22,8 @@ from .linalg import SolverError
 from .nonlinearity import (check_blowup_hypothesis, check_f_positive,
                            check_global_hypothesis)
 from .operators import assemble_grushin
-from .runner import (SWEEP_AXES, ConfigError, _eigenpair, parse_config,
-                     run_experiment, run_sweep)
+from .runner import (SWEEP_AXES, ConfigError, _eigen_block, _eigenpair,
+                     parse_config, run_experiment, run_sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,8 +37,7 @@ def _emit(payload) -> None:
 def _cmd_eig(cfg, args) -> int:
     grid = build_grid(cfg.domain, cfg.cells)
     eig = _eigenpair(cfg, assemble_grushin(grid, cfg.space))
-    _emit({"lambda1": eig.lambda1, "residual": eig.residual,
-           "iterations": eig.iterations, "method": eig.method})
+    _emit({"lambda1": eig.lambda1, **_eigen_block(eig)})
     return EXIT_OK
 
 

@@ -10,10 +10,8 @@ a first-order scheme whose stiffness lives entirely in the SPD solve.
 The operator's own ``SparseMatrix.solver`` decides how it is solved: exactly
 when the operator has one x-axis, or when its weight and the separable
 surrogate's differ on at most one x-node (as at gamma = 1); otherwise by
-conjugate gradients preconditioned with the separable surrogate, and by
-plain conjugate gradients when the matrix was not assembled by
-``assemble_grushin``, whose ``solver`` is None.  Both CG paths stop on the
-true residual at ``cg_tol``, which the exact path does not use.
+conjugate gradients preconditioned with the separable surrogate.  CG stops
+on the true residual at ``cg_tol``, which the exact path does not use.
 Step size adapts on the relative sup-norm change per step.  A candidate
 that passes that test is checked by evaluating f there, and is rejected too
 where an expression source leaves its domain; the f of an accepted state is
@@ -122,8 +120,8 @@ class InitialCondition:
 def build_initial_condition(grid: Grid, ic: InitialCondition,
                             phi1: np.ndarray | None = None) -> np.ndarray:
     """Nodal initial data: a product-sine bump, a scaled first eigenmode, or
-    values loaded from a file (one per line, length N, nonnegative, not all
-    zero)."""
+    values loaded from a file (one per line, length N, finite and
+    nonnegative, not all zero)."""
     if ic.kind == "product_sine":
         axes = grid.meshgrid()
         u = np.ones(grid.shape)
@@ -145,6 +143,8 @@ def build_initial_condition(grid: Grid, ic: InitialCondition,
         raise ValueError(
             f"initial condition file {ic.path!r} holds {values.size} values, "
             f"grid has {grid.N} interior nodes")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("initial condition file contains non-finite entries")
     if np.any(values < 0.0):
         raise ValueError("initial condition file contains negative entries")
     if not np.any(values > 0.0):
@@ -156,17 +156,16 @@ def _advance(u: np.ndarray, dt: float, A: SparseMatrix, f_u: np.ndarray,
              cg_tol: float) -> tuple[np.ndarray, int]:
     """Solve (I + (1+dt)L) u_new = (I + L) u + dt f_u with L = -A and
     f_u = f(u); return u_new and the CG iterations spent.  Exact when
-    ``A.solver`` is exact, else by CG, preconditioned by ``A.solver`` when
-    there is one."""
+    ``A.solver`` is exact, else by CG preconditioned by ``A.solver``."""
     Au = apply(A, u)
     rhs = u - Au + dt * f_u
     c = 1.0 + dt
     solver = A.solver
-    if solver is not None and solver.exact:
+    if solver.exact:
         return solver.solve(rhs, c), 0
     lhs = lambda v: v - c * apply(A, v)
-    precond = None if solver is None else (lambda r: solver.solve(r, c))
-    u_new, rep = cg_solve(lhs, rhs, tol=cg_tol, x0=u, precond=precond)
+    u_new, rep = cg_solve(lhs, rhs, lambda r: solver.solve(r, c), tol=cg_tol,
+                          x0=u)
     return u_new, rep.iterations
 
 

@@ -5,7 +5,7 @@ Every operator built by ``assemble_grushin`` owns a :class:`SeparableSolver`,
 every time step share it; :func:`smallest_eigenpair` is the one eigensolver
 entry point.  The solver builds the dense DST-I matrix of every y-axis on
 its first solve; the eigenpair reads only their first rows, in closed form,
-so an eigensolve alone builds none.  The solver plays one of three roles.
+so an eigensolve alone builds none.  The solver plays one of two roles.
 
 *Exact solve* (m == 1).  The y-edge weights depend only on x, so
 -A = K_x (x) I + diag(W) (x) K_y, where K_d is the 1D Dirichlet
@@ -31,13 +31,9 @@ mode j = 1 (see :class:`SeparableSolver`).
 
 *Preconditioner* (m >= 2 otherwise).  The two weights are spectrally
 equivalent, so conjugate gradients preconditioned with the surrogate solve
-(:func:`cg_solve` with ``precond``) converge in a few iterations whatever
-the grid (Concus and Golub, SIAM J. Numer. Anal. 10, 1973).  Time steps and
-the inner solves of :func:`inverse_iteration` both use it.
-
-*Oracle*.  Plain conjugate gradients and unpreconditioned inverse iteration
-remain for matrices not built by ``assemble_grushin``, whose ``solver`` is
-None, and as the test oracles of both other roles.  numpy only.
+(:func:`cg_solve`) converge in a few iterations whatever the grid (Concus
+and Golub, SIAM J. Numer. Anal. 10, 1973).  Time steps and the inner solves
+of :func:`inverse_iteration` both use it.  numpy only.
 """
 
 from __future__ import annotations
@@ -98,19 +94,19 @@ class EigenResult:
     solver_iterations: int = 0
 
 
-def cg_solve(matvec, b: np.ndarray, tol: float = 1e-10,
-             max_iter: int | None = None, x0: np.ndarray | None = None,
-             precond=None) -> tuple[np.ndarray, SolveReport]:
+def cg_solve(matvec, b: np.ndarray, precond, tol: float = 1e-10,
+             max_iter: int | None = None,
+             x0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
     """Conjugate gradients for SPD A; converges when ||b - Ax|| <= tol*||b||.
 
-    ``matvec`` computes x -> Ax.  ``precond``, if
-    given, maps a residual r to M^-1 r for an SPD M close to A
-    (preconditioned CG); the stopping test stays on the unpreconditioned
-    residual, and without it the iteration is plain CG.  Convergence is
-    confirmed against the true residual, not just the recurrence.  Raises
-    :class:`NonConvergence` (with the best iterate attached) after
-    ``max_iter`` (default 10*N) and :class:`NumericalBreakdown` on NaN/Inf
-    or a preconditioner that is not positive definite.
+    ``matvec`` computes x -> Ax, and ``precond`` maps a residual r to
+    M^-1 r for an SPD M close to A; the identity ``lambda r: r`` gives
+    plain CG.  The stopping test stays on the unpreconditioned residual,
+    and convergence is confirmed against the true residual, not just the
+    recurrence.  Raises :class:`NonConvergence` (with the best iterate
+    attached) after ``max_iter`` (default 10*N) and
+    :class:`NumericalBreakdown` on NaN/Inf or a preconditioner that is not
+    positive definite.
     """
     b = np.asarray(b, dtype=float)
     N = b.size
@@ -120,10 +116,8 @@ def cg_solve(matvec, b: np.ndarray, tol: float = 1e-10,
     if b_norm == 0.0:
         return np.zeros_like(b), SolveReport(iterations=0, final_residual=0.0)
 
-    def preconditioned(r, rr, it):
-        """(M^-1 r, r^T M^-1 r); plain CG reuses r and r^T r."""
-        if precond is None:
-            return r, rr
+    def preconditioned(r, it):
+        """(M^-1 r, r^T M^-1 r)."""
         z = precond(r)
         rz = float(r @ z)
         if not np.isfinite(rz) or rz <= 0.0:
@@ -141,7 +135,7 @@ def cg_solve(matvec, b: np.ndarray, tol: float = 1e-10,
     if best_res <= tol:
         # A warm start may already satisfy the tolerance; no work to do.
         return x, SolveReport(iterations=0, final_residual=best_res)
-    z, rz = preconditioned(r, rr, 0)
+    z, rz = preconditioned(r, 0)
     p = z.copy()
     for it in range(1, max_iter + 1):
         Ap = matvec(p)
@@ -164,10 +158,10 @@ def cg_solve(matvec, b: np.ndarray, tol: float = 1e-10,
             if true_res <= tol:
                 return x, SolveReport(iterations=it, final_residual=true_res)
             r = b - matvec(x)
-            z, rz = preconditioned(r, float(r @ r), it)
+            z, rz = preconditioned(r, it)
             p = z.copy()
             continue
-        z, rz_new = preconditioned(r, rr, it)
+        z, rz_new = preconditioned(r, it)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise NonConvergence(
@@ -179,49 +173,44 @@ def cg_solve(matvec, b: np.ndarray, tol: float = 1e-10,
 def smallest_eigenpair(A: SparseMatrix, tol: float = 1e-8,
                        max_iter: int = 10_000, cg_tol: float = 1e-10,
                        cell_volume: float | None = None) -> EigenResult:
-    """Smallest eigenpair of B = -A, for A symmetric and negative definite.
+    """Smallest eigenpair of B = -A for A built by ``assemble_grushin``.
 
-    Exact from ``A.solver`` when A was assembled and its solver is exact:
-    one x-axis, or weights that differ on at most one x-node, as at
-    gamma == 1 (``tol``, ``max_iter`` and ``cg_tol`` then have nothing to
-    tune).  Otherwise by :func:`inverse_iteration`, preconditioned by
-    ``A.solver`` when A was assembled.  l2_norm_sq(phi1) == 1 under the
-    rectangle rule with ``cell_volume``, by default that of A's grid (1.0
-    without one).
+    Exact from ``A.solver`` when it is exact: one x-axis, or weights that
+    differ on at most one x-node, as at gamma == 1 (``tol``, ``max_iter``
+    and ``cg_tol`` then have nothing to tune).  Otherwise by
+    :func:`inverse_iteration`, preconditioned by ``A.solver``.
+    l2_norm_sq(phi1) == 1 under the rectangle rule with ``cell_volume``, by
+    default that of A's grid.
     """
     solver = A.solver
-    if solver is not None and solver.exact:
+    if solver.exact:
         return solver.eigenpair(A, cell_volume)
-    precond = None if solver is None else (
-        lambda r: solver.solve(r, 1.0, shift=0.0))
-    return inverse_iteration(A, tol, max_iter, cg_tol, cell_volume, precond)
+    return inverse_iteration(A, lambda r: solver.solve(r, 1.0, shift=0.0),
+                             tol, max_iter, cg_tol, cell_volume)
 
 
-def inverse_iteration(A: SparseMatrix, tol: float = 1e-8,
+def inverse_iteration(A: SparseMatrix, precond, tol: float = 1e-8,
                       max_iter: int = 10_000, cg_tol: float = 1e-10,
-                      cell_volume: float | None = None,
-                      precond=None) -> EigenResult:
-    """Smallest eigenpair of B = -A by inverse power iteration, the path of
-    an inexact solver and, without ``precond``, the test oracle of the
-    exact ones.
+                      cell_volume: float | None = None) -> EigenResult:
+    """Smallest eigenpair of B = -A, for A symmetric and negative definite,
+    by inverse power iteration: the path of an inexact solver.
 
     B is SPD and its smallest eigenvalue is the discrete Rayleigh minimum
     grushin_energy(u)/l2_norm_sq(u).  Starts from the all-ones vector, solves
     by CG to ``cg_tol`` (preconditioned by ``precond``, an approximate
-    inverse of B), and converges on the eigen-residual
-    ||B v - lambda v|| <= tol * lambda for unit v.  Raises
+    inverse of B; the identity gives plain CG), and converges on the
+    eigen-residual ||B v - lambda v|| <= tol * lambda for unit v.  Raises
     :class:`NonConvergence` with the best iterate after ``max_iter`` steps,
     or sooner once :data:`STALL_STEPS` steps bring no new best residual.
+    A matrix built by hand has no grid, so its caller passes ``cell_volume``.
     """
-    if not A.symmetric:
-        raise ValueError("inverse_iteration expects a symmetric operator")
     B = lambda v: -A.apply(v)
     v = np.ones(A.n) / np.sqrt(A.n)
     lam = float(v @ B(v))
     best_res, best_v, best_it = np.inf, v, 0
     inner = 0
     for it in range(1, max_iter + 1):
-        z, rep = cg_solve(B, v, tol=cg_tol, x0=v / lam, precond=precond)
+        z, rep = cg_solve(B, v, precond, tol=cg_tol, x0=v / lam)
         inner += rep.iterations
         v = z / float(np.linalg.norm(z))
         Bv = B(v)
@@ -247,7 +236,7 @@ def _eigen_result(A, v, lam, residual, iterations, method, cell_volume,
     """Both paths' result: the unit eigenvector v with its largest-magnitude
     entry made positive, scaled as :func:`smallest_eigenpair` says."""
     if cell_volume is None:
-        cell_volume = 1.0 if A.grid is None else A.grid.cell_volume
+        cell_volume = A.grid.cell_volume
     if v[int(np.argmax(np.abs(v)))] < 0.0:
         v = -v
     return EigenResult(lam, v / np.sqrt(cell_volume), residual, iterations,

@@ -50,7 +50,6 @@ class SparseMatrix:
 
     n: int
     diagonals: dict[int, np.ndarray]
-    symmetric: bool = False
     grid: Grid | None = None
     space: GrushinSpace | None = None
 
@@ -89,11 +88,12 @@ class SparseMatrix:
         """The :class:`~grushinlab.linalg.SeparableSolver` of an assembled
         operator (exact when it has one x-axis, or when its weight and the
         separable surrogate's differ on at most one x-node, as at gamma = 1),
-        built on first access and kept; None for a matrix not built by
-        :func:`assemble_grushin`."""
+        built on first access and kept.  A matrix not built by
+        :func:`assemble_grushin` has none: ValueError."""
         from .linalg import SeparableSolver   # linalg imports this module
         if self.space is None:
-            return None
+            raise ValueError("only an operator built by assemble_grushin has "
+                             "a solver")
         return SeparableSolver(self.grid, self.space)
 
     indptr = property(lambda self: self.csr[0])
@@ -200,7 +200,7 @@ def assemble_grushin(grid: Grid, space: GrushinSpace) -> SparseMatrix:
         diagonals[-stride] = diagonals[stride] = edge.ravel()[:N - stride]
     diag.flags.writeable = False
     diagonals[0] = diag.ravel()
-    return SparseMatrix(N, diagonals, symmetric=True, grid=grid, space=space)
+    return SparseMatrix(N, diagonals, grid=grid, space=space)
 
 
 def grushin_energy(grid: Grid, space: GrushinSpace, u: np.ndarray) -> float:

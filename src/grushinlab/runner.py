@@ -41,9 +41,10 @@ from .diagnostics import (_FIELDS, EnergyTracker, certified_records,
 from .geometry import BoxDomain, GrushinSpace, build_grid
 from .integrator import InitialCondition, SimConfig, build_initial_condition, run
 from .linalg import smallest_eigenpair
-from .nonlinearity import (Nonlinearity, Power, check_blowup_hypothesis,
-                           check_f_positive, check_global_hypothesis,
-                           parameter_ranges, parse_expression)
+from .nonlinearity import (Nonlinearity, Power, _samples,
+                           check_blowup_hypothesis, check_f_positive,
+                           check_global_hypothesis, parameter_ranges,
+                           parse_expression)
 from .operators import assemble_grushin
 
 BLOWUP_TIME_SLACK = 1.1      # declared factor on the blow-up time bound
@@ -397,9 +398,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
                           os.path.join(out_dir, cfg.output.svg))
         if dump_matrix and rpt.failure is None:
             _dump_matrix(row.A, os.path.join(out_dir, "matrix.txt"))
+        text = rpt.to_json()   # first, so a failure leaves no empty file
         with open(os.path.join(out_dir, cfg.output.report), "w",
                   newline="") as fh:
-            fh.write(rpt.to_json())
+            fh.write(text)
     return rpt
 
 
@@ -422,9 +424,7 @@ def _eigenvalue(*rows) -> None:
     _share(rows, eig=eig)
     for row in rows:
         row.rpt.lambda1 = eig.lambda1
-        row.rpt.eigen = {"method": eig.method, "residual": eig.residual,
-                         "iterations": eig.iterations,
-                         "solver_iterations": eig.solver_iterations}
+        row.rpt.eigen = _eigen_block(eig)
 
 
 def _initial_condition(*rows) -> None:
@@ -434,16 +434,19 @@ def _initial_condition(*rows) -> None:
 
 
 def _functionals(*rows) -> None:
-    """Each row's tracker, F0 and I0.  The trackers share one slot, so u0
-    is measured once, for them and for the march's t = 0 record."""
+    """Each row's tracker and its finite F0 and I0.  The trackers share a
+    slot, so u0 is measured once, for them and for the march's t = 0 record."""
     slot = []
     for row in rows:
         cfg, rpt = row.cfg, row.rpt
         row.tracker = EnergyTracker(row.grid, cfg.space, cfg.nonlinearity,
                                     theta=cfg.theta)
         row.tracker._slot = slot
-        l2, grad, rpt.F0 = row.tracker.measure(row.u0)
-        rpt.I0 = l2 + grad
+        l2, grad, F0 = row.tracker.measure(row.u0)
+        I0 = l2 + grad
+        if not (math.isfinite(F0) and math.isfinite(I0)):
+            raise ValueError(f"F0 = {F0} and I0 = {I0} must be finite")
+        rpt.F0, rpt.I0 = F0, I0
         if cfg.mode == "global":
             rpt.decay_rate = 2.0 - cfg.alpha
 
@@ -492,6 +495,7 @@ def _simulate(*rows) -> None:
     its own theta and M; the slot is emptied when the observation ends, so
     no state outlives it.  The trackers fill their lists in place, so a
     march that raises still leaves each row its records."""
+    _samples.cache_clear()   # no check after the march reads this grid
     lead = rows[0]
     for row in rows:
         row.tracker.M = row.rpt.M or 0.0
@@ -621,6 +625,7 @@ def _run_rows(cfgs, shared=()):
             if row.rpt.failure is None:
                 _attempt(name, stage, [row])
         yield row
+    _samples.cache_clear()   # no stage is left to read the sampling grid
 
 
 def _attempt(name: str, stage, rows) -> None:
@@ -652,6 +657,13 @@ def _eigenpair(cfg: ExperimentConfig, A):
     return smallest_eigenpair(A, tol=cfg.eigen_tol,
                               max_iter=cfg.eigen_max_iter,
                               cg_tol=cfg.eigen_cg_tol)
+
+
+def _eigen_block(eig) -> dict:
+    """The report's ``eigen`` block, which ``grushinlab eig`` prints too."""
+    return {"method": eig.method, "residual": eig.residual,
+            "iterations": eig.iterations,
+            "solver_iterations": eig.solver_iterations}
 
 
 def _check_hypothesis(cfg: ExperimentConfig, u_max: float):
@@ -708,10 +720,10 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values,
         except ValueError as exc:   # a value the config objects reject
             row["verdict"] = f"Failed[{type(exc).__name__}]"
         rows.append(row)
-    # map, unlike a loop variable, holds no finished row while the next runs.
+    # map holds no finished row while the next runs, and zip drains it first.
     reports = map(attrgetter("rpt"),
                   _run_rows([run_cfg for _, run_cfg in runs], _SHARED[axis]))
-    for (row, _), rpt in zip(runs, reports):
+    for rpt, (row, _) in zip(reports, runs):
         row["lambda1"] = rpt.lambda1
         row["F0"] = rpt.F0
         if rpt.failure is not None:

@@ -17,7 +17,9 @@ built on ``np.pad``; the antiderivative ``F_values`` whose
 adaptive Simpson rounds ran over the whole worklist at once, evaluating f
 separately at each segment's two ends, and the ``np.unique`` call that found
 its distinct values; and the sweep that ran one whole
-``run_experiment`` per value.
+``run_experiment`` per value.  Plain CG and unpreconditioned inverse
+iteration, the oracles of the separable solver, are the package's own
+``cg_solve`` and ``inverse_iteration`` with the ``identity`` preconditioner.
 """
 
 import math
@@ -28,6 +30,12 @@ import numpy as np
 from grushinlab.nonlinearity import Power, QuadratureError, _eval_ast
 from grushinlab.operators import _degenerate_weight
 from grushinlab.runner import _with_axis, run_experiment
+
+
+def identity(r):
+    """The identity preconditioner: with it ``cg_solve`` is plain CG and
+    ``inverse_iteration`` is unpreconditioned inverse iteration."""
+    return r
 
 
 def dense_from_csr(n, indptr, indices, values):

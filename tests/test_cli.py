@@ -47,12 +47,18 @@ def run_cli(argv, capsys):
 
 class TestSubcommands:
     def test_eig_prints_eigenvalue(self, tmp_path, capsys):
-        cfgp = write_config(tmp_path, base_config())
-        code, out, _ = run_cli(["eig", cfgp], capsys)
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["lambda1"] > 0.0
-        assert payload["residual"] >= 0.0
+        # The eig command prints lambda1 and the report's eigen block; at
+        # m = 2 and gamma = 1.5 its inverse iteration runs inner CG.
+        for config, inner in ((base_config, False), (m2_config, True)):
+            cfgp = write_config(tmp_path, config())
+            code, out, _ = run_cli(["eig", cfgp], capsys)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["lambda1"] > 0.0
+            assert payload["residual"] >= 0.0
+            rpt = grushinlab.run_experiment(grushinlab.parse_config(cfgp))
+            assert payload == {"lambda1": rpt.lambda1, **rpt.eigen}
+            assert (payload["solver_iterations"] > 0) == inner
 
     def test_simulate_writes_artifacts_and_strips_mode(self, tmp_path, capsys):
         data = dict(base_config(), mode="blowup")

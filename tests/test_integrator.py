@@ -1,6 +1,7 @@
 """Time stepping: initial data, the semi-implicit step, and the adaptive march."""
 
 from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -101,6 +102,9 @@ class TestInitialCondition:
             load("short.txt", np.ones(grid.N - 1))
         with pytest.raises(ValueError, match="zero"):
             load("zero.txt", np.zeros(grid.N))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="non-finite"):
+                load("bad.txt", np.where(np.arange(grid.N) == 3, bad, 1.0))
 
 
 class TestStep:
@@ -423,7 +427,8 @@ class TestSimConfigValidation:
 
 def _march_against_plain_cg(gamma, cells):
     """The m = 2 march of ``run`` on an assembled operator and on its
-    hand-built copy, which has no solver and so runs plain CG."""
+    hand-built copy, whose solver is an identity stub, so that it runs
+    plain CG."""
     space = GrushinSpace(2, 1, gamma)
     grid = build_grid(BoxDomain([(-1.0, 1.0)] * 3), (cells,) * 3)
     A = assemble_grushin(grid, space)
@@ -431,7 +436,9 @@ def _march_against_plain_cg(gamma, cells):
         grid, InitialCondition(kind="product_sine", amplitude=2.0))
     nl, cfg = Power(3.0, 1.0), SimConfig(t_end=0.2, dt_init=1e-2)
     fast, fast_records = run(grid, space, A, nl, u0, cfg)
-    hand_built = SparseMatrix(A.n, A.diagonals, symmetric=True)
+    hand_built = SparseMatrix(A.n, A.diagonals)
+    vars(hand_built)["solver"] = SimpleNamespace(exact=False,
+                                                 solve=lambda r, c: r)
     cg, cg_records = run(grid, space, hand_built, nl, u0, cfg)
     assert (fast.steps, fast.status, fast.attempts) == (cg.steps, cg.status,
                                                         cg.attempts)

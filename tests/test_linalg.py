@@ -1,6 +1,6 @@
-"""Conjugate gradients (plain and preconditioned), the separable solver
-(exact for m = 1 and at gamma = 1, a preconditioner otherwise) and the
-smallest eigenpair of the discrete operator."""
+"""Conjugate gradients (preconditioned, and plain with the identity), the
+separable solver (exact for m = 1 and at gamma = 1, a preconditioner
+otherwise) and the smallest eigenpair of the discrete operator."""
 
 import os
 import subprocess
@@ -12,22 +12,23 @@ import numpy as np
 import pytest
 
 import grushinlab
-from grushinlab import (BoxDomain, GrushinSpace, SolverError, apply,
-                        assemble_grushin, build_grid, build_initial_condition,
-                        grushin_energy, integrator, l2_norm_sq, linalg,
-                        parse_config, run, smallest_eigenpair)
+from grushinlab import (BoxDomain, GrushinSpace, Power, SimConfig,
+                        SolverError, apply, assemble_grushin, build_grid,
+                        build_initial_condition, grushin_energy, integrator,
+                        l2_norm_sq, linalg, parse_config, run,
+                        smallest_eigenpair)
 from grushinlab.linalg import (NonConvergence, NumericalBreakdown,
-                               SeparableSolver, cg_solve)
+                               SeparableSolver, cg_solve, inverse_iteration)
 from grushinlab.operators import SparseMatrix
 
 from conftest import config_path
-from oracles import (dense_from_csr, jacobi_eigenvalues, surrogate_dense,
-                     transform_reference)
+from oracles import (dense_from_csr, identity, jacobi_eigenvalues,
+                     surrogate_dense, transform_reference)
 
 
 def diag_matrix(values):
     values = np.asarray(values, dtype=float)
-    return SparseMatrix(n=values.size, diagonals={0: values}, symmetric=True)
+    return SparseMatrix(n=values.size, diagonals={0: values})
 
 
 def grushin_setup(bounds, cells, gamma, m=1, k=None):
@@ -51,19 +52,19 @@ class TestCgSolve:
     def test_identity_converges_immediately(self):
         A = diag_matrix(np.ones(5))
         b = np.array([1.0, -2.0, 0.5, 3.0, 0.0])
-        x, report = cg_solve(A.apply, b)
+        x, report = cg_solve(A.apply, b, identity)
         assert np.allclose(x, b, rtol=0.0, atol=1e-12)
         assert report.iterations <= 1
 
     def test_diagonal_two(self):
         A = diag_matrix(2.0 * np.ones(4))
         b = np.array([2.0, 4.0, -6.0, 1.0])
-        x, _ = cg_solve(A.apply, b)
+        x, _ = cg_solve(A.apply, b, identity)
         assert np.allclose(x, b / 2.0, rtol=1e-12, atol=0.0)
 
     def test_zero_rhs_short_circuits(self):
         A = diag_matrix(np.ones(3))
-        x, report = cg_solve(A.apply, np.zeros(3))
+        x, report = cg_solve(A.apply, np.zeros(3), identity)
         assert np.array_equal(x, np.zeros(3))
         assert report.iterations == 0
 
@@ -76,7 +77,7 @@ class TestCgSolve:
         for _ in range(5):
             x_star = rng.standard_normal(grid.N)
             b = B(x_star)
-            x, report = cg_solve(B, b, tol=tol)
+            x, report = cg_solve(B, b, identity, tol=tol)
             rel = np.linalg.norm(x - x_star) / np.linalg.norm(x_star)
             assert rel <= 10.0 * tol
             assert report.final_residual <= tol
@@ -84,7 +85,8 @@ class TestCgSolve:
     def test_warm_start_uses_given_iterate(self):
         A = diag_matrix(np.array([1.0, 2.0, 3.0]))
         b = np.array([1.0, 2.0, 3.0])
-        x, report = cg_solve(A.apply, b, x0=np.array([1.0, 1.0, 1.0]))
+        x, report = cg_solve(A.apply, b, identity,
+                             x0=np.array([1.0, 1.0, 1.0]))
         assert np.allclose(x, np.array([1.0, 1.0, 1.0]))
         assert report.iterations == 0
 
@@ -93,7 +95,7 @@ class TestCgSolve:
         B = lambda v: -apply(A, v)
         b = np.ones(grid.N)
         with pytest.raises(NonConvergence) as info:
-            cg_solve(B, b, tol=1e-14, max_iter=2)
+            cg_solve(B, b, identity, tol=1e-14, max_iter=2)
         err = info.value
         assert err.iterations == 2
         assert err.residual > 1e-14
@@ -106,7 +108,7 @@ class TestCgSolve:
         # is turned down and CG restarts from the true residual.
         A = diag_matrix(np.arange(1.0, 6.0))
         b = np.ones(5)
-        _, plain = cg_solve(A.apply, b)
+        _, plain = cg_solve(A.apply, b, identity)
         iterate_products = []
 
         def matvec(v):
@@ -116,7 +118,7 @@ class TestCgSolve:
                 if len(iterate_products) == 2:
                     out = out + 1e-3
             return out
-        x, report = cg_solve(matvec, b)
+        x, report = cg_solve(matvec, b, identity)
         assert (plain.iterations, report.iterations) == (5, 6)
         assert len(iterate_products) == 4
         assert np.allclose(x, 1.0 / np.arange(1.0, 6.0), rtol=1e-12, atol=0.0)
@@ -125,23 +127,27 @@ class TestCgSolve:
     def test_nan_rhs_raises_breakdown(self):
         A = diag_matrix(np.ones(3))
         with pytest.raises(NumericalBreakdown):
-            cg_solve(A.apply, np.array([np.nan, 1.0, 0.0]))
+            cg_solve(A.apply, np.array([np.nan, 1.0, 0.0]), identity)
 
     def test_indefinite_matrix_raises(self):
         A = diag_matrix(np.array([-1.0, -1.0]))
         with pytest.raises(SolverError):
-            cg_solve(A.apply, np.array([1.0, 2.0]))
+            cg_solve(A.apply, np.array([1.0, 2.0]), identity)
 
 
 class TestPreconditionedCg:
     def test_identity_preconditioner_is_plain_cg(self):
-        _, _, A = grushin_setup([(-1.0, 1.0)] * 3, (6, 5, 4), gamma=1.0, m=2)
+        # On this m = 2, gamma = 1.5 step matrix and on -A, CG with the
+        # identity takes the 62 and 64 iterations that plain CG took when
+        # cg_solve had a branch of its own for it.
+        _, _, A = grushin_setup([(-1.0, 1.0)] * 3, (10, 10, 10), gamma=1.5,
+                                m=2)
         b = np.random.default_rng(5).standard_normal(A.n)
-        lhs = lambda v: v - 1.5 * apply(A, v)
-        x, rep = cg_solve(lhs, b, tol=1e-10)
-        y, prep = cg_solve(lhs, b, tol=1e-10, precond=lambda r: r)
-        assert x.tobytes() == y.tobytes()
-        assert rep == prep
+        for matvec, iterations in ((lambda v: v - 1.5 * apply(A, v), 62),
+                                   (lambda v: -apply(A, v), 64)):
+            x, rep = cg_solve(matvec, b, identity, tol=1e-10)
+            assert rep.iterations == iterations
+            assert np.linalg.norm(b - matvec(x)) <= 1e-10 * np.linalg.norm(b)
 
     def test_indefinite_preconditioner_raises(self):
         A = diag_matrix([1.0, 2.0, 3.0])
@@ -261,17 +267,13 @@ class TestSmallestEigenpair:
             tracemalloc.stop()
         assert peak < 6.5 * 8 * grid.N
 
-    def test_requires_symmetric_flag(self):
-        A = SparseMatrix(n=2, diagonals={0: [-1.0, -2.0]}, symmetric=False)
-        with pytest.raises(ValueError):
-            smallest_eigenpair(A)
-
     def test_stalled_residual_raises_early(self):
         # The inner CG's default 1e-10 tolerance keeps the eigen-residual
         # above 1e-12 * lambda.
         A = diag_matrix([-3.0, -1.0, -2.0])
         with pytest.raises(NonConvergence) as info:
-            smallest_eigenpair(A, tol=1e-12, max_iter=10_000)
+            inverse_iteration(A, identity, tol=1e-12, max_iter=10_000,
+                              cell_volume=1.0)
         assert info.value.iterations < 1_000
         assert info.value.residual > 1e-12
         assert info.value.best_x.shape == (3,)
@@ -280,7 +282,7 @@ class TestSmallestEigenpair:
         # positive definite input makes the negated system indefinite for CG
         A = diag_matrix(np.array([1.0, 2.0]))
         with pytest.raises(SolverError):
-            smallest_eigenpair(A)
+            inverse_iteration(A, identity, cell_volume=1.0)
 
 
 class TestOneEntryPoint:
@@ -304,13 +306,30 @@ class TestOneEntryPoint:
         assert A.solver.exact == (method == "separable")
         assert (eig.solver_iterations == 0) == (method == "separable")
 
-    def test_hand_built_matrix_takes_inverse_iteration(self):
+    def test_hand_built_matrix_has_no_eigensolve_or_march(self):
+        # Only assemble_grushin gives a matrix a solver.
         A = diag_matrix([-3.0, -1.0, -2.0])
-        eig = smallest_eigenpair(A, tol=1e-9)
-        assert eig.method == "inverse-iteration"
+        with pytest.raises(ValueError, match="assemble_grushin"):
+            smallest_eigenpair(A)
+        grid = build_grid(BoxDomain([(0.0, 1.0)] * 2), (2, 4))   # 3 nodes
+        with pytest.raises(ValueError, match="assemble_grushin"):
+            run(grid, GrushinSpace(1, 1, 0.0), A, Power(3.0, 1.0),
+                np.ones(3), SimConfig())
+
+    def test_identity_preconditioned_inverse_iteration_is_the_oracle(self):
+        # Unpreconditioned inverse iteration takes the 57 outer steps here
+        # that it took when it had a branch of its own, and finds the
+        # eigenpairs it found then, hand-built diagonal included.
+        _, _, A = grushin_setup([(-1.0, 1.0)] * 3, (10, 10, 10), gamma=1.5,
+                                m=2)
+        ref = inverse_iteration(A, identity, tol=1e-10)
+        assert (ref.method, ref.iterations) == ("inverse-iteration", 57)
+        eig = smallest_eigenpair(A, tol=1e-10)
+        assert abs(eig.lambda1 - ref.lambda1) <= 1e-10 * ref.lambda1
+        eig = inverse_iteration(diag_matrix([-3.0, -1.0, -2.0]), identity,
+                                tol=1e-9, cell_volume=1.0)
         assert eig.lambda1 == pytest.approx(1.0, rel=1e-9)
         assert float(eig.phi1 @ eig.phi1) == pytest.approx(1.0, rel=1e-12)
-        assert A.solver is None
 
     def test_largest_entry_is_made_positive(self):
         # Ground state x has a positive projection on the all-ones start
@@ -319,9 +338,8 @@ class TestOneEntryPoint:
         x = np.array([1.0, 1.0, -1.5])
         B = 3.0 * np.eye(3) - 2.0 * np.outer(x, x) / (x @ x)
         A = SparseMatrix(n=3, diagonals={o: -np.diagonal(B, o)
-                                         for o in range(-2, 3)},
-                         symmetric=True)
-        eig = smallest_eigenpair(A, tol=1e-9)
+                                         for o in range(-2, 3)})
+        eig = inverse_iteration(A, identity, tol=1e-9, cell_volume=1.0)
         assert eig.lambda1 == pytest.approx(1.0, rel=1e-9)
         assert np.allclose(eig.phi1, -x / np.linalg.norm(x), atol=1e-8)
 

@@ -12,7 +12,7 @@ from oracles import dense_from_csr
 
 
 def make_identity(n):
-    return SparseMatrix(n=n, diagonals={0: np.ones(n)}, symmetric=True)
+    return SparseMatrix(n=n, diagonals={0: np.ones(n)})
 
 
 def dense(A):
@@ -106,7 +106,6 @@ class TestSparseMatrixStructure:
         A = assemble_grushin(grid, space)
         d = dense(A)
         assert np.array_equal(d, d.T)
-        assert A.symmetric
 
     def test_column_indices_sorted_within_rows(self):
         grid, space = unit_square((6, 5))
@@ -127,7 +126,8 @@ class TestSparseMatrixStructure:
         grid, space = unit_square((5, 4))
         A = assemble_grushin(grid, space)
         assert A.solver is A.solver and A.solver.exact
-        assert make_identity(3).solver is None
+        with pytest.raises(ValueError, match="assemble_grushin"):
+            make_identity(3).solver
 
     def test_diagonal_length_checked(self):
         with pytest.raises(ValueError, match="needs 2 entries"):
@@ -184,7 +184,7 @@ class TestApply:
 
     def test_two_by_two_hand_arithmetic(self):
         A = SparseMatrix(n=2, diagonals={-1: [1.0], 0: [-2.0, -2.0],
-                                         1: [1.0]}, symmetric=True)
+                                         1: [1.0]})
         assert np.array_equal(apply(A, np.array([1.0, 1.0])),
                               np.array([-1.0, -1.0]))
 

@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 from jsonschema import Draft202012Validator
 
@@ -25,9 +25,9 @@ from grushinlab import (BoxDomain, ConfigError, GrushinSpace, Power, apply,
                         assemble_grushin, build_grid, grushin_energy,
                         integral, l2_norm_sq, parse_expression)
 from grushinlab.diagnostics import EnergyTracker
-from grushinlab.linalg import (SeparableSolver, _factor, _sine_rows,
-                               _substitute, cg_solve, inverse_iteration,
-                               smallest_eigenpair)
+from grushinlab.linalg import (NonConvergence, SeparableSolver, _factor,
+                               _sine_rows, _substitute, cg_solve,
+                               inverse_iteration, smallest_eigenpair)
 from grushinlab.nonlinearity import (_BLOCK, Expression, ExpressionError,
                                      F_values, _distinct, _eval_ast)
 from grushinlab.operators import SparseMatrix
@@ -36,7 +36,7 @@ from grushinlab.runner import _parameters_block, parse_config_dict
 from conftest import config_path
 from oracles import (CONFIG_SCHEMA, F_values_reference, csr_matvec,
                      dense_from_csr, distinct_reference, grushin_energy_reference,
-                     substitute_reference, surrogate_dense,
+                     identity, substitute_reference, surrogate_dense,
                      thomas_reference)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -173,7 +173,7 @@ def test_separable_solve_matches_cg(case, c):
     x = SeparableSolver(grid, space).solve(b, c)
     lhs = lambda v: v - c * apply(A, v)
     assert np.linalg.norm(b - lhs(x)) <= 1e-12 * np.linalg.norm(b)
-    ref, _ = cg_solve(lhs, b, tol=1e-12)
+    ref, _ = cg_solve(lhs, b, identity, tol=1e-12)
     assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
@@ -225,12 +225,20 @@ def test_first_sine_row_equals_row_zero_of_the_matrix(n):
 def test_separable_eigenpair_matches_inverse_iteration(case):
     grid, space, A, _ = case
     eig = SeparableSolver(grid, space).eigenpair(A)
-    ref = inverse_iteration(A, tol=1e-10, cell_volume=grid.cell_volume)
-    assert abs(eig.lambda1 - ref.lambda1) <= 1e-10 * ref.lambda1
     phi = eig.phi1
-    assert np.abs(phi - ref.phi1).max() <= 1e-6 * np.abs(ref.phi1).max()
+    assert eig.residual <= 1e-12 * eig.lambda1
     assert abs(l2_norm_sq(grid, phi) - 1.0) <= 1e-12
     assert phi[int(np.argmax(np.abs(phi)))] > 0.0
+    try:
+        ref = inverse_iteration(A, identity, tol=1e-10,
+                                cell_volume=grid.cell_volume)
+    except NonConvergence:
+        # Each step shrinks the error by lambda1/lambda2.  One x-node and a
+        # y-weight near 0 put the eigenvalues within 4e-5 of each other, a
+        # rate that outlasts the 10,000 steps: the oracle cannot decide.
+        reject()
+    assert abs(eig.lambda1 - ref.lambda1) <= 1e-10 * ref.lambda1
+    assert np.abs(phi - ref.phi1).max() <= 1e-6 * np.abs(ref.phi1).max()
 
 
 @PROPERTY_SETTINGS
@@ -268,7 +276,8 @@ def test_gamma_one_solve_matches_dense_operator(case, c, shift):
 def test_secular_eigenpair_matches_inverse_iteration(case):
     grid, space, A, _, _ = case
     eig = SeparableSolver(grid, space).eigenpair(A)
-    ref = inverse_iteration(A, tol=1e-10, cell_volume=grid.cell_volume)
+    ref = inverse_iteration(A, identity, tol=1e-10,
+                            cell_volume=grid.cell_volume)
     assert eig.method == "separable"
     assert abs(eig.lambda1 - ref.lambda1) <= 1e-10 * ref.lambda1
     assert np.abs(eig.phi1 - ref.phi1).max() <= 1e-6 * np.abs(ref.phi1).max()
@@ -282,7 +291,7 @@ def test_preconditioned_cg_matches_cg(case, c):
     solver = SeparableSolver(grid, space)
     lhs = lambda v: v - c * apply(A, v)
     x, _ = cg_solve(lhs, b, tol=1e-12, precond=lambda r: solver.solve(r, c))
-    ref, _ = cg_solve(lhs, b, tol=1e-12)
+    ref, _ = cg_solve(lhs, b, identity, tol=1e-12)
     assert np.linalg.norm(b - lhs(x)) <= 1e-12 * np.linalg.norm(b)
     assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
@@ -292,7 +301,7 @@ def test_preconditioned_cg_matches_cg(case, c):
 def test_preconditioned_inverse_iteration_matches_oracle(case):
     grid, space, A, _ = case
     eig = smallest_eigenpair(A, tol=1e-10)
-    ref = inverse_iteration(A, tol=1e-10)
+    ref = inverse_iteration(A, identity, tol=1e-10)
     assert ref.method == "inverse-iteration"
     assert eig.method == ("separable" if A.solver.exact
                           else "inverse-iteration")

@@ -608,6 +608,38 @@ class TestRunExperiment:
                           (out / "report.json").read_bytes()))
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("stage, change", [
+        ("initial-condition", {"initial": {"kind": "file", "path": "u0.txt"}}),
+        ("functionals", {"nonlinearity": {"power": {"p": 1000.0, "c": 1.0}}}),
+        ("functionals", {"initial": {"kind": "product_sine",
+                                     "amplitude": 1e100}}),   # F0 = inf
+        ("functionals", {"initial": {"kind": "product_sine",
+                                     "amplitude": 1e160}}),   # I0 = inf
+    ])
+    def test_non_finite_initial_data_fails_with_a_whole_report(
+            self, tmp_path, stage, change):
+        # A NaN or an infinity cannot go into report.json, so each fails
+        # at its stage and the report is still written whole.
+        (tmp_path / "u0.txt").write_text("1\n" * 48 + "nan\n")
+        with open(config_path("blowup_cubic.json")) as fh:
+            data = dict(json.load(fh), cells=[8, 8], **change)
+        cfg = parse_config_dict(data, base_dir=str(tmp_path))
+        out = tmp_path / "out"
+        rpt = run_experiment(cfg, out_dir=str(out))
+        assert rpt.failure["stage"] == stage
+        assert rpt.F0 is None and rpt.I0 is None
+        assert json.loads((out / "report.json").read_text()) == rpt.to_dict()
+
+    def test_a_report_that_cannot_be_written_leaves_no_file(
+            self, tmp_path, monkeypatch):
+        def fail(rpt):
+            raise ValueError("not JSON compliant")
+        monkeypatch.setattr(runner.TheoremReport, "to_json", fail)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            run_experiment(parse_config_dict(fast_dict()), out_dir=str(out))
+        assert not (out / "report.json").exists()
+
     def test_custom_output_names(self, tmp_path):
         cfg = parse_config_dict(fast_dict(
             output={"csv": "r.csv", "report": "rep.json", "svg": "p.svg",
@@ -823,6 +855,25 @@ class TestSweepSharesWork:
         nonlinearity._samples.cache_clear()
         assert repr(run_sweep(cfg, "theta", THETA_ROWS)) == repr(ref)
         assert calls == {"sample_points": 2, "F_values": 2}
+
+    @pytest.mark.parametrize("mode", ["free", "blowup"])
+    def test_sampling_grid_is_freed_after_a_run(self, monkeypatch, mode):
+        # No stage after the march reads the grid of the checks before it,
+        # so the march runs without it, and none after the last row reads
+        # any.
+        held = []
+        march = runner.run
+
+        def run(*args, **kwargs):
+            held.append(nonlinearity._samples.cache_info().currsize)
+            return march(*args, **kwargs)
+        monkeypatch.setattr(runner, "run", run)
+        cfg = parse_config_dict(sweep_dict(1, mode))
+        for go in (lambda: run_experiment(cfg),
+                   lambda: run_sweep(cfg, "theta", THETA_ROWS)):
+            assert go()
+            assert nonlinearity._samples.cache_info().currsize == 0
+        assert held == [0, 0]
 
     @pytest.mark.parametrize("mode, grids", [("free", 0), ("blowup", 2)])
     def test_only_a_sign_condition_samples_F(self, monkeypatch, mode, grids):
