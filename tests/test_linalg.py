@@ -267,6 +267,15 @@ class TestSmallestEigenpair:
             tracemalloc.stop()
         assert peak < 6.5 * 8 * grid.N
 
+    def test_requires_symmetric_flag(self):
+        # An eigensolve needs a symmetric operator, and only assemble_grushin
+        # vouches for one: a hand-built matrix, here an asymmetric one, is
+        # refused before any iteration.
+        A = SparseMatrix(n=2, diagonals={0: [-1.0, -2.0], 1: [0.5],
+                                         -1: [-0.25]})
+        with pytest.raises(ValueError, match="assemble_grushin"):
+            smallest_eigenpair(A)
+
     def test_stalled_residual_raises_early(self):
         # The inner CG's default 1e-10 tolerance keeps the eigen-residual
         # above 1e-12 * lambda.
@@ -316,20 +325,25 @@ class TestOneEntryPoint:
             run(grid, GrushinSpace(1, 1, 0.0), A, Power(3.0, 1.0),
                 np.ones(3), SimConfig())
 
+    def test_hand_built_matrix_takes_inverse_iteration(self):
+        # A hand-built matrix reaches inverse iteration only directly, with
+        # the identity preconditioner and its own cell volume.
+        eig = inverse_iteration(diag_matrix([-3.0, -1.0, -2.0]), identity,
+                                tol=1e-9, cell_volume=1.0)
+        assert eig.method == "inverse-iteration"
+        assert eig.lambda1 == pytest.approx(1.0, rel=1e-9)
+        assert float(eig.phi1 @ eig.phi1) == pytest.approx(1.0, rel=1e-12)
+
     def test_identity_preconditioned_inverse_iteration_is_the_oracle(self):
         # Unpreconditioned inverse iteration takes the 57 outer steps here
         # that it took when it had a branch of its own, and finds the
-        # eigenpairs it found then, hand-built diagonal included.
+        # eigenpair it found then.
         _, _, A = grushin_setup([(-1.0, 1.0)] * 3, (10, 10, 10), gamma=1.5,
                                 m=2)
         ref = inverse_iteration(A, identity, tol=1e-10)
         assert (ref.method, ref.iterations) == ("inverse-iteration", 57)
         eig = smallest_eigenpair(A, tol=1e-10)
         assert abs(eig.lambda1 - ref.lambda1) <= 1e-10 * ref.lambda1
-        eig = inverse_iteration(diag_matrix([-3.0, -1.0, -2.0]), identity,
-                                tol=1e-9, cell_volume=1.0)
-        assert eig.lambda1 == pytest.approx(1.0, rel=1e-9)
-        assert float(eig.phi1 @ eig.phi1) == pytest.approx(1.0, rel=1e-12)
 
     def test_largest_entry_is_made_positive(self):
         # Ground state x has a positive projection on the all-ones start
