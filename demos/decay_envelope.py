@@ -24,8 +24,7 @@ def main():
           f"2*lam/(1+lam) = {exact_rate:.8f}")
 
     cfg = SimConfig(t_end=1.0, dt_init=2e-4, dt_min=2e-4, dt_max=2e-4)
-    final, records = run(grid, space, A, parse_expression("0*u"),
-                         eig.phi1.copy(), cfg)
+    final, records = run(A, parse_expression("0*u"), eig.phi1.copy(), cfg)
     print(f"marched {final.steps} steps to t = {final.t:.3f}; "
           f"calE dropped {records[0].calE:.4f} -> {records[-1].calE:.4e}")
 

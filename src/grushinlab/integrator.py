@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .diagnostics import EnergyTracker
-from .geometry import Grid, GrushinSpace
+from .geometry import Grid
 from .linalg import SolverError, cg_solve
 from .nonlinearity import DomainError, Nonlinearity, f_values
 from .operators import SparseMatrix, apply
@@ -233,19 +233,20 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
     return nxt
 
 
-def run(grid: Grid, space: GrushinSpace, A: SparseMatrix, nl: Nonlinearity,
-        u0: np.ndarray, cfg: SimConfig, observer=None):
-    """March from u0 until t_end, blow-up, or failure.
+def run(A: SparseMatrix, nl: Nonlinearity, u0: np.ndarray, cfg: SimConfig,
+        observer=None):
+    """March from u0 until t_end, blow-up, or failure, on A's own grid.
 
-    The observer (an :class:`EnergyTracker` by default) is invoked at t = 0,
-    after every record_every-th accepted step, and at the final state.
-    Returns ``(final_state, records)``.
+    The observer (an :class:`EnergyTracker` on ``A.grid`` and ``A.space`` by
+    default) is invoked at t = 0, after every record_every-th accepted step,
+    and at the final state.  Returns ``(final_state, records)``.
     """
+    A.solver   # refuses a hand-built matrix before the t = 0 record
     if observer is None:
-        observer = EnergyTracker(grid, space, nl)
+        observer = EnergyTracker(A.grid, A.space, nl)
     u0 = np.asarray(u0, dtype=float)
-    if u0.size != grid.N:
-        raise ValueError(f"u0 has {u0.size} values, grid has {grid.N} nodes")
+    if u0.size != A.n:
+        raise ValueError(f"u0 has {u0.size} values, A has {A.n} nodes")
     state = SimState(t=0.0, u=u0.copy(), dt=cfg.dt_init, steps=0)
     observer(state)
     t_tol = 1e-10 * max(1.0, cfg.t_end)

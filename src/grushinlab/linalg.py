@@ -3,9 +3,9 @@
 Every operator built by ``assemble_grushin`` owns a :class:`SeparableSolver`,
 ``SparseMatrix.solver``, built on first use and kept, so the eigensolve and
 every time step share it; :func:`smallest_eigenpair` is the one eigensolver
-entry point.  The solver builds the dense DST-I matrix of every y-axis on
-its first solve; the eigenpair reads only their first rows, in closed form,
-so an eigensolve alone builds none.  The solver plays one of two roles.
+entry point, and the solver picks its method.  The solver builds the dense
+DST-I matrix of every y-axis on its first solve; the exact eigenpair reads
+only their first rows, so it builds none.  The solver plays one of two roles.
 
 *Exact solve* (m == 1).  The y-edge weights depend only on x, so
 -A = K_x (x) I + diag(W) (x) K_y, where K_d is the 1D Dirichlet
@@ -21,19 +21,22 @@ first.
 
 *Exact solve* (m >= 2, weights equal but on at most one x-node).  The
 solver inverts the operator with the additively separable surrogate weight
-sum_d |x_d|^(2 gamma): per y-mode a Kronecker sum of m tridiagonals
-K_d + mu_j diag(|x_d|^(2 gamma)), each eigendecomposed once per grid.  At
-gamma == 1, |x|^2 = sum_d x_d^2, and A's weight differs from the surrogate's
-only where ``_degenerate_weight`` lifts the origin node off zero.  A
-rank-one Sherman-Morrison correction per y-mode then makes every solve
-exact, and the first eigenpair is the root of a secular equation in the
-mode j = 1 (see :class:`SeparableSolver`).
+s = sum_d w_d, w_d = |x_d|^(2 gamma) / m^(1 - gamma): per y-mode a
+Kronecker sum of m tridiagonals K_d + mu_j diag(w_d), each eigendecomposed
+once per grid.  At gamma == 0 both weights are 1, and A is the Laplacian.
+At gamma == 1, |x|^2 = sum_d x_d^2, and A's weight differs from the
+surrogate's only where ``_degenerate_weight`` lifts the origin node off
+zero.  A rank-one Sherman-Morrison correction per y-mode then makes every
+solve exact, and the first eigenpair is the root of a secular equation in
+the mode j = 1 (see :class:`SeparableSolver`).
 
 *Preconditioner* (m >= 2 otherwise).  The two weights are spectrally
 equivalent, so conjugate gradients preconditioned with the surrogate solve
 (:func:`cg_solve`) converge in a few iterations whatever the grid (Concus
-and Golub, SIAM J. Numer. Anal. 10, 1973).  Time steps and the inner solves
-of :func:`inverse_iteration` both use it.  numpy only.
+and Golub, SIAM J. Numer. Anal. 10, 1973).  The factor 1 / m^(1 - gamma)
+scales the ratio of the two weights and leaves its spread, max over min, as
+it was.  Time steps and the inner solves of :func:`inverse_iteration` both
+use it, and the iteration starts in the y-mode j = 1.  numpy only.
 """
 
 from __future__ import annotations
@@ -173,39 +176,35 @@ def cg_solve(matvec, b: np.ndarray, precond, tol: float = 1e-10,
 def smallest_eigenpair(A: SparseMatrix, tol: float = 1e-8,
                        max_iter: int = 10_000, cg_tol: float = 1e-10,
                        cell_volume: float | None = None) -> EigenResult:
-    """Smallest eigenpair of B = -A for A built by ``assemble_grushin``.
-
-    Exact from ``A.solver`` when it is exact: one x-axis, or weights that
-    differ on at most one x-node, as at gamma == 1 (``tol``, ``max_iter``
-    and ``cg_tol`` then have nothing to tune).  Otherwise by
-    :func:`inverse_iteration`, preconditioned by ``A.solver``.
-    l2_norm_sq(phi1) == 1 under the rectangle rule with ``cell_volume``, by
-    default that of A's grid.
+    """Smallest eigenpair of B = -A for A built by ``assemble_grushin``, as
+    its solver finds it (:meth:`SeparableSolver.eigenpair`, which says when
+    it is exact).  l2_norm_sq(phi1) == 1 under the rectangle rule with
+    ``cell_volume``, by default that of A's grid.
     """
-    solver = A.solver
-    if solver.exact:
-        return solver.eigenpair(A, cell_volume)
-    return inverse_iteration(A, lambda r: solver.solve(r, 1.0, shift=0.0),
-                             tol, max_iter, cg_tol, cell_volume)
+    return A.solver.eigenpair(A, tol, max_iter, cg_tol,
+                              cell_volume=cell_volume)
 
 
 def inverse_iteration(A: SparseMatrix, precond, tol: float = 1e-8,
                       max_iter: int = 10_000, cg_tol: float = 1e-10,
-                      cell_volume: float | None = None) -> EigenResult:
+                      cell_volume: float | None = None,
+                      start: np.ndarray | None = None) -> EigenResult:
     """Smallest eigenpair of B = -A, for A symmetric and negative definite,
     by inverse power iteration: the path of an inexact solver.
 
     B is SPD and its smallest eigenvalue is the discrete Rayleigh minimum
-    grushin_energy(u)/l2_norm_sq(u).  Starts from the all-ones vector, solves
-    by CG to ``cg_tol`` (preconditioned by ``precond``, an approximate
-    inverse of B; the identity gives plain CG), and converges on the
-    eigen-residual ||B v - lambda v|| <= tol * lambda for unit v.  Raises
-    :class:`NonConvergence` with the best iterate after ``max_iter`` steps,
-    or sooner once :data:`STALL_STEPS` steps bring no new best residual.
-    A matrix built by hand has no grid, so its caller passes ``cell_volume``.
+    grushin_energy(u)/l2_norm_sq(u).  Starts from ``start`` (by default the
+    all-ones vector), solves by CG to ``cg_tol`` (preconditioned by
+    ``precond``, an approximate inverse of B; the identity gives plain CG),
+    and converges on the eigen-residual ||B v - lambda v|| <= tol * lambda
+    for unit v.  Raises :class:`NonConvergence` with the best iterate after
+    ``max_iter`` steps, or sooner once :data:`STALL_STEPS` steps bring no new
+    best residual.  A matrix built by hand has no grid, so its caller passes
+    ``cell_volume``.
     """
     B = lambda v: -A.apply(v)
-    v = np.ones(A.n) / np.sqrt(A.n)
+    v = np.ones(A.n) if start is None else np.asarray(start, dtype=float)
+    v = v / float(np.linalg.norm(v))
     lam = float(v @ B(v))
     best_res, best_v, best_it = np.inf, v, 0
     inner = 0
@@ -344,15 +343,17 @@ def _mode_products(X: np.ndarray, bases, inverse: bool = False):
 class SeparableSolver:
     """Solves with shift*I - c*A for an assembled operator A, exactly
     (``exact``) when m == 1 or when the separable surrogate weight
-    sum_d |x_d|^(2 gamma) equals A's weight |x|^(2 gamma) on every x-node but
-    at most one, and else with the surrogate in place of A, which makes it a
-    preconditioner for A.  The first eigenpair of -A is exact whenever the
-    solve is.  ``_degenerate_weight`` first checks that the grid has the
-    space's m + k axes.
+    s = sum_d w_d, w_d = |x_d|^(2 gamma) / m^(1 - gamma), equals A's weight
+    |x|^(2 gamma) on every x-node but at most one (gamma == 1, or gamma == 0,
+    where both are 1), and else with the surrogate in place of A, which makes
+    it a preconditioner for A.  It finds the first eigenpair of -A too
+    (:meth:`eigenpair`), exactly whenever the solve is exact.
+    ``_degenerate_weight`` first checks that the grid has the space's m + k
+    axes.
 
     Built once per grid: the y-mode eigenvalues mu; for m == 1 the x-line
     weights W, for m >= 2 the eigendecomposition of every x-tridiagonal
-    K_d + mu_j diag(|x_d|^(2 gamma)), one batched ``eigh`` per x-axis.  The
+    K_d + mu_j diag(w_d), one batched ``eigh`` per x-axis.  The
     dense orthonormal DST-I matrix of every y-axis (symmetric and its own
     inverse), ``sines``, is built on the first solve and kept; the
     eigenpair reads only the first sine row of each axis and builds none.
@@ -392,7 +393,7 @@ class SeparableSolver:
             self.inv_h2 = 1.0 / float(grid.h[0]) ** 2
             self.W = weight.ravel()
             return
-        # Per y-mode j and x-axis d: T = K_d + mu_j diag(|x_d|^(2 gamma)) =
+        # Per y-mode j and x-axis d: T = K_d + mu_j diag(w_d) =
         # Q diag(lam) Q^T.  self.lam[j, i_1, ..., i_m] sums lam over the
         # x-axes, the eigenvalues of the surrogate's j-th x-problem.
         self.bases = []
@@ -400,7 +401,8 @@ class SeparableSolver:
         surrogate = np.zeros((1,) * m)
         for d in range(m):
             n, inv_h2 = grid.shape[d], 1.0 / float(grid.h[d]) ** 2
-            w = np.abs(grid.axis_coords(d)) ** (2.0 * space.gamma)
+            w = (np.abs(grid.axis_coords(d)) ** (2.0 * space.gamma)
+                 / float(m) ** (1.0 - space.gamma))
             T = np.zeros((self.mu.size, n, n))
             i = np.arange(n)
             T[:, i, i] = 2.0 * inv_h2 + np.multiply.outer(self.mu, w)
@@ -412,7 +414,8 @@ class SeparableSolver:
             self.lam = self.lam + lam.reshape(shape)
             surrogate = surrogate + w.reshape(shape[1:])
         # At gamma == 1 both weights sum the same squares in the same order,
-        # so off the origin they agree to the bit.
+        # and the division by 1.0 is exact, so off the origin they agree to
+        # the bit; at gamma == 0 both are 1 wherever m copies of 1/m sum to 1.
         lift = weight.reshape(grid.shape[:m]) - surrogate
         lifted = np.flatnonzero(lift)
         self.exact = lifted.size <= 1
@@ -428,6 +431,14 @@ class SeparableSolver:
                 shape[1 + d] = Q.shape[1]
                 q = q * Q[:, o[d], :].reshape(shape)
             self.q = q.reshape(self.mu.size, -1)
+
+    def _first_mode(self, profile: np.ndarray) -> np.ndarray:
+        """The grid vector of the y-mode j = 1 with x-profile ``profile``
+        (the x-nodes' values, flat or shaped): the profile times the first
+        sine of every y-axis."""
+        for n, c in self._y_axes:
+            profile = np.multiply.outer(profile, _sine_rows(n, c, 1)[0])
+        return profile.ravel()
 
     @cached_property
     def sines(self) -> list:
@@ -497,8 +508,14 @@ class SeparableSolver:
                             + np.multiply.outer(self.W, self.mu))
         return _factor(diag, off) + (off,)
 
-    def eigenpair(self, A: SparseMatrix, cell_volume=None) -> EigenResult:
-        """First eigenpair of -A from the y-mode j = 1; needs ``exact``.
+    def eigenpair(self, A: SparseMatrix, tol: float = 1e-8,
+                  max_iter: int = 10_000, cg_tol: float = 1e-10,
+                  cell_volume=None) -> EigenResult:
+        """First eigenpair of -A, from the y-mode j = 1: in closed form as
+        below when ``exact`` (the other settings then have nothing to tune),
+        else by :func:`inverse_iteration` preconditioned by this solver and
+        started in that mode, constant in x, since A and the surrogate solve
+        both keep every y-mode.
 
         m == 1: lambda1 is the smallest eigenvalue of K_x + mu_1 diag(W),
         bracketed in [0, min diagonal] and bisected with Sturm tests to the
@@ -517,9 +534,10 @@ class SeparableSolver:
         lambda1 and the residual are measured against the assembled ``A``.
         """
         if not self.exact:
-            raise ValueError("the separable eigenpair needs an exact solver: "
-                             "m == 1, or weights that differ on at most one "
-                             "x-node")
+            return inverse_iteration(
+                A, lambda r: self.solve(r, 1.0, shift=0.0), tol, max_iter,
+                cg_tol, cell_volume,
+                start=self._first_mode(np.ones(self.shape[:self.m])))
         if self.m == 1:
             diag = 2.0 * self.inv_h2 + self.mu[0] * self.W
             entries = diag.tolist()
@@ -556,9 +574,8 @@ class SeparableSolver:
                 v = g / (d - lo)
             v = _mode_products(v[None], [Q[:1] for Q in self.bases],
                                inverse=True)[0]
-        for n, c in self._y_axes:
-            v = np.multiply.outer(v, _sine_rows(n, c, 1)[0])
-        v = v.ravel() / float(np.linalg.norm(v))
+        v = self._first_mode(v)
+        v = v / float(np.linalg.norm(v))
         # B v and then the residual B v - lam v, in A v's buffer, which is
         # freed before phi1 is scaled.
         Bv = A.apply(v)

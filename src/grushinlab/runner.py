@@ -54,15 +54,17 @@ CERT_RTOL = 1e-6             # relative margin tolerance vs. local scale
 MODES = ("blowup", "global", "free")
 # The pipeline stages a sweep runs once for all its rows, by swept axis.  Only
 # gamma changes the operator; alpha, beta and theta do not enter the flow
-# u_t - L u_t = L u + f(u): their rows share u0, its measurement and a march.
+# u_t - L u_t = L u + f(u): their rows share u0 and a march.
 _OPERATOR = ("grid", "assemble", "eigenvalue")
 _SHARED = {"gamma": (),
            **dict.fromkeys(("alpha", "beta", "theta"), _OPERATOR + (
-               "initial-condition", "functionals", "simulate")),
+               "initial-condition", "simulate")),
            "amplitude": _OPERATOR}
 SWEEP_AXES = tuple(_SHARED)
 # run_sweep's row keys, in the column order of sweep.csv.
 _SWEEP_COLUMNS = ("value", "lambda1", "F0", "verdict", "outcome")
+# The file ``run_experiment`` dumps the operator to, on request.
+_MATRIX_FILE = "matrix.txt"
 
 
 class ConfigError(ValueError):
@@ -126,6 +128,18 @@ class ExperimentConfig:
         if bad or not self.output.svg_fields:
             problems.append(f"/output/svg_fields: need one or more record "
                             f"fields, got unknown {bad}")
+        # Each artifact is a file of its own in the output directory.
+        taken = {_MATRIX_FILE: "the --dump-matrix file"}
+        for key in ("csv", "report", "svg"):
+            name = getattr(self.output, key)
+            if name in ("", ".", "..") or os.path.dirname(name):
+                problems.append(f"/output/{key}: need a file name with no "
+                                f"directory part, got {name!r}")
+            elif name in taken:
+                problems.append(f"/output/{key}: {name!r} is also "
+                                f"{taken[name]}")
+            else:
+                taken[name] = f"/output/{key}"
         if problems:
             raise ConfigError(problems)
 
@@ -397,7 +411,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
             emit_svg_plot(records, cfg.output.svg_fields,
                           os.path.join(out_dir, cfg.output.svg))
         if dump_matrix and rpt.failure is None:
-            _dump_matrix(row.A, os.path.join(out_dir, "matrix.txt"))
+            _dump_matrix(row.A, os.path.join(out_dir, _MATRIX_FILE))
         text = rpt.to_json()   # first, so a failure leaves no empty file
         with open(os.path.join(out_dir, cfg.output.report), "w",
                   newline="") as fh:
@@ -405,10 +419,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | None = None,
     return rpt
 
 
-# The stages.  grid, assemble, eigenvalue, initial-condition, functionals
-# and simulate may serve several rows of a sweep at once: each takes every
-# row it serves, in order, and computes from the first one's config.  The
-# others take one row and work out its report.
+# The stages.  grid, assemble, eigenvalue, initial-condition and simulate
+# may serve several rows of a sweep at once: each takes every row it serves,
+# in order, and computes from the first one's config.  The others take one
+# row and work out its report.
 
 def _grid(*rows) -> None:
     cfg = rows[0].cfg
@@ -430,25 +444,23 @@ def _eigenvalue(*rows) -> None:
 def _initial_condition(*rows) -> None:
     lead = rows[0]
     _share(rows, u0=build_initial_condition(lead.grid, lead.cfg.initial,
-                                            phi1=lead.eig.phi1))
+                                            phi1=lead.eig.phi1), slot=[])
 
 
-def _functionals(*rows) -> None:
-    """Each row's tracker and its finite F0 and I0.  The trackers share a
-    slot, so u0 is measured once, for them and for the march's t = 0 record."""
-    slot = []
-    for row in rows:
-        cfg, rpt = row.cfg, row.rpt
-        row.tracker = EnergyTracker(row.grid, cfg.space, cfg.nonlinearity,
-                                    theta=cfg.theta)
-        row.tracker._slot = slot
-        l2, grad, F0 = row.tracker.measure(row.u0)
-        I0 = l2 + grad
-        if not (math.isfinite(F0) and math.isfinite(I0)):
-            raise ValueError(f"F0 = {F0} and I0 = {I0} must be finite")
-        rpt.F0, rpt.I0 = F0, I0
-        if cfg.mode == "global":
-            rpt.decay_rate = 2.0 - cfg.alpha
+def _functionals(row) -> None:
+    """The row's tracker and its finite F0 and I0.  The rows that share u0
+    share its slot, so u0 is measured once, for them and for the march."""
+    cfg, rpt = row.cfg, row.rpt
+    row.tracker = EnergyTracker(row.grid, cfg.space, cfg.nonlinearity,
+                                theta=cfg.theta)
+    row.tracker._slot = row.slot
+    l2, grad, F0 = row.tracker.measure(row.u0)
+    I0 = l2 + grad
+    if not (math.isfinite(F0) and math.isfinite(I0)):
+        raise ValueError(f"F0 = {F0} and I0 = {I0} must be finite")
+    rpt.F0, rpt.I0 = F0, I0
+    if cfg.mode == "global":
+        rpt.decay_rate = 2.0 - cfg.alpha
 
 
 def _hypothesis(row) -> None:
@@ -505,10 +517,10 @@ def _simulate(*rows) -> None:
             for row in rows:
                 row.tracker(state)
         finally:
-            lead.tracker._slot.clear()
+            lead.slot.clear()
 
-    final, _ = run(lead.grid, lead.cfg.space, lead.A, lead.cfg.nonlinearity,
-                   lead.u0, lead.cfg.sim, observer=observe)
+    final, _ = run(lead.A, lead.cfg.nonlinearity, lead.u0, lead.cfg.sim,
+                   observer=observe)
     _share(rows, final=final)
     for row in rows:
         row.rpt.sim = _sim_block(row.tracker.records, final)
@@ -703,7 +715,7 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values,
     ``alpha``, ``beta`` and ``theta``, which the flow does not contain, also
     share u0 and one march.  Every state of that march, u0 included, is
     measured once, and each row's own tracker adds its own theta and M.
-    Each row gets the numbers its own run would give.
+    Each row gets the numbers its own run would give, and fails alone.
 
     Rows keep the input order, and each holds the keys of
     ``_SWEEP_COLUMNS``, which are also the columns of ``sweep.csv``, the

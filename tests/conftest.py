@@ -65,8 +65,8 @@ def eigenmode_run(unit16):
         if len(tracker.records) > before:
             states.append((float(state.t), state.u.copy()))
 
-    final, _ = run(unit16.grid, unit16.space, unit16.A, zero,
-                   unit16.eig.phi1.copy(), cfg, observer=observer)
+    final, _ = run(unit16.A, zero, unit16.eig.phi1.copy(), cfg,
+                   observer=observer)
     return SimpleNamespace(final=final, records=tracker.records,
                            states=states, lam=unit16.lam,
                            grid=unit16.grid, space=unit16.space,

@@ -81,7 +81,8 @@ def surrogate_dense(grid, space):
         shape = [1] * grid.n
         shape[d] = grid.shape[d]
         coords = np.abs(grid.axis_coords(d)).reshape(shape)
-        weight = weight + coords ** (2.0 * space.gamma)
+        weight = weight + (coords ** (2.0 * space.gamma)
+                           / float(space.m) ** (1.0 - space.gamma))
     return (kron_sum(range(space.m))
             + np.diag(weight.ravel()) @ kron_sum(range(space.m, grid.n)))
 

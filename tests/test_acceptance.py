@@ -113,8 +113,7 @@ def test_criterion_05_eigenmode_decay(unit16, eigenmode_run):
     zero = parse_expression("0*u")
     cfg = SimConfig(t_end=1.0, dt_init=5e-5, dt_min=5e-5, dt_max=5e-5,
                     record_every=10**6)
-    final, _ = run(unit16.grid, unit16.space, unit16.A, zero,
-                   unit16.eig.phi1.copy(), cfg)
+    final, _ = run(unit16.A, zero, unit16.eig.phi1.copy(), cfg)
     err_half = abs(l2_norm_sq(unit16.grid, final.u) - exact) / exact
     ratio = err_full / err_half
     assert 1.6 <= ratio <= 2.4

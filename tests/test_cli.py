@@ -60,6 +60,16 @@ class TestSubcommands:
             assert payload == {"lambda1": rpt.lambda1, **rpt.eigen}
             assert (payload["solver_iterations"] > 0) == inner
 
+    def test_eig_converges_at_m2_gamma2(self, tmp_path, capsys):
+        # This eigensolve once ran 10,000 inverse iterations and exited 3.
+        data = dict(base_config(), space={"m": 2, "k": 1, "gamma": 2.0},
+                    bounds=[[0.0, 0.1], [0.0, 0.1], [0.0, 1.0]],
+                    cells=[3, 3, 4])
+        code, out, _ = run_cli(["eig", write_config(tmp_path, data)], capsys)
+        assert code == 0
+        assert json.loads(out)["lambda1"] == pytest.approx(1800.00034,
+                                                           rel=1e-8)
+
     def test_simulate_writes_artifacts_and_strips_mode(self, tmp_path, capsys):
         data = dict(base_config(), mode="blowup")
         cfgp = write_config(tmp_path, data)
@@ -145,6 +155,28 @@ class TestExitCodes:
         code, _, err = run_cli(["eig", cfgp], capsys)
         assert code == 2
         assert "/sim/t_end: expected a finite number, got nan" in err
+
+    @pytest.mark.parametrize("output, problem", [
+        ({"csv": ""}, "/output/csv: need a file name"),
+        ({"csv": "a/b.csv"}, "/output/csv: need a file name"),
+        ({"report": ".."}, "/output/report: need a file name"),
+        ({"svg": "report.json"}, "/output/svg: 'report.json' is also"),
+        ({"csv": "report.json"}, "/output/report: 'report.json' is also"),
+        ({"svg": "matrix.txt"}, "/output/svg: 'matrix.txt' is also the "
+                                "--dump-matrix file"),
+    ], ids=["empty", "directory", "parent", "svg-report", "csv-report",
+            "matrix"])
+    def test_output_name_that_loses_an_artifact(self, tmp_path, capsys,
+                                                output, problem):
+        # Each name once lost the report or overwrote another artifact.
+        with open(config_path("blowup_cubic.json")) as fh:
+            data = dict(json.load(fh), cells=[16, 16], output=output)
+        out_dir = tmp_path / "out"
+        code, _, err = run_cli(["verify", write_config(tmp_path, data),
+                                "--out", str(out_dir)], capsys)
+        assert code == 2
+        assert problem in err
+        assert not out_dir.exists()
 
     def test_runtime_failure_in_pipeline(self, tmp_path, capsys):
         data = dict(m2_config(), eigen={"tol": 1e-14, "max_iter": 1})

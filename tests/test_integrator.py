@@ -342,8 +342,7 @@ class TestRun:
         for dt in (1e-3, 5e-4):
             cfg = SimConfig(t_end=t_end, dt_init=dt, dt_min=dt, dt_max=dt,
                             record_every=10**6)
-            final, _ = run(unit16.grid, unit16.space, unit16.A, zero,
-                           unit16.eig.phi1.copy(), cfg)
+            final, _ = run(unit16.A, zero, unit16.eig.phi1.copy(), cfg)
             exact = np.exp(-lam * t_end / (1.0 + lam)) * unit16.eig.phi1
             errors.append(float(np.abs(final.u - exact).max()))
         assert errors[0] / errors[1] == pytest.approx(2.0, rel=0.2)
@@ -351,8 +350,7 @@ class TestRun:
     def test_lands_on_t_end(self, unit16):
         zero = parse_expression("0*u")
         cfg = SimConfig(t_end=0.01, dt_init=3e-3, dt_min=1e-6, dt_max=3e-3)
-        final, _ = run(unit16.grid, unit16.space, unit16.A, zero,
-                       unit16.eig.phi1.copy(), cfg)
+        final, _ = run(unit16.A, zero, unit16.eig.phi1.copy(), cfg)
         assert final.status == "completed"
         assert abs(final.t - 0.01) <= 1e-10
 
@@ -360,8 +358,7 @@ class TestRun:
         zero = parse_expression("0*u")
         cfg = SimConfig(t_end=0.01, dt_init=1e-3, dt_min=1e-3, dt_max=1e-3,
                         record_every=3)
-        final, records = run(unit16.grid, unit16.space, unit16.A, zero,
-                             unit16.eig.phi1.copy(), cfg)
+        final, records = run(unit16.A, zero, unit16.eig.phi1.copy(), cfg)
         t = np.array([r.t for r in records])
         assert t[0] == 0.0
         assert np.all(np.diff(t) > 0.0)
@@ -376,7 +373,7 @@ class TestRun:
             grid, InitialCondition(kind="product_sine", amplitude=5.0))
         cfg = SimConfig(t_end=1e-6, dt_init=1e-3, dt_min=1e-12,
                         blowup_threshold=1e300)
-        final, _ = run(grid, space, A, Power(3.0, 1.0), ic, cfg)
+        final, _ = run(A, Power(3.0, 1.0), ic, cfg)
         assert final.status == "completed"
         assert final.steps >= 1
 
@@ -385,8 +382,7 @@ class TestRun:
         cfg = SimConfig(t_end=0.02, dt_init=1e-3)
         outs = []
         for _ in range(2):
-            final, records = run(unit16.grid, unit16.space, unit16.A, zero,
-                                 unit16.eig.phi1.copy(), cfg)
+            final, records = run(unit16.A, zero, unit16.eig.phi1.copy(), cfg)
             outs.append((final, records))
         a, b = outs
         assert np.array_equal(a[0].u, b[0].u)
@@ -396,8 +392,7 @@ class TestRun:
     def test_wrong_size_initial_data_rejected(self, unit16):
         zero = parse_expression("0*u")
         with pytest.raises(ValueError, match="nodes"):
-            run(unit16.grid, unit16.space, unit16.A, zero,
-                np.ones(unit16.grid.N + 1), SimConfig())
+            run(unit16.A, zero, np.ones(unit16.grid.N + 1), SimConfig())
 
 
 class TestSimConfigValidation:
@@ -435,11 +430,11 @@ def _march_against_plain_cg(gamma, cells):
     u0 = build_initial_condition(
         grid, InitialCondition(kind="product_sine", amplitude=2.0))
     nl, cfg = Power(3.0, 1.0), SimConfig(t_end=0.2, dt_init=1e-2)
-    fast, fast_records = run(grid, space, A, nl, u0, cfg)
-    hand_built = SparseMatrix(A.n, A.diagonals)
+    fast, fast_records = run(A, nl, u0, cfg)
+    hand_built = SparseMatrix(A.n, A.diagonals, grid=A.grid, space=A.space)
     vars(hand_built)["solver"] = SimpleNamespace(exact=False,
                                                  solve=lambda r, c: r)
-    cg, cg_records = run(grid, space, hand_built, nl, u0, cfg)
+    cg, cg_records = run(hand_built, nl, u0, cfg)
     assert (fast.steps, fast.status, fast.attempts) == (cg.steps, cg.status,
                                                         cg.attempts)
     assert [r.t for r in fast_records] == [r.t for r in cg_records]

@@ -320,10 +320,8 @@ class TestOneEntryPoint:
         A = diag_matrix([-3.0, -1.0, -2.0])
         with pytest.raises(ValueError, match="assemble_grushin"):
             smallest_eigenpair(A)
-        grid = build_grid(BoxDomain([(0.0, 1.0)] * 2), (2, 4))   # 3 nodes
         with pytest.raises(ValueError, match="assemble_grushin"):
-            run(grid, GrushinSpace(1, 1, 0.0), A, Power(3.0, 1.0),
-                np.ones(3), SimConfig())
+            run(A, Power(3.0, 1.0), np.ones(3), SimConfig())
 
     def test_hand_built_matrix_takes_inverse_iteration(self):
         # A hand-built matrix reaches inverse iteration only directly, with
@@ -392,6 +390,18 @@ class TestSeparableSolver:
         want = sum((2.0 * c * np.sin(np.pi / (2 * c))) ** 2 for c in (16, 12))
         assert eig.lambda1 == pytest.approx(want, rel=1e-13)
 
+    def test_laplacian_closed_form_at_m2(self):
+        # gamma = 0 at m = 2: A is the Laplacian, and the surrogate weight,
+        # 1/2 per x-axis, is its weight 1, so the solver is exact.
+        bounds, cells = [(-1.0, 1.0), (0.0, 2.5), (0.0, 1.5)], (6, 5, 7)
+        grid, space, A = grushin_setup(bounds, cells, gamma=0.0, m=2)
+        assert A.solver.exact
+        eig = smallest_eigenpair(A)
+        assert (eig.method, eig.solver_iterations) == ("separable", 0)
+        want = sum((2.0 / float(h) * np.sin(np.pi / (2 * c))) ** 2
+                   for h, c in zip(grid.h, cells))
+        assert eig.lambda1 == pytest.approx(want, rel=1e-13)
+
     def test_solve_inverts_the_step_matrix(self):
         grid, space, A = grushin_setup([(-1.0, 1.0), (-1.0, 1.0)], (12, 10),
                                        gamma=1.0)
@@ -400,15 +410,35 @@ class TestSeparableSolver:
         got = SeparableSolver(grid, space).solve(b, 1.25)
         assert np.abs(got - x).max() <= 1e-13 * np.abs(x).max()
 
-    def test_inexact_solver_has_no_eigenpair(self):
+    def test_inexact_solver_eigenpair_is_the_entry_point(self):
         # With m = 2 at gamma = 1.5 the weights differ on every x-node, so
-        # the solver is a preconditioner and has no eigenpair.
+        # the solver is a preconditioner, and its eigenpair is the one
+        # smallest_eigenpair returns, found by inverse iteration.
         grid, space, A = grushin_setup([(0.0, 1.0)] * 3, (3, 3, 3),
                                        gamma=1.5, m=2)
         solver = SeparableSolver(grid, space)
         assert not solver.exact
-        with pytest.raises(ValueError, match="m == 1"):
-            solver.eigenpair(A)
+        got, want = solver.eigenpair(A), smallest_eigenpair(A)
+        assert got.method == want.method == "inverse-iteration"
+        assert got.lambda1 == want.lambda1
+        assert got.phi1.tobytes() == want.phi1.tobytes()
+        assert ((got.residual, got.iterations, got.solver_iterations)
+                == (want.residual, want.iterations, want.solver_iterations))
+
+    def test_inexact_eigensolve_starts_in_the_first_y_mode(self):
+        # From the all-ones vector this m = 2, gamma = 2 eigensolve stalled
+        # for 10,000 steps; from the y-mode j = 1, which holds lambda1 and
+        # which A and the surrogate solve both keep, it converges at once.
+        grid, space, A = grushin_setup([(0.0, 0.1), (0.0, 0.1), (0.0, 1.0)],
+                                       (3, 3, 4), gamma=2.0, m=2)
+        eig = smallest_eigenpair(A)
+        assert eig.method == "inverse-iteration"
+        dense = -dense_from_csr(A.n, A.indptr, A.indices, A.values)
+        assert eig.lambda1 == pytest.approx(np.linalg.eigvalsh(dense)[0],
+                                            rel=1e-12)
+        grid, space, A = grushin_setup([(-1.0, 1.0)] * 3, (16, 16, 16),
+                                       gamma=1.5, m=2)
+        assert smallest_eigenpair(A).iterations <= 15
 
     def test_axis_count_mismatch_rejected(self):
         grid, _, _ = grushin_setup([(0.0, 1.0)] * 2, (4, 4), gamma=0.0)
@@ -554,7 +584,7 @@ def test_march_factors_once_per_step_size(monkeypatch):
 
     monkeypatch.setattr(linalg, "_factor", counting_factor)
     monkeypatch.setattr(integrator, "_advance", recording_advance)
-    final, _ = run(grid, cfg.space, A, cfg.nonlinearity, u0, cfg.sim)
+    final, _ = run(A, cfg.nonlinearity, u0, cfg.sim)
     assert final.status == "completed"
     assert len(attempted) == final.attempts
     assert len(factored) == len(set(attempted)) < final.attempts

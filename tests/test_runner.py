@@ -810,6 +810,17 @@ class TestSweepSharesWork:
             "ConsistentWithTheorem", "Failed[hypothesis]",
             "ConsistentWithTheorem"]
 
+    def test_row_whose_F0_overflows_fails_alone(self, tmp_path):
+        # F0 is each row's own: theta = 1e308 overflows only its own, and
+        # the theta = 1 row keeps the verdict and outcome of its own run.
+        with open(config_path("global_decay.json")) as fh:
+            data = dict(json.load(fh), cells=[8, 8])
+        rows = sweep_like_reference(tmp_path, parse_config_dict(data),
+                                    "theta", [1.0, 1e308])
+        assert [r["verdict"] for r in rows] == ["HypothesesNotMet",
+                                                "Failed[functionals]"]
+        assert rows[0]["outcome"] == pytest.approx(12.6468, rel=1e-5)
+
     @pytest.mark.parametrize("axis, eigensolves, marches", [
         ("gamma", 3, 3), ("alpha", 1, 1), ("beta", 1, 1), ("theta", 1, 1),
         ("amplitude", 1, 3)])
