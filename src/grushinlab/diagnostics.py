@@ -7,6 +7,9 @@ certification margins defined here are what the experiment runner checks
 against the theory: calF must not decrease, E''E - (1+sigma)(E')^2 must stay
 nonnegative on blow-up runs, and calE must stay under its exponential envelope
 on decay runs.
+
+Every text artifact but the report JSON is written by :func:`write_lines`,
+and every CSV (the records, a sweep's rows) by :func:`write_table`.
 """
 
 from __future__ import annotations
@@ -166,17 +169,30 @@ def certified_records(records, status: str):
 
 # --- serialization ------------------------------------------------------------
 
+def write_lines(path, lines) -> None:
+    """Write ``lines`` to ``path``, each ended by an LF."""
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def write_table(path, columns, rows) -> None:
+    """The header line of ``columns``, then one line of cells per row: a
+    float with 17 significant digits, None as an empty cell, anything else
+    by ``str``."""
+    write_lines(path, [",".join(columns)] + [
+        ",".join("" if v is None else format(v, ".17g")
+                 if isinstance(v, float) else str(v) for v in row)
+        for row in rows])
+
+
 def write_csv(records, path) -> None:
     """Write records with 17-significant-digit floats and LF line endings.
 
     An empty record list still produces the header line, so downstream
     tooling can always distinguish "ran, recorded nothing" from "no file".
     """
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(",".join(format(getattr(r, f), ".17g") for f in _FIELDS))
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_table(path, _FIELDS,
+                ([getattr(r, f) for f in _FIELDS] for r in records))
 
 
 def read_csv(path) -> list[EnergyRecord]:
@@ -215,16 +231,10 @@ def emit_svg_plot(records, fields, path) -> None:
     """Hand-written SVG polyline plot of record fields against t.
 
     The y axis switches to log10 when some plotted field spans more than
-    three decades (and every plotted value is positive).
+    three decades (and every plotted value is positive).  ``records`` must
+    not be empty, and ``fields`` are record fields other than t, as
+    ``ExperimentConfig`` checks.
     """
-    if not records:
-        raise ValueError("no records to plot")
-    fields = list(fields)
-    for f in fields:
-        if f not in _FIELDS or f == "t":
-            raise ValueError(f"unknown record field {f!r}")
-    if not fields:
-        raise ValueError("no fields selected")
     t = np.array([r.t for r in records])
     series = {f: np.array([getattr(r, f) for r in records]) for f in fields}
 
@@ -289,5 +299,4 @@ def emit_svg_plot(records, fields, path) -> None:
         parts.append(f'<text x="{_W - _MR - 120}" y="{_MT + 16 * pos}" '
                      f'font-size="12" fill="{color}">{f}</text>')
     parts.append("</svg>")
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(parts) + "\n")
+    write_lines(path, parts)

@@ -8,10 +8,16 @@ defined here.
 
 from __future__ import annotations
 
+import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+# The most states of N floats a run holds at once: assembly plus the
+# eigensolve peak at about 6.1, and the quadrature of F at about 8.4.
+PEAK_STATES = 9
 
 
 @dataclass(frozen=True)
@@ -140,7 +146,8 @@ class Grid:
 def build_grid(domain: BoxDomain, cells_per_axis) -> Grid:
     """Construct the interior-node grid for a box.
 
-    Each axis needs at least 2 cells (at least one interior node).
+    Each axis needs at least 2 cells (at least one interior node), and
+    ``PEAK_STATES`` states of the grid must fit in the machine's memory.
     """
     cells = tuple(int(c) for c in cells_per_axis)
     if len(cells) != domain.n:
@@ -151,8 +158,15 @@ def build_grid(domain: BoxDomain, cells_per_axis) -> Grid:
             raise ValueError(f"axis {i}: need at least 2 cells, got {c}")
     h = np.array([(b - a) / c for (a, b), c in zip(domain.bounds, cells)])
     shape = tuple(c - 1 for c in cells)
-    return Grid(domain=domain, cells=cells, h=h, shape=shape,
-                N=int(np.prod(shape)))
+    N = math.prod(shape)
+    peak = PEAK_STATES * 8 * N
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if peak > memory:
+        raise ValueError(
+            f"{N} nodes need about {peak / 2**30:.3g} GiB at peak "
+            f"({PEAK_STATES} states of 8 bytes a node), more than the "
+            f"machine's {memory / 2**30:.3g} GiB")
+    return Grid(domain=domain, cells=cells, h=h, shape=shape, N=N)
 
 
 def integral(grid: Grid, values: np.ndarray) -> float:

@@ -23,7 +23,9 @@ first.
 solver inverts the operator with the additively separable surrogate weight
 s = sum_d w_d, w_d = |x_d|^(2 gamma) / m^(1 - gamma): per y-mode a
 Kronecker sum of m tridiagonals K_d + mu_j diag(w_d), each eigendecomposed
-once per grid.  At gamma == 0 both weights are 1, and A is the Laplacian.
+once per grid.  At gamma == 0 A's weight is 1 and A is the Laplacian; the
+surrogate puts that 1 on x-axis 0 alone (w_0 = 1, the other w_d = 0), so
+the two agree for every m, where m copies of 1/m need not sum to 1.
 At gamma == 1, |x|^2 = sum_d x_d^2, and A's weight differs from the
 surrogate's only where ``_degenerate_weight`` lifts the origin node off
 zero.  A rank-one Sherman-Morrison correction per y-mode then makes every
@@ -401,8 +403,11 @@ class SeparableSolver:
         surrogate = np.zeros((1,) * m)
         for d in range(m):
             n, inv_h2 = grid.shape[d], 1.0 / float(grid.h[d]) ** 2
-            w = (np.abs(grid.axis_coords(d)) ** (2.0 * space.gamma)
-                 / float(m) ** (1.0 - space.gamma))
+            if space.gamma == 0.0:   # A's weight 1, on x-axis 0 alone
+                w = np.full(n, float(d == 0))
+            else:
+                w = (np.abs(grid.axis_coords(d)) ** (2.0 * space.gamma)
+                     / float(m) ** (1.0 - space.gamma))
             T = np.zeros((self.mu.size, n, n))
             i = np.arange(n)
             T[:, i, i] = 2.0 * inv_h2 + np.multiply.outer(self.mu, w)
@@ -415,7 +420,7 @@ class SeparableSolver:
             surrogate = surrogate + w.reshape(shape[1:])
         # At gamma == 1 both weights sum the same squares in the same order,
         # and the division by 1.0 is exact, so off the origin they agree to
-        # the bit; at gamma == 0 both are 1 wherever m copies of 1/m sum to 1.
+        # the bit; at gamma == 0 both are 1 everywhere.
         lift = weight.reshape(grid.shape[:m]) - surrogate
         lifted = np.flatnonzero(lift)
         self.exact = lifted.size <= 1

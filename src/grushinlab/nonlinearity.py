@@ -235,14 +235,21 @@ def parse_expression(text: str) -> Expression:
     return Expression(text)
 
 
-def f_values(nl: Nonlinearity, u: np.ndarray) -> np.ndarray:
-    """Vectorized f(u); raises :class:`DomainError` naming offending points."""
-    u = np.asarray(u, dtype=float)
+def _f_unchecked(nl: Nonlinearity, u: np.ndarray) -> np.ndarray:
+    """f(u) on a float array, keeping non-finite values."""
     if isinstance(nl, Power):
         return nl.c * np.sign(u) * np.abs(u) ** nl.p
     out = _eval_ast(nl.ast, u)
-    if out is u:  # bare "u": do not hand back an alias of the input
-        out = u.copy()
+    return u.copy() if out is u else out  # bare "u": no alias of the input
+
+
+def f_values(nl: Nonlinearity, u: np.ndarray) -> np.ndarray:
+    """Vectorized f(u); raises :class:`DomainError` naming the points where
+    an expression is non-finite."""
+    u = np.asarray(u, dtype=float)
+    out = _f_unchecked(nl, u)
+    if isinstance(nl, Power):
+        return out
     bad = ~np.isfinite(out)
     if bad.any():
         pts = np.atleast_1d(u)[np.atleast_1d(bad)][:3]
@@ -479,14 +486,6 @@ def _margin_report(u, margins, scales, u_max, violations=()):
         u_range=(0.0, float(u_max)),
         samples=int(u.size),
         constraint_violations=tuple(violations))
-
-
-def _f_unchecked(nl, u):
-    """f(u) on a sampling grid, keeping non-finite values instead of raising."""
-    try:
-        return f_values(nl, u)
-    except DomainError:
-        return _eval_ast(nl.ast, u)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:

@@ -37,7 +37,8 @@ import numpy as np
 
 from .diagnostics import (_FIELDS, EnergyTracker, certified_records,
                           concavity_margin, decay_margin, emit_svg_plot,
-                          monotonicity_margin, write_csv)
+                          monotonicity_margin, write_csv, write_lines,
+                          write_table)
 from .geometry import BoxDomain, GrushinSpace, build_grid
 from .integrator import InitialCondition, SimConfig, build_initial_condition, run
 from .linalg import smallest_eigenpair
@@ -690,10 +691,8 @@ def _check_hypothesis(cfg: ExperimentConfig, u_max: float):
 def _dump_matrix(A, path) -> None:
     """Zero-based 'i j value' triplets, one stored entry per line."""
     rows = np.repeat(np.arange(A.n), np.diff(A.indptr)).tolist()
-    lines = "\n".join([f"{i} {j} {v:.17g}" for i, j, v in
+    write_lines(path, [f"{i} {j} {v:.17g}" for i, j, v in
                        zip(rows, A.indices.tolist(), A.values.tolist())])
-    with open(path, "w", newline="") as fh:
-        fh.write(lines + "\n")
 
 
 def _with_axis(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
@@ -748,13 +747,6 @@ def run_sweep(cfg: ExperimentConfig, axis: str, values,
                 row["outcome"] = rpt.margins["decay"]
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-        lines = [",".join(_SWEEP_COLUMNS)]
-        for row in rows:
-            lines.append(",".join(
-                "" if row[c] is None
-                else (format(row[c], ".17g") if isinstance(row[c], float)
-                      else str(row[c]))
-                for c in _SWEEP_COLUMNS))
-        with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
+        write_table(os.path.join(out_dir, "sweep.csv"), _SWEEP_COLUMNS,
+                    ([row[c] for c in _SWEEP_COLUMNS] for row in rows))
     return rows

@@ -62,7 +62,8 @@ def csr_matvec(n, indptr, indices, values, u):
 def surrogate_dense(grid, space):
     """Dense -A_s for the separable surrogate of the Grushin operator: the
     Kronecker sum of the 1D Dirichlet second differences K_d over the x-axes,
-    plus diag(sum_d |x_d|^(2 gamma)) times the Kronecker sum over the y-axes."""
+    plus diag(sum_d w_d) times the Kronecker sum over the y-axes, with the
+    weights w_d of :class:`SeparableSolver`."""
     eyes = [np.eye(n) for n in grid.shape]
 
     def kron_sum(axes):
@@ -81,8 +82,11 @@ def surrogate_dense(grid, space):
         shape = [1] * grid.n
         shape[d] = grid.shape[d]
         coords = np.abs(grid.axis_coords(d)).reshape(shape)
-        weight = weight + (coords ** (2.0 * space.gamma)
-                           / float(space.m) ** (1.0 - space.gamma))
+        if space.gamma == 0.0:   # the weight 1, on x-axis 0 alone
+            weight = weight + np.full(coords.shape, float(d == 0))
+        else:
+            weight = weight + (coords ** (2.0 * space.gamma)
+                               / float(space.m) ** (1.0 - space.gamma))
     return (kron_sum(range(space.m))
             + np.diag(weight.ravel()) @ kron_sum(range(space.m, grid.n)))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grushinlab import (BoxDomain, GrushinSpace, build_grid, dilate,
-                        homogeneous_dimension, integral)
+                        geometry, homogeneous_dimension, integral)
 
 
 class TestGrushinSpace:
@@ -108,6 +108,27 @@ class TestBuildGrid:
     def test_axis_count_mismatch_rejected(self):
         with pytest.raises(ValueError):
             build_grid(BoxDomain([(0.0, 1.0), (0.0, 1.0)]), (8, 8, 8))
+
+    @pytest.mark.parametrize("cells", [(10**10, 10**10),
+                                       (2**32 + 1, 2**32 + 1)])
+    def test_grid_too_large_for_memory_rejected(self, cells):
+        # An int64 product of the axes wraps: the second grid would count
+        # 0 nodes.  The refusal comes before any array of the grid's size.
+        with pytest.raises(ValueError, match=f"^{(cells[0] - 1) ** 2} nodes"):
+            build_grid(BoxDomain([(0.0, 1.0), (0.0, 1.0)]), cells)
+
+    def test_memory_ceiling_is_peak_states_of_the_grid(self, monkeypatch):
+        # 7 x 7 nodes at 8 bytes each, PEAK_STATES times over.
+        need = geometry.PEAK_STATES * 8 * 49
+        domain = BoxDomain([(0.0, 1.0), (0.0, 1.0)])
+        for memory, fits in ((need, True), (need - 1, False)):
+            monkeypatch.setattr(geometry.os, "sysconf", lambda name: {
+                "SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}[name])
+            if fits:
+                assert build_grid(domain, (8, 8)).N == 49
+            else:
+                with pytest.raises(ValueError, match="^49 nodes"):
+                    build_grid(domain, (8, 8))
 
     def test_node_coordinates(self):
         grid = build_grid(BoxDomain([(-1.0, 1.0), (0.0, 2.0)]), (4, 4))

@@ -392,7 +392,8 @@ class TestSeparableSolver:
 
     def test_laplacian_closed_form_at_m2(self):
         # gamma = 0 at m = 2: A is the Laplacian, and the surrogate weight,
-        # 1/2 per x-axis, is its weight 1, so the solver is exact.
+        # 1 on x-axis 0 and 0 on x-axis 1, is its weight 1, so the solver is
+        # exact.
         bounds, cells = [(-1.0, 1.0), (0.0, 2.5), (0.0, 1.5)], (6, 5, 7)
         grid, space, A = grushin_setup(bounds, cells, gamma=0.0, m=2)
         assert A.solver.exact
@@ -401,6 +402,20 @@ class TestSeparableSolver:
         want = sum((2.0 / float(h) * np.sin(np.pi / (2 * c))) ** 2
                    for h, c in zip(grid.h, cells))
         assert eig.lambda1 == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("m", [6, 7])
+    def test_laplacian_is_exact_for_every_m(self, m):
+        # m copies of 1/m do not sum to 1 at m = 6 or 7; the surrogate puts
+        # the weight 1 on x-axis 0 alone, so the solver stays exact.
+        cells = (3,) * (m + 1)
+        grid, space, A = grushin_setup([(0.0, 1.0)] * (m + 1), cells,
+                                       gamma=0.0, m=m)
+        assert A.solver.exact
+        eig = smallest_eigenpair(A)
+        assert (eig.method, eig.solver_iterations) == ("separable", 0)
+        want = sum((2.0 / float(h) * np.sin(np.pi / (2 * c))) ** 2
+                   for h, c in zip(grid.h, cells))
+        assert abs(eig.lambda1 - want) <= 1e-13
 
     def test_solve_inverts_the_step_matrix(self):
         grid, space, A = grushin_setup([(-1.0, 1.0), (-1.0, 1.0)], (12, 10),

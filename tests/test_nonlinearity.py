@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from grushinlab import (Power, check_blowup_hypothesis, check_f_positive,
-                        check_global_hypothesis, eval_F, parse_expression)
+                        check_global_hypothesis, eval_F, nonlinearity,
+                        parse_expression)
 from grushinlab.nonlinearity import (MAX_DEPTH, DomainError, Expression,
                                      ExpressionError, F_values,
                                      QuadratureError, f_values,
@@ -360,3 +361,19 @@ class TestPositivityScan:
                                         u_max=3.0)
         assert not ok
         assert 2.0 < offender <= 3.0
+
+    def test_non_finite_sample_evaluates_f_once(self, monkeypatch):
+        # The sampling grid keeps f's non-finite values; it does not
+        # evaluate the expression a second time to get them.
+        nl = parse_expression("u*(2-u)^0.5")
+        roots, evaluate = [], nonlinearity._eval_ast
+
+        def counted(node, u):
+            if node is nl.ast:
+                roots.append(u.size)
+            return evaluate(node, u)
+        monkeypatch.setattr(nonlinearity, "_eval_ast", counted)
+        nonlinearity._samples.cache_clear()
+        assert not check_f_positive(nl, u_max=3.0, samples=101)[0]
+        nonlinearity._samples.cache_clear()
+        assert len(roots) == 1

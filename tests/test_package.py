@@ -81,6 +81,29 @@ def test_demo_runs(script, tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_import_adds_only_pinned_modules():
+    # A benchmark's set-up time is the import plus one parse, in a fresh
+    # interpreter that may have to compile every module: numpy aside, the
+    # package may load no module beyond these.
+    pinned = {"__future__", "_json", "copy", "dataclasses", "json",
+              "json.decoder", "json.encoder", "json.scanner"}
+    probe = ("import sys, numpy\n"
+             "before = set(sys.modules)\n"
+             "import grushinlab\n"
+             "grushinlab.parse_config(sys.argv[1])\n"
+             "print('\\n'.join(set(sys.modules) - before))\n")
+    package = os.path.dirname(os.path.dirname(grushinlab.__file__))
+    env = dict(os.environ, PYTHONPATH=package)
+    done = subprocess.run(
+        [sys.executable, "-c", probe,
+         os.path.join(REPO_ROOT, "configs", "blowup_cubic.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    added = {name for name in done.stdout.split()
+             if name.split(".")[0] != "grushinlab"}
+    assert added - pinned == set()
+
+
 def config_keys(shape):
     for key, value in shape.items():
         yield key

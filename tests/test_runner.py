@@ -145,9 +145,10 @@ class TestParseConfig:
         assert cfg.nonlinearity.text == "u^3"
 
     def test_unknown_svg_field_rejected(self):
-        data = minimal_dict(output={"svg_fields": ["calE", "bogus"]})
-        with pytest.raises(ConfigError, match="/output/svg_fields"):
-            parse_config_dict(data)
+        for fields in (["calE", "bogus"], ["t"]):
+            data = minimal_dict(output={"svg_fields": fields})
+            with pytest.raises(ConfigError, match="/output/svg_fields"):
+                parse_config_dict(data)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError, match="/mode"):
@@ -167,9 +168,11 @@ class TestParseConfig:
         ({"hypothesis": {"umax_factor": 0.0}},
          "/hypothesis: umax_factor must be > 0"),
         ({"output": {"svg_fields": []}}, "/output/svg_fields: need one"),
+        ({"cells": [2**32 + 1, 2**32 + 1]},
+         "/cells: 18446744073709551616 nodes need about"),
     ], ids=["space-gamma", "power-c", "initial-kind", "eigen-tol",
             "eigen-max_iter", "eigen-cg_tol", "samples", "umax_factor",
-            "svg_fields"])
+            "svg_fields", "cells-memory"])
     def test_missing_key_or_range_names_its_object(self, extra, problem):
         with pytest.raises(ConfigError) as exc:
             parse_config_dict(minimal_dict(**extra))
