@@ -12,12 +12,12 @@ from .geometry import (BoxDomain, GrushinSpace, build_grid, dilate,
                        homogeneous_dimension, integral)
 from .operators import apply, assemble_grushin, grushin_energy, l2_norm_sq
 from .linalg import SolverError, smallest_eigenpair
-from .nonlinearity import (Power, check_blowup_hypothesis, check_f_positive,
-                           check_global_hypothesis, eval_F, parse_expression)
+from .nonlinearity import Power, check_f_positive, eval_F, parse_expression
+from .theorems import (check_blowup_hypothesis, check_global_hypothesis,
+                       compute_blowup_constants)
 from .integrator import SimConfig, build_initial_condition, run
 from .diagnostics import (EnergyRecord, concavity_margin, decay_margin,
                           read_csv)
-from .runner import (ConfigError, compute_blowup_constants, parse_config,
-                     run_experiment, run_sweep)
+from .runner import ConfigError, parse_config, run_experiment, run_sweep
 
 __version__ = "0.1.0"

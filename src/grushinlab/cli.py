@@ -19,11 +19,11 @@ import numpy as np
 from .geometry import build_grid
 from .integrator import build_initial_condition
 from .linalg import SolverError
-from .nonlinearity import (check_blowup_hypothesis, check_f_positive,
-                           check_global_hypothesis)
+from .nonlinearity import check_f_positive
 from .operators import assemble_grushin
 from .runner import (SWEEP_AXES, ConfigError, _eigen_block, _eigenpair,
                      parse_config, run_experiment, run_sweep)
+from .theorems import THEOREMS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,8 +63,8 @@ def _cmd_check_hypothesis(cfg, args) -> int:
                cfg.hypothesis_samples)
     _emit({
         "u_max": u_max,
-        "blowup": asdict(check_blowup_hypothesis(*sampled)),
-        "global": asdict(check_global_hypothesis(*sampled)),
+        **{mode: asdict(theorem.check(*sampled))
+           for mode, theorem in THEOREMS.items()},
         "f_positive": {"ok": f_ok, "first_nonpositive_u": f_bad},
     })
     return EXIT_OK

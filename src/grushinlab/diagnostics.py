@@ -51,20 +51,21 @@ class EnergyTracker:
     time are collapsed into one record.
 
     Only calF and E depend on the tracker's own theta and M.  Trackers that
-    measure the same states may share a one-state slot (``_slot``, a list):
-    the first measurement of a state puts its theta-free part there, later
-    ones reuse it, and the slot's owner empties it before the next state.
+    measure the same states may share a one-state ``slot``, a list: the
+    first measurement of a state puts its theta-free part there, later ones
+    reuse it, and the slot's owner empties it before the next state.
     """
 
     def __init__(self, grid: Grid, space: GrushinSpace, nl: Nonlinearity,
-                 theta: float = 0.0, M: float = 0.0) -> None:
+                 theta: float = 0.0, M: float = 0.0,
+                 slot: list | None = None) -> None:
         self.grid = grid
         self.space = space
         self.nl = nl
         self.theta = float(theta)
         self.M = float(M)
         self.records: list[EnergyRecord] = []
-        self._slot: list | None = None
+        self._slot = slot
 
     @cached_property
     def _weight(self) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Source terms f(u), their antiderivatives, and the sign-condition checks.
+"""Source terms f(u), their antiderivatives F(u), and samples on (0, u_max].
 
 Two variants: a signed power law c*sign(u)*|u|^p with the exact antiderivative,
 and a parsed arithmetic expression in u whose antiderivative is computed by
@@ -6,12 +6,12 @@ adaptive Simpson quadrature.  The quadrature evaluates f once at each
 distinct nodal value and runs its halving rounds in fixed blocks of
 segments, so its temporaries stay block-sized; the peak memory of one call
 on 16,129 distinct values, sorting them included, is then about 8.4 copies
-of the state.  The module also hosts the numeric checks of the two
-structural inequalities (one forcing finite-time blow-up, one forcing
-exponential decay) that the experiment runner certifies.  The checks sample
-one grid of (0, u_max]; the last grid with f on it, and F once a sign
-condition asks for it, is kept, so checks that share a source term and
-u_max, as the rows of a sweep do, sample it once.
+of the state.  The checks on f sample one grid of (0, u_max]: the
+positivity scan here, and the two theorems' sign conditions, which
+``theorems.py`` states, as it does every other part of a theorem.  The last
+grid with f on it, and F once a sign condition asks for it, is kept, so
+checks that share a source term and u_max, as the rows of a sweep do, sample
+it once.
 """
 
 from __future__ import annotations
@@ -428,32 +428,7 @@ def eval_F(nl: Nonlinearity, u: float) -> float:
     return float(F_values(nl, np.array([float(u)]))[0])
 
 
-# --- hypothesis checks --------------------------------------------------------
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Outcome of sampling a structural inequality over (0, u_max].
-
-    ``worst_margin`` is the raw margin at the point with the worst normalized
-    margin.  A non-finite margin is the worst of all: ``argmin_u`` is then the
-    first such sample and ``worst_margin`` and ``scale_at_argmin`` are None.
-    ``holds`` means every normalized margin clears -1e-12, i.e.
-    margin >= -1e-12 * (1 + scale) pointwise with scale the sum of the
-    absolute values of the inequality's four terms at that point.
-    ``constraint_violations`` lists parameter-range failures separately.
-    """
-
-    holds: bool
-    worst_margin: float | None
-    scale_at_argmin: float | None
-    argmin_u: float
-    u_range: tuple[float, float]
-    samples: int
-    constraint_violations: tuple[str, ...] = ()
-
-
-_MARGIN_RTOL = 1e-12
-
+# --- sampling (0, u_max] ------------------------------------------------------
 
 def sample_points(u_max: float, samples: int = 10_001) -> np.ndarray:
     """Sampling grid on (0, u_max]: half geometric toward 0, half uniform."""
@@ -466,26 +441,6 @@ def sample_points(u_max: float, samples: int = 10_001) -> np.ndarray:
     geo = np.geomspace(u_max * 1e-12, u_max, n_geo)
     lin = np.linspace(u_max / n_lin, u_max, n_lin)
     return np.unique(np.concatenate([geo, lin]))
-
-
-def _margin_report(u, margins, scales, u_max, violations=()):
-    normalized = margins / (1.0 + scales)
-    undefined = ~np.isfinite(normalized)
-    if undefined.any():
-        i = int(np.argmax(undefined))
-        holds, worst, scale = False, None, None
-    else:
-        i = int(np.argmin(normalized))
-        holds = bool(normalized[i] >= -_MARGIN_RTOL)
-        worst, scale = float(margins[i]), float(scales[i])
-    return HypothesisReport(
-        holds=holds,
-        worst_margin=worst,
-        scale_at_argmin=scale,
-        argmin_u=float(u[i]),
-        u_range=(0.0, float(u_max)),
-        samples=int(u.size),
-        constraint_violations=tuple(violations))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -521,66 +476,6 @@ def _samples(nl: Nonlinearity, u_max: float, samples: int) -> _Samples:
     the rows of a sweep sample the same grid with the same f, so every
     check after the first reuses it."""
     return _Samples(nl, u_max, samples)
-
-
-def _sign_terms(nl, alpha, beta, theta, u_max, samples):
-    """Sampled u, f(u), F(u) and the scale of the sign conditions' terms."""
-    s = _samples(nl, u_max, samples)
-    u, fu, Fu = s.u, s.fu, s.Fu
-    scales = (np.abs(u * fu) + abs(beta) * u * u + abs(alpha * theta)
-              + abs(alpha) * np.abs(Fu))
-    return u, fu, Fu, scales
-
-
-def parameter_ranges(mode: str, alpha: float, beta: float, theta: float,
-                     lambda1: float | None):
-    """(name, ok, detail) for each parameter range of the mode's theorem;
-    each detail gives both sides of its inequality.  Only the blow-up bound
-    on beta reads lambda1, so a global-mode caller may pass None."""
-    if mode == "blowup":
-        cap = lambda1 * (alpha - 2.0) / 2.0
-        return (("alpha > 2", alpha > 2.0, f"alpha = {alpha}"),
-                ("0 < beta <= lambda1*(alpha-2)/2", 0.0 < beta <= cap,
-                 f"beta = {beta}, lambda1*(alpha-2)/2 = {cap} "
-                 f"(lambda1 = {lambda1})"),
-                ("theta > 0", theta > 0.0, f"theta = {theta}"))
-    if mode == "global":
-        half = (2.0 - alpha) / 2.0
-        return (("alpha <= 0", alpha <= 0.0, f"alpha = {alpha}"),
-                ("beta >= (2-alpha)/2", beta >= half,
-                 f"beta = {beta}, (2-alpha)/2 = {half}"),
-                ("theta >= 0", theta >= 0.0, f"theta = {theta}"))
-    return ()
-
-
-def check_blowup_hypothesis(nl: Nonlinearity, alpha: float, beta: float,
-                            theta: float, u_max: float,
-                            samples: int = 10_001) -> HypothesisReport:
-    """Sample the blow-up sign condition alpha*F(u) <= u f(u) + beta u^2 + alpha*theta.
-
-    The margin is u f(u) + beta u^2 + alpha theta - alpha F(u); nonnegative
-    margins (up to the relative floor) mean the condition holds on (0, u_max].
-    Its parameter ranges need the eigenvalue, so the runner checks them.
-    """
-    u, fu, Fu, scales = _sign_terms(nl, alpha, beta, theta, u_max, samples)
-    margins = u * fu + beta * u * u + alpha * theta - alpha * Fu
-    return _margin_report(u, margins, scales, u_max)
-
-
-def check_global_hypothesis(nl: Nonlinearity, alpha: float, beta: float,
-                            theta: float, u_max: float,
-                            samples: int = 10_001) -> HypothesisReport:
-    """Sample the decay sign condition alpha*F(u) >= u f(u) + beta u^2 + alpha*theta.
-
-    Also checks the decay theorem's :func:`parameter_ranges`, which do not
-    need the eigenvalue, and reports violations apart from margin failures.
-    """
-    violations = [f"{name} fails: {detail}" for name, ok, detail
-                  in parameter_ranges("global", alpha, beta, theta, None)
-                  if not ok]
-    u, fu, Fu, scales = _sign_terms(nl, alpha, beta, theta, u_max, samples)
-    margins = alpha * Fu - u * fu - beta * u * u - alpha * theta
-    return _margin_report(u, margins, scales, u_max, violations)
 
 
 def check_f_positive(nl: Nonlinearity, u_max: float,

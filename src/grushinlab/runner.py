@@ -7,7 +7,9 @@ no later than 1.1x the bound, or decay under the exponential envelope).
 HypothesesNotMet means some premise failed, so the run predicts nothing.
 InconsistencyFlag is the loud one: premises held and the outcome still
 contradicted the prediction.  Inconclusive covers everything else (e.g. the
-run ended before the predicted window, or the march failed).
+run ended before the predicted window, or the march failed).  What each
+theorem assumes and predicts, and how it judges a march, is stated in one
+place, its object in ``theorems.py``; free mode has none.
 
 The pipeline is a table of named stages (``_STAGES``), and a stage that
 raises is named in the report's ``failure``.  A sweep runs the stages its
@@ -42,17 +44,15 @@ from .diagnostics import (_FIELDS, EnergyTracker, certified_records,
 from .geometry import BoxDomain, GrushinSpace, build_grid
 from .integrator import InitialCondition, SimConfig, build_initial_condition, run
 from .linalg import smallest_eigenpair
-from .nonlinearity import (Nonlinearity, Power, _samples,
-                           check_blowup_hypothesis, check_f_positive,
-                           check_global_hypothesis, parameter_ranges,
+from .nonlinearity import (Nonlinearity, Power, _samples, check_f_positive,
                            parse_expression)
 from .operators import assemble_grushin
+from .theorems import (BLOWUP_TIME_SLACK, DECAY_MARGIN_TOL, THEOREMS,
+                       check_blowup_hypothesis, check_global_hypothesis)
 
-BLOWUP_TIME_SLACK = 1.1      # declared factor on the blow-up time bound
-DECAY_MARGIN_TOL = 1e-3      # decay envelope certification tolerance
 CERT_RTOL = 1e-6             # relative margin tolerance vs. local scale
 
-MODES = ("blowup", "global", "free")
+MODES = (*THEOREMS, "free")
 # The pipeline stages a sweep runs once for all its rows, by swept axis.  Only
 # gamma changes the operator; alpha, beta and theta do not enter the flow
 # u_t - L u_t = L u + f(u): their rows share u0 and a march.
@@ -283,25 +283,6 @@ def parse_config(path: str) -> ExperimentConfig:
     return parse_config_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def compute_blowup_constants(alpha: float, F0: float, I0: float):
-    """(sigma, M, Tstar_bound) from the initial data functionals.
-
-    sigma = sqrt(alpha/2) - 1, M = (1+sigma)(1+1/sigma) I0^2 / (2 alpha F0),
-    Tstar_bound = M / (sigma I0).  Each precondition fails with its own
-    message: alpha > 2, F0 > 0, I0 > 0.
-    """
-    if not alpha > 2.0:
-        raise ValueError(f"blow-up constants need alpha > 2, got alpha = {alpha}")
-    if not F0 > 0.0:
-        raise ValueError(f"blow-up constants need F0 > 0, got F0 = {F0}")
-    if not I0 > 0.0:
-        raise ValueError(f"blow-up constants need I0 > 0, got I0 = {I0}")
-    sigma = math.sqrt(alpha / 2.0) - 1.0
-    M = (1.0 + sigma) * (1.0 + 1.0 / sigma) * I0 * I0 / (2.0 * alpha * F0)
-    tstar = M / (sigma * I0)
-    return sigma, M, tstar
-
-
 def decide_verdict(mode: str, hypotheses_met: bool, sim_status: str,
                    t_blow: float | None, t_final: float,
                    tstar_bound: float | None,
@@ -310,31 +291,18 @@ def decide_verdict(mode: str, hypotheses_met: bool, sim_status: str,
 
     Free mode carries no verdict.  InconsistencyFlag fires only when every
     checked premise held and the observed outcome still contradicts the
-    prediction; a run that merely stopped short of the predicted window is
-    Inconclusive.
+    prediction, as the mode's theorem judges it; a run that merely stopped
+    short of the predicted window is Inconclusive.
     """
-    if mode == "free":
+    theorem = THEOREMS.get(mode)
+    if theorem is None:
         return None
     if not hypotheses_met:
         return "HypothesesNotMet"
     if sim_status == "failed":
         return "Inconclusive"
-    if mode == "blowup":
-        if tstar_bound is None:
-            return "Inconclusive"
-        horizon = BLOWUP_TIME_SLACK * tstar_bound
-        if sim_status == "blowup":
-            return ("ConsistentWithTheorem" if t_blow <= horizon
-                    else "InconsistencyFlag")
-        return "InconsistencyFlag" if t_final >= horizon else "Inconclusive"
-    # mode == "global"
-    if sim_status == "blowup":
-        return "InconsistencyFlag"
-    if decay_margin_value is None:
-        return "Inconclusive"
-    return ("ConsistentWithTheorem"
-            if decay_margin_value <= 1.0 + DECAY_MARGIN_TOL
-            else "InconsistencyFlag")
+    return theorem.verdict(sim_status, t_blow, t_final, tstar_bound,
+                           decay_margin_value)
 
 
 @dataclass(eq=False)
@@ -453,15 +421,14 @@ def _functionals(row) -> None:
     share its slot, so u0 is measured once, for them and for the march."""
     cfg, rpt = row.cfg, row.rpt
     row.tracker = EnergyTracker(row.grid, cfg.space, cfg.nonlinearity,
-                                theta=cfg.theta)
-    row.tracker._slot = row.slot
+                                theta=cfg.theta, slot=row.slot)
     l2, grad, F0 = row.tracker.measure(row.u0)
     I0 = l2 + grad
     if not (math.isfinite(F0) and math.isfinite(I0)):
         raise ValueError(f"F0 = {F0} and I0 = {I0} must be finite")
     rpt.F0, rpt.I0 = F0, I0
-    if cfg.mode == "global":
-        rpt.decay_rate = 2.0 - cfg.alpha
+    theorem = THEOREMS.get(cfg.mode)
+    rpt.decay_rate = theorem and theorem.decay_rate(cfg.alpha)
 
 
 def _hypothesis(row) -> None:
@@ -482,23 +449,22 @@ def _hypothesis(row) -> None:
 
 
 def _constraints(row) -> None:
-    cfg = row.cfg
-    row.rpt.constraints = [
-        {"name": name, "ok": bool(ok), "detail": detail}
-        for name, ok, detail in parameter_ranges(
-            cfg.mode, cfg.alpha, cfg.beta, cfg.theta, row.eig.lambda1)]
+    cfg, theorem = row.cfg, THEOREMS.get(row.cfg.mode)
+    ranges = theorem.ranges(cfg.alpha, cfg.beta, cfg.theta,
+                            row.eig.lambda1) if theorem else ()
+    row.rpt.constraints = [{"name": name, "ok": bool(ok), "detail": detail}
+                           for name, ok, detail in ranges]
     row.constraints_ok = all(c["ok"] for c in row.rpt.constraints)
 
 
 def _constants(row) -> None:
-    cfg, rpt = row.cfg, row.rpt
-    row.premises = (cfg.mode != "free" and row.hyp0.holds
-                    and row.constraints_ok and rpt.F0 > 0.0)
-    if cfg.mode == "blowup" and row.premises:
-        rpt.sigma, rpt.M, rpt.Tstar_bound = compute_blowup_constants(
+    cfg, rpt, theorem = row.cfg, row.rpt, THEOREMS.get(row.cfg.mode)
+    held = bool(theorem and row.hyp0.holds)   # the sign condition at u0
+    row.premises = held and row.constraints_ok and theorem.premise(rpt.F0)
+    rpt.joint_satisfiable = theorem and theorem.joint_satisfiable(held, rpt.F0)
+    if row.premises:
+        rpt.sigma, rpt.M, rpt.Tstar_bound = theorem.constants(
             cfg.alpha, rpt.F0, rpt.I0)
-    if cfg.mode == "global":
-        rpt.joint_satisfiable = bool(row.hyp0.holds and rpt.F0 > 0.0)
 
 
 def _simulate(*rows) -> None:

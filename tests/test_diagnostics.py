@@ -333,8 +333,3 @@ class TestSvg:
                             calF=[-1.0, 10.0, 1e5])
         emit_svg_plot(recs, ["calF"], path)
         assert "log10" not in path.read_text()
-
-    def test_empty_field_list_rejected(self, tmp_path):
-        recs = make_records([0.0, 1.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            emit_svg_plot(recs, [], tmp_path / "x.svg")

@@ -12,7 +12,8 @@ from grushinlab import (Power, check_blowup_hypothesis, check_f_positive,
 from grushinlab.nonlinearity import (MAX_DEPTH, DomainError, Expression,
                                      ExpressionError, F_values,
                                      QuadratureError, f_values,
-                                     parameter_ranges, sample_points)
+                                     sample_points)
+from grushinlab.theorems import BLOWUP, THEOREMS
 
 
 class TestParser:
@@ -330,11 +331,11 @@ class TestGlobalHypothesis:
 
 class TestParameterRanges:
     def test_free_mode_has_none(self):
-        assert parameter_ranges("free", 4.0, 0.1, 0.01, 2.0) == ()
+        assert THEOREMS.get("free") is None
 
     def test_blowup_beta_range_is_half_open(self):
         # lambda1*(alpha-2)/2 = 2 here.
-        assert [parameter_ranges("blowup", 4.0, beta, 0.01, 2.0)[1][1]
+        assert [BLOWUP.ranges(4.0, beta, 0.01, 2.0)[1][1]
                 for beta in (0.0, 1e-9, 2.0, 2.0 + 1e-9)] == [
                     False, True, True, False]
 

@@ -1,6 +1,6 @@
 """The package surface: the names ``grushinlab`` exports, the imports of its
-users, the demos that run on it, and the README's account of the config
-format."""
+users, the attributes the benchmark's tracer patches, the demos that run on
+it, and the README's account of the config format."""
 
 import ast
 import glob
@@ -102,6 +102,26 @@ def test_import_adds_only_pinned_modules():
     added = {name for name in done.stdout.split()
              if name.split(".")[0] != "grushinlab"}
     assert added - pinned == set()
+
+
+def test_tracer_finds_every_attribute_it_patches():
+    # bench/tracing.py wraps package attributes by name; without this test a
+    # refactor that renames or moves one shows only in a traced benchmark.
+    # The source is compiled here, so nothing is written under bench/.
+    path = os.path.join(REPO_ROOT, "bench", "tracing.py")
+    with open(path, encoding="utf-8") as fh:
+        code = compile(fh.read(), path, "exec")
+    tracing = types.ModuleType("tracing")
+    exec(code, vars(tracing))
+    tracer = tracing.Tracer("patch-points")
+    try:   # a patch that fails is not left on the package for later tests
+        tracer.__enter__()
+    finally:
+        patched = list(tracer._saved)
+        tracer.__exit__(None, None, None)
+    assert patched
+    assert [(owner, attr) for owner, attr, original in patched
+            if getattr(owner, attr) is not original] == []
 
 
 def config_keys(shape):

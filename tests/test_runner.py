@@ -12,14 +12,15 @@ import numpy as np
 import pytest
 
 from grushinlab import (ConfigError, Power, assemble_grushin, build_grid,
-                        compute_blowup_constants, concavity_margin,
-                        check_blowup_hypothesis, check_f_positive,
-                        check_global_hypothesis, diagnostics, integrator,
-                        linalg, nonlinearity, parse_config, read_csv,
-                        run_experiment, run_sweep, runner)
+                        concavity_margin, check_blowup_hypothesis,
+                        check_f_positive, check_global_hypothesis,
+                        diagnostics, integrator, linalg, nonlinearity,
+                        parse_config, read_csv, run_experiment, run_sweep,
+                        runner)
 from grushinlab.diagnostics import certified_records
 from grushinlab.nonlinearity import Expression
 from grushinlab.runner import SWEEP_AXES, decide_verdict, parse_config_dict
+from grushinlab.theorems import BLOWUP, GLOBAL
 
 from conftest import CONFIG_DIR, config_path
 from oracles import blowup_constants_reference, sweep_rows_reference
@@ -284,26 +285,26 @@ class TestConstraints:
 
 class TestBlowupConstants:
     def test_reference_point_exact(self):
-        assert compute_blowup_constants(8.0, 1.0, 2.0) == (1.0, 1.0, 0.5)
+        assert BLOWUP.constants(8.0, 1.0, 2.0) == (1.0, 1.0, 0.5)
 
     def test_documented_example(self):
-        sigma, M, tstar = compute_blowup_constants(4.0, 0.5, 1.0)
+        sigma, M, tstar = BLOWUP.constants(4.0, 0.5, 1.0)
         assert sigma == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-12)
         assert M == pytest.approx(1.20711, rel=1e-5)
         assert tstar == pytest.approx(2.91421, rel=1e-5)
 
     def test_each_precondition_fails_individually(self):
         with pytest.raises(ValueError, match="alpha"):
-            compute_blowup_constants(2.0, 1.0, 1.0)
+            BLOWUP.constants(2.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="F0"):
-            compute_blowup_constants(4.0, 0.0, 1.0)
+            BLOWUP.constants(4.0, 0.0, 1.0)
         with pytest.raises(ValueError, match="I0"):
-            compute_blowup_constants(4.0, 1.0, 0.0)
+            BLOWUP.constants(4.0, 1.0, 0.0)
 
     def test_scaling_in_F0_and_I0(self):
-        _, M, tstar = compute_blowup_constants(4.0, 1.0, 1.0)
-        _, M_f, _ = compute_blowup_constants(4.0, 2.0, 1.0)
-        _, M_i, tstar_i = compute_blowup_constants(4.0, 1.0, 2.0)
+        _, M, tstar = BLOWUP.constants(4.0, 1.0, 1.0)
+        _, M_f, _ = BLOWUP.constants(4.0, 2.0, 1.0)
+        _, M_i, tstar_i = BLOWUP.constants(4.0, 1.0, 2.0)
         assert M_f == pytest.approx(M / 2.0, rel=1e-14)
         assert M_i == pytest.approx(4.0 * M, rel=1e-14)
         assert tstar_i == pytest.approx(2.0 * tstar, rel=1e-14)
@@ -314,10 +315,22 @@ class TestBlowupConstants:
             alpha = 2.0 + 10.0 ** rng.uniform(-3, 2)
             F0 = 10.0 ** rng.uniform(-6, 6)
             I0 = 10.0 ** rng.uniform(-6, 6)
-            got = compute_blowup_constants(alpha, F0, I0)
+            got = BLOWUP.constants(alpha, F0, I0)
             want = blowup_constants_reference(alpha, F0, I0)
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, rel=1e-14)
+
+
+class TestPremise:
+    def test_F0_must_be_positive(self):
+        assert [theorem.premise(F0) for theorem in (BLOWUP, GLOBAL)
+                for F0 in (-1.0, 0.0, 1e-300)] == [False, False, True] * 2
+
+    def test_joint_satisfiability_is_global_modes_own(self):
+        assert [GLOBAL.joint_satisfiable(holds, F0) for holds, F0 in
+                [(True, 1.0), (True, 0.0), (False, 1.0)]] == [
+                    True, False, False]
+        assert BLOWUP.joint_satisfiable(True, 1.0) is None
 
 
 class TestDecideVerdict:
