@@ -19,10 +19,9 @@ import numpy as np
 from .geometry import build_grid
 from .integrator import build_initial_condition
 from .linalg import SolverError
-from .nonlinearity import check_f_positive
 from .operators import assemble_grushin
 from .runner import (SWEEP_AXES, ConfigError, _eigen_block, _eigenpair,
-                     parse_config, run_experiment, run_sweep)
+                     _f_positive, parse_config, run_experiment, run_sweep)
 from .theorems import THEOREMS
 
 EXIT_OK = 0
@@ -56,9 +55,7 @@ def _cmd_check_hypothesis(cfg, args) -> int:
     if cfg.initial.kind == "phi1":
         phi1 = _eigenpair(cfg, assemble_grushin(grid, cfg.space)).phi1
     u0 = build_initial_condition(grid, cfg.initial, phi1=phi1)
-    u_max = cfg.umax_factor * float(np.abs(u0).max())
-    f_ok, f_bad = check_f_positive(cfg.nonlinearity, u_max,
-                                   cfg.hypothesis_samples)
+    u_max, f_ok, f_bad = _f_positive(cfg, u0)
     sampled = (cfg.nonlinearity, cfg.alpha, cfg.beta, cfg.theta, u_max,
                cfg.hypothesis_samples)
     _emit({
@@ -114,7 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--axis", required=True,
                        choices=SWEEP_AXES)
     sweep.add_argument("--values", required=True,
-                       help="comma-separated parameter values")
+                       help="comma-separated parameter values; a list that "
+                            "starts with a minus sign needs the = form, "
+                            "as in --values=-2,-1")
     return parser
 
 

@@ -3,7 +3,7 @@
 Every recorded instant carries the squared L2 mass, the anisotropic Dirichlet
 energy, their sum calE (which is exactly the derivative of the concavity
 functional E), the potential functional calF, and the running E itself.  The
-certification margins defined here are what the experiment runner checks
+certification margins defined here are what ``theorems.certify`` checks
 against the theory: calF must not decrease, E''E - (1+sigma)(E')^2 must stay
 nonnegative on blow-up runs, and calE must stay under its exponential envelope
 on decay runs.

@@ -8,8 +8,9 @@ HypothesesNotMet means some premise failed, so the run predicts nothing.
 InconsistencyFlag is the loud one: premises held and the outcome still
 contradicted the prediction.  Inconclusive covers everything else (e.g. the
 run ended before the predicted window, or the march failed).  What each
-theorem assumes and predicts, and how it judges a march, is stated in one
-place, its object in ``theorems.py``; free mode has none.
+theorem assumes and predicts, the margins it certifies, the tolerances and
+how it judges a march are stated in one place, ``theorems.py``: the
+``certify`` and ``verdict`` stages are one call there each.
 
 The pipeline is a table of named stages (``_STAGES``), and a stage that
 raises is named in the report's ``failure``.  A sweep runs the stages its
@@ -37,20 +38,16 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .diagnostics import (_FIELDS, EnergyTracker, certified_records,
-                          concavity_margin, decay_margin, emit_svg_plot,
-                          monotonicity_margin, write_csv, write_lines,
-                          write_table)
+from .diagnostics import (_FIELDS, EnergyTracker, emit_svg_plot, write_csv,
+                          write_lines, write_table)
 from .geometry import BoxDomain, GrushinSpace, build_grid
 from .integrator import InitialCondition, SimConfig, build_initial_condition, run
 from .linalg import smallest_eigenpair
 from .nonlinearity import (Nonlinearity, Power, _samples, check_f_positive,
                            parse_expression)
 from .operators import assemble_grushin
-from .theorems import (BLOWUP_TIME_SLACK, DECAY_MARGIN_TOL, THEOREMS,
-                       check_blowup_hypothesis, check_global_hypothesis)
-
-CERT_RTOL = 1e-6             # relative margin tolerance vs. local scale
+from .theorems import (THEOREMS, certify, check_blowup_hypothesis,
+                       check_global_hypothesis, judge)
 
 MODES = (*THEOREMS, "free")
 # The pipeline stages a sweep runs once for all its rows, by swept axis.  Only
@@ -194,6 +191,17 @@ def _shape_problems(value, shape, pointer: str = ""):
         yield f"{where}: expected an integer, got {value!r}"
 
 
+def _with_ints(value, shape):
+    """``value``, checked against ``shape``, with each number that ``shape``
+    types int made an int, so that ``8.0`` and ``8`` give the same run."""
+    if isinstance(shape, dict):
+        return {key: _with_ints(item, shape[key])
+                for key, item in value.items()}
+    if isinstance(shape, list):
+        return [_with_ints(item, shape[0]) for item in value]
+    return int(value) if shape is int else value
+
+
 @contextmanager
 def _at(pointer: str):
     """Report a failure to build the config object at ``pointer`` (a missing
@@ -210,13 +218,15 @@ def parse_config_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     """Validate a config mapping and build the typed experiment description.
 
     Unknown keys, wrong JSON types and non-finite numbers anywhere are
-    rejected first; then each object built from the config checks its own
-    ranges.  Messages carry JSON pointer paths.  Relative initial-condition
-    file paths resolve against ``base_dir``.
+    rejected first, and a number an integer key takes becomes an int; then
+    each object built from the config checks its own ranges.  Messages
+    carry JSON pointer paths.  Relative initial-condition file paths resolve
+    against ``base_dir``.
     """
     problems = list(_shape_problems(data, _SHAPE))
     if problems:
         raise ConfigError(problems)
+    data = _with_ints(data, _SHAPE)
 
     with _at("/"):
         space_spec, bounds = data["space"], data["bounds"]
@@ -281,28 +291,6 @@ def parse_config(path: str) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError(["/: config must be a JSON object"])
     return parse_config_dict(data, base_dir=os.path.dirname(os.path.abspath(path)))
-
-
-def decide_verdict(mode: str, hypotheses_met: bool, sim_status: str,
-                   t_blow: float | None, t_final: float,
-                   tstar_bound: float | None,
-                   decay_margin_value: float | None) -> str | None:
-    """Pure verdict logic, synthetic-report testable.
-
-    Free mode carries no verdict.  InconsistencyFlag fires only when every
-    checked premise held and the observed outcome still contradicts the
-    prediction, as the mode's theorem judges it; a run that merely stopped
-    short of the predicted window is Inconclusive.
-    """
-    theorem = THEOREMS.get(mode)
-    if theorem is None:
-        return None
-    if not hypotheses_met:
-        return "HypothesesNotMet"
-    if sim_status == "failed":
-        return "Inconclusive"
-    return theorem.verdict(sim_status, t_blow, t_final, tstar_bound,
-                           decay_margin_value)
 
 
 @dataclass(eq=False)
@@ -433,9 +421,7 @@ def _functionals(row) -> None:
 
 def _hypothesis(row) -> None:
     cfg, rpt = row.cfg, row.rpt
-    u_max_pre = cfg.umax_factor * float(np.abs(row.u0).max())
-    f_ok, f_bad = check_f_positive(cfg.nonlinearity, u_max_pre,
-                                   cfg.hypothesis_samples)
+    u_max_pre, f_ok, f_bad = _f_positive(cfg, row.u0)
     rpt.f_positive = {"ok": f_ok, "first_nonpositive_u": f_bad,
                       "u_max": u_max_pre}
     if not f_ok:
@@ -526,45 +512,13 @@ def _recheck_hypothesis(row) -> None:
 
 
 def _certify(row) -> None:
-    rpt = row.rpt
-    records, sigma, decay_rate = row.tracker.records, rpt.sigma, rpt.decay_rate
-    cert = certified_records(records, row.final.status)
-    out = {
-        "certified_count": len(cert),
-        "excluded_count": len(records) - len(cert),
-        "monotonicity": None, "monotonicity_scale": None,
-        "monotonicity_ok": None,
-        "concavity": None, "concavity_scale": None, "concavity_ok": None,
-        "decay": None, "decay_rate": None, "decay_ok": None,
-    }
-    if len(cert) >= 2:
-        mono = monotonicity_margin(cert)
-        scale = max(1.0, max(abs(r.calF) for r in cert))
-        out.update(monotonicity=mono, monotonicity_scale=scale,
-                   monotonicity_ok=bool(mono >= -CERT_RTOL * scale))
-    if sigma is not None and len(cert) >= 3:
-        conc = concavity_margin(cert, sigma)
-        calE = np.array([r.calE for r in cert])
-        scale = max(1.0, float(((1.0 + sigma) * calE ** 2).max()))
-        out.update(concavity=conc, concavity_scale=scale,
-                   concavity_ok=bool(conc >= -CERT_RTOL * scale))
-    if decay_rate is not None and len(cert) >= 1 and cert[0].calE > 0.0:
-        dm = decay_margin(cert, decay_rate)
-        out.update(decay=dm, decay_rate=decay_rate,
-                   decay_ok=bool(dm <= 1.0 + DECAY_MARGIN_TOL))
-    rpt.margins = out
+    row.rpt.margins = certify(row.cfg.mode, row.tracker.records,
+                              row.final.status, row.rpt)
 
 
 def _verdict(row) -> None:
-    rpt, final = row.rpt, row.final
-    rpt.verdict = decide_verdict(
-        row.cfg.mode, row.hypotheses_met, final.status, final.t_blow,
-        final.t, rpt.Tstar_bound, rpt.margins["decay"])
-    rpt.consistency = {
-        "blowup_time_slack": BLOWUP_TIME_SLACK,
-        "decay_margin_tol": DECAY_MARGIN_TOL,
-        "certification_rtol": CERT_RTOL,
-    }
+    row.rpt.verdict, row.rpt.consistency = judge(
+        row.cfg.mode, row.hypotheses_met, row.final, row.rpt)
 
 
 _STAGES = (("grid", _grid), ("assemble", _assemble),
@@ -643,6 +597,14 @@ def _eigen_block(eig) -> dict:
     return {"method": eig.method, "residual": eig.residual,
             "iterations": eig.iterations,
             "solver_iterations": eig.solver_iterations}
+
+
+def _f_positive(cfg: ExperimentConfig, u0):
+    """The premise checks' bound u_max = umax_factor * max|u0|, and whether
+    f is positive on (0, u_max]: (u_max, ok, first non-positive u)."""
+    u_max = cfg.umax_factor * float(np.abs(u0).max())
+    return (u_max, *check_f_positive(cfg.nonlinearity, u_max,
+                                     cfg.hypothesis_samples))
 
 
 def _check_hypothesis(cfg: ExperimentConfig, u_max: float):

@@ -1,10 +1,16 @@
-"""The paper's two theorems for u_t - L u_t = L u + f(u), one object each.
+"""The paper's two theorems for u_t - L u_t = L u + f(u), one object each,
+and how a march is judged against them.
 
 ``THEOREMS`` maps a mode to its theorem; free mode has none.  Each object
 states its ``ranges``, sign-condition ``margin`` (sampled by ``check``), F0
-``premise``, predicted ``constants`` or ``decay_rate``, and ``verdict``.
-``BLOWUP`` is blow-up by the concavity argument, and ``GLOBAL`` global
-existence with decay by the Grushin Poincare inequality.
+``premise``, predicted ``constants`` or ``decay_rate``, the certification
+``margins`` it reads off a march, and ``verdict``.  ``BLOWUP`` is blow-up by
+the concavity argument, and ``GLOBAL`` global existence with decay by the
+Grushin Poincare inequality.  ``certify`` builds the report's ``margins``
+block (calF's monotonicity in every mode, then the theorem's own), and
+``judge`` its ``verdict`` and ``consistency`` block, from the tolerances
+stated here.  Only the decay margin enters a verdict; the monotonicity and
+concavity flags are reported, not judged.
 """
 
 from __future__ import annotations
@@ -14,10 +20,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import (certified_records, concavity_margin, decay_margin,
+                          monotonicity_margin)
 from .nonlinearity import _samples
 
 BLOWUP_TIME_SLACK = 1.1      # declared factor on the blow-up time bound
 DECAY_MARGIN_TOL = 1e-3      # decay envelope certification tolerance
+CERT_RTOL = 1e-6             # relative margin tolerance vs. local scale
 _MARGIN_RTOL = 1e-12
 
 
@@ -120,7 +129,17 @@ class _BlowUp(_Theorem):
 
     constants = staticmethod(compute_blowup_constants)
 
-    def verdict(self, status, t_blow, t_final, tstar_bound, decay_margin):
+    def margins(self, cert, rpt):
+        """The concavity margin at sigma, once the premises gave sigma."""
+        if rpt.sigma is None or len(cert) < 3:
+            return {}
+        calE = np.array([r.calE for r in cert])
+        return _bounded_below("concavity", concavity_margin(cert, rpt.sigma),
+                              max(1.0, float(((1.0 + rpt.sigma)
+                                              * calE ** 2).max())))
+
+    def verdict(self, status, t_blow, t_final, tstar_bound,
+                decay_margin_value):
         if tstar_bound is None:
             return "Inconclusive"
         horizon = BLOWUP_TIME_SLACK * tstar_bound
@@ -150,13 +169,24 @@ class _GlobalDecay(_Theorem):
     def decay_rate(self, alpha):
         return 2.0 - alpha
 
-    def verdict(self, status, t_blow, t_final, tstar_bound, decay_margin):
+    def decays(self, margin):
+        return margin <= 1.0 + DECAY_MARGIN_TOL
+
+    def margins(self, cert, rpt):
+        """The decay margin at decay_rate, which needs calE(0) > 0."""
+        if not (cert and cert[0].calE > 0.0):
+            return {}
+        margin = decay_margin(cert, rpt.decay_rate)
+        return {"decay": margin, "decay_rate": rpt.decay_rate,
+                "decay_ok": self.decays(margin)}
+
+    def verdict(self, status, t_blow, t_final, tstar_bound,
+                decay_margin_value):
         if status == "blowup":
             return "InconsistencyFlag"
-        if decay_margin is None:
+        if decay_margin_value is None:
             return "Inconclusive"
-        return ("ConsistentWithTheorem"
-                if decay_margin <= 1.0 + DECAY_MARGIN_TOL
+        return ("ConsistentWithTheorem" if self.decays(decay_margin_value)
                 else "InconsistencyFlag")
 
 
@@ -165,3 +195,61 @@ THEOREMS = {"blowup": BLOWUP, "global": GLOBAL}
 
 check_blowup_hypothesis = BLOWUP.check
 check_global_hypothesis = GLOBAL.check
+
+
+def _bounded_below(name, margin, scale) -> dict:
+    """A margin's entries; it holds where it clears -CERT_RTOL * scale."""
+    return {name: margin, f"{name}_scale": scale,
+            f"{name}_ok": bool(margin >= -CERT_RTOL * scale)}
+
+
+def certify(mode, records, status, rpt) -> dict:
+    """The report's ``margins`` block: calF's monotonicity in every mode and
+    then the mode's theorem's own margins, over the certified records."""
+    cert = certified_records(records, status)
+    out = {
+        "certified_count": len(cert),
+        "excluded_count": len(records) - len(cert),
+        "monotonicity": None, "monotonicity_scale": None,
+        "monotonicity_ok": None,
+        "concavity": None, "concavity_scale": None, "concavity_ok": None,
+        "decay": None, "decay_rate": None, "decay_ok": None,
+    }
+    if len(cert) >= 2:
+        out.update(_bounded_below("monotonicity", monotonicity_margin(cert),
+                                  max(1.0, max(abs(r.calF) for r in cert))))
+    if mode in THEOREMS:
+        out.update(THEOREMS[mode].margins(cert, rpt))
+    return out
+
+
+def decide_verdict(mode: str, hypotheses_met: bool, sim_status: str,
+                   t_blow: float | None, t_final: float,
+                   tstar_bound: float | None,
+                   decay_margin_value: float | None) -> str | None:
+    """Pure verdict logic, synthetic-report testable.
+
+    Free mode carries no verdict.  InconsistencyFlag fires only when every
+    checked premise held and the observed outcome still contradicts the
+    prediction, as the mode's theorem judges it; a run that merely stopped
+    short of the predicted window is Inconclusive.
+    """
+    theorem = THEOREMS.get(mode)
+    if theorem is None:
+        return None
+    if not hypotheses_met:
+        return "HypothesesNotMet"
+    if sim_status == "failed":
+        return "Inconclusive"
+    return theorem.verdict(sim_status, t_blow, t_final, tstar_bound,
+                           decay_margin_value)
+
+
+def judge(mode, hypotheses_met, final, rpt):
+    """The report's ``verdict`` on the march that ended in ``final``, and its
+    ``consistency`` block: the tolerances every verdict is judged with."""
+    return (decide_verdict(mode, hypotheses_met, final.status, final.t_blow,
+                           final.t, rpt.Tstar_bound, rpt.margins["decay"]),
+            {"blowup_time_slack": BLOWUP_TIME_SLACK,
+             "decay_margin_tol": DECAY_MARGIN_TOL,
+             "certification_rtol": CERT_RTOL})

@@ -123,6 +123,44 @@ class TestSubcommands:
         assert [r["value"] for r in rows] == [0.0, 0.5, 1.0]
         assert os.path.exists(os.path.join(out_dir, "sweep.csv"))
 
+    def test_sweep_takes_negative_values_in_the_equals_form(self, tmp_path,
+                                                             capsys):
+        # Global mode needs alpha <= 0; "--values -2,-1" reads as a flag.
+        out_dir = str(tmp_path / "sw")
+        code, out, _ = run_cli(
+            ["sweep", config_path("global_decay.json"), "--out", out_dir,
+             "--axis", "alpha", "--values=-2,-1"], capsys)
+        assert code == 0
+        rows = json.loads(out)
+        assert [r["value"] for r in rows] == [-2.0, -1.0]
+        assert [r["verdict"] for r in rows] == ["HypothesesNotMet"] * 2
+
+    def test_integer_keys_written_as_floats_give_the_same_run(self, tmp_path,
+                                                              capsys):
+        data = dict(base_config(), mode="blowup",
+                    sim={"t_end": 0.01, "dt_init": 1e-3, "record_every": 2},
+                    eigen={"max_iter": 500}, hypothesis={"samples": 101})
+        twin = json.loads(json.dumps(data))
+        twin["space"].update(m=1.0, k=1.0)
+        twin["cells"] = [8.0, 8.0]
+        twin["sim"]["record_every"] = 2.0
+        twin["eigen"]["max_iter"] = 500.0
+        twin["hypothesis"]["samples"] = 101.0
+        runs = []
+        for name, config in (("int", data), ("float", twin)):
+            cfgp = write_config(tmp_path, config, f"{name}.json")
+            out_dir = tmp_path / name
+            code, out, err = run_cli(["verify", cfgp, "--out", str(out_dir)],
+                                     capsys)
+            assert (code, err) == (0, "")
+            eig_code, eig_out, _ = run_cli(["eig", cfgp], capsys)
+            assert eig_code == 0
+            runs.append([out, eig_out] + [
+                (out_dir / artifact).read_bytes()
+                for artifact in ("report.json", "records.csv")])
+        assert runs[0] == runs[1]
+        assert json.loads(runs[1][0])["parameters"]["cells"] == [8, 8]
+
     def test_dump_matrix_flag(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, base_config())
         out_dir = str(tmp_path / "dm")

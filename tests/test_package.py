@@ -165,3 +165,23 @@ def test_modules_use_every_name_they_import():
         unused += [(os.path.basename(path), name)
                    for name in sorted(imported - used)]
     assert unused == []
+
+
+def test_only_the_theorems_name_their_tolerances():
+    # How a march is judged is stated once, in theorems.py: no other module
+    # may name a tolerance, so none can restate a rule that reads it.
+    tolerances = {"BLOWUP_TIME_SLACK", "DECAY_MARGIN_TOL", "CERT_RTOL"}
+    package = os.path.dirname(grushinlab.__file__)
+    named = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        if os.path.basename(path) == "theorems.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in tolerances:
+                named.append((os.path.basename(path), name))
+    assert named == []

@@ -19,8 +19,8 @@ from grushinlab import (ConfigError, Power, assemble_grushin, build_grid,
                         runner)
 from grushinlab.diagnostics import certified_records
 from grushinlab.nonlinearity import Expression
-from grushinlab.runner import SWEEP_AXES, decide_verdict, parse_config_dict
-from grushinlab.theorems import BLOWUP, GLOBAL
+from grushinlab.runner import SWEEP_AXES, parse_config_dict
+from grushinlab.theorems import BLOWUP, GLOBAL, decide_verdict
 
 from conftest import CONFIG_DIR, config_path
 from oracles import blowup_constants_reference, sweep_rows_reference
@@ -99,7 +99,9 @@ class TestParseConfig:
             f"{pointer}: expected a finite number, got {value!r}"]
 
     def test_integer_keys_take_integral_numbers_only(self):
-        assert parse_config_dict(minimal_dict(cells=[8.0, 8])).cells == (8.0, 8)
+        cells = parse_config_dict(minimal_dict(cells=[8.0, 8])).cells
+        assert cells == (8.0, 8)
+        assert [type(n) for n in cells] == [int, int]
         for value in (8.5, True):
             with pytest.raises(ConfigError, match="/cells/0: expected an "
                                                   "integer"):
@@ -386,6 +388,59 @@ class TestDecideVerdict:
                               1.01) == "InconsistencyFlag"
         assert decide_verdict("global", True, "completed", None, 1.0, None,
                               None) == "Inconclusive"
+
+
+# The margins block's entries, by the margin they state.
+MARGIN_ENTRIES = {
+    "monotonicity": ("monotonicity", "monotonicity_scale", "monotonicity_ok"),
+    "concavity": ("concavity", "concavity_scale", "concavity_ok"),
+    "decay": ("decay", "decay_rate", "decay_ok")}
+
+
+class TestMargins:
+    """calF's monotonicity is certified in every mode; blow-up mode adds the
+    concavity margin and global mode the decay margin, and each leaves the
+    other theorem's entries null."""
+
+    @pytest.mark.parametrize("name, filled", [
+        ("free_sine.json", {"monotonicity"}),
+        ("blowup_cubic.json", {"monotonicity", "concavity"}),
+        ("global_decay.json", {"monotonicity", "decay"})])
+    def test_each_mode_fills_its_own_margins(self, request, name, filled):
+        if name == "blowup_cubic.json":
+            rpt = request.getfixturevalue("blowup_outcome").report
+        else:
+            rpt = run_experiment(parse_config(config_path(name)))
+        margins = rpt.margins
+        assert set(margins) == {"certified_count", "excluded_count",
+                                *sum(MARGIN_ENTRIES.values(), ())}
+        assert margins["certified_count"] >= 3
+        for margin, keys in MARGIN_ENTRIES.items():
+            values = [margins[key] for key in keys]
+            if margin in filled:
+                assert None not in values
+                assert type(values[-1]) is bool
+            else:
+                assert values == [None] * 3
+
+    @pytest.mark.parametrize("name, alpha, decay_ok", [
+        ("global_decay.json", None, False), ("fast", -2.0, False),
+        ("fast", 0.0, False), ("fast", 1.9, True)])
+    def test_decay_ok_agrees_with_the_verdict(self, name, alpha, decay_ok):
+        # No global-mode run meets its hypotheses yet, so the verdict is
+        # asked what it would say of this march if they held.
+        if name == "fast":
+            cfg = parse_config_dict(fast_dict(mode="global", alpha=alpha))
+        else:
+            cfg = parse_config(config_path(name))
+        rpt = run_experiment(cfg)
+        assert rpt.sim["status"] == "completed"
+        assert rpt.margins["decay_ok"] is decay_ok
+        verdict = decide_verdict("global", True, "completed", None,
+                                 rpt.sim["t_final"], None,
+                                 rpt.margins["decay"])
+        assert verdict == ("ConsistentWithTheorem" if decay_ok
+                           else "InconsistencyFlag")
 
 
 class TestRunExperiment:
