@@ -73,15 +73,18 @@ class EnergyTracker:
         state itself: trackers that share a slot build it once."""
         return _degenerate_weight(self.grid, self.space)
 
-    def _state_part(self, u: np.ndarray):
+    def _state_part(self, u: np.ndarray, supnorm: float | None = None):
         """The theta-free part of one state: (l2, grad, F(u), supnorm,
-        min_u), taken from the slot when it holds one."""
+        min_u), taken from the slot when it holds one; ``supnorm`` is
+        max |u| when the caller knows it."""
         slot = [] if self._slot is None else self._slot
         if not slot:
             slot.append((
                 l2_norm_sq(self.grid, u),
                 _weighted_energy(self.grid, self.space.m, self._weight, u),
-                F_values(self.nl, u), float(np.abs(u).max()), float(u.min())))
+                F_values(self.nl, u),
+                float(np.abs(u).max()) if supnorm is None else supnorm,
+                float(u.min())))
         return slot[0]
 
     def _calF(self, grad: float, Fu: np.ndarray) -> float:
@@ -96,7 +99,8 @@ class EnergyTracker:
     def __call__(self, state) -> None:
         if self.records and state.t == self.records[-1].t:
             return
-        l2, grad, Fu, supnorm, min_u = self._state_part(state.u)
+        l2, grad, Fu, supnorm, min_u = self._state_part(state.u,
+                                                        state.supnorm)
         calE = l2 + grad
         if self.records:
             last = self.records[-1]

@@ -19,6 +19,8 @@ handed on to the next step.  Blow-up is declared by threshold or by runaway
 change at dt_min, and a domain exit at dt_min ends the march failed.  Each
 state carries the work done so far: step attempts, rejected attempts, the CG
 iterations of the step solves and the smallest and largest accepted dt.
+A step forms (I + L) u_old once for all its attempts, and the sup norm of a
+state is taken once, by the threshold check of the step that made it.
 """
 
 from __future__ import annotations
@@ -81,7 +83,9 @@ class SimState:
     smallest and largest accepted dt (None before the first accepted step).
     ``f_at`` is (u, f(u)), evaluated by the check of the step that made the
     state, so the next step need not; it is None only at a state no step
-    made, and is used only while ``u`` is that same array."""
+    made, and is used only while ``u`` is that same array.  ``sup_at`` is
+    (u, max |u|) in the same way, from the threshold check; read it as
+    :attr:`supnorm`."""
 
     t: float
     u: np.ndarray
@@ -96,6 +100,17 @@ class SimState:
     dt_accepted: tuple[float, float] | None = None
     f_at: tuple[np.ndarray, np.ndarray] | None = field(default=None,
                                                        repr=False)
+    sup_at: tuple[np.ndarray, float] | None = field(default=None, repr=False)
+
+    @property
+    def supnorm(self) -> float:
+        """max |u|: the one ``sup_at`` carries while ``u`` is its array, else
+        computed here on first use and kept in ``sup_at``."""
+        known = self.sup_at
+        if known is None or known[0] is not self.u:
+            known = (self.u, float(np.abs(self.u).max()))
+            object.__setattr__(self, "sup_at", known)
+        return known[1]
 
 
 @dataclass(frozen=True)
@@ -152,13 +167,14 @@ def build_initial_condition(grid: Grid, ic: InitialCondition,
     return ic.amplitude * values
 
 
-def _advance(u: np.ndarray, dt: float, A: SparseMatrix, f_u: np.ndarray,
-             cg_tol: float) -> tuple[np.ndarray, int]:
-    """Solve (I + (1+dt)L) u_new = (I + L) u + dt f_u with L = -A and
-    f_u = f(u); return u_new and the CG iterations spent.  Exact when
-    ``A.solver`` is exact, else by CG preconditioned by ``A.solver``."""
-    Au = apply(A, u)
-    rhs = u - Au + dt * f_u
+def _advance(u: np.ndarray, dt: float, A: SparseMatrix, base: np.ndarray,
+             f_u: np.ndarray, cg_tol: float) -> tuple[np.ndarray, int]:
+    """Solve (I + (1+dt)L) u_new = base + dt f_u with L = -A, where
+    base = (I + L) u = u - A u and f_u = f(u); return u_new and the CG
+    iterations spent.  Exact when ``A.solver`` is exact, else by CG
+    preconditioned by ``A.solver`` and started at u."""
+    rhs = dt * f_u
+    rhs += base
     c = 1.0 + dt
     solver = A.solver
     if solver.exact:
@@ -186,12 +202,15 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
     ``A.solver``, so calls on one operator share its factorization.  Every
     solve counts as an attempt, and every rejection as rejected.  f is
     evaluated at the old state only when the state does not carry it, and
-    the accepted state carries the f of its check in ``f_at``.
+    the accepted state carries the f of its check in ``f_at`` and the sup
+    norm of its threshold check in ``sup_at``.
     """
     if state.status != "running":
         return state
     dt_try = state.dt if dt_cap is None else min(state.dt, dt_cap)
-    u_norm = float(np.abs(state.u).max())
+    u_norm = state.supnorm
+    base = apply(A, state.u)   # (I + L) u, the same for every attempt
+    np.subtract(state.u, base, base)
     work = {"attempts": state.attempts, "rejected": state.rejected,
             "solver_iterations": state.solver_iterations}
     known = state.f_at
@@ -200,7 +219,8 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
     while True:
         work["attempts"] += 1
         try:
-            u_new, iterations = _advance(state.u, dt_try, A, f_u, cfg.cg_tol)
+            u_new, iterations = _advance(state.u, dt_try, A, base, f_u,
+                                         cfg.cg_tol)
         except SolverError as exc:
             return replace(state, status="failed",
                            reason=f"linear solve: {exc}", **work)
@@ -223,11 +243,12 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
     if change < cfg.step_change_low:
         dt_next = min(1.5 * dt_next, cfg.dt_max)
     lo, hi = state.dt_accepted or (dt_try, dt_try)
+    sup = float(np.abs(u_new).max())
     nxt = SimState(t=state.t + dt_try, u=u_new, dt=dt_next,
                    steps=state.steps + 1,
                    dt_accepted=(min(lo, dt_try), max(hi, dt_try)),
-                   f_at=(u_new, f_new), **work)
-    if float(np.abs(u_new).max()) >= cfg.blowup_threshold:
+                   f_at=(u_new, f_new), sup_at=(u_new, sup), **work)
+    if sup >= cfg.blowup_threshold:
         return replace(nxt, status="blowup", t_blow=nxt.t,
                        reason="sup-norm reached blowup_threshold")
     return nxt

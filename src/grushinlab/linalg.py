@@ -17,7 +17,11 @@ This is the fast diagonalization method of Lynch, Rice and Thomas
 tridiagonals and a substitution (Golub and Van Loan, Matrix Computations,
 sec. 4.3): a solve costs a substitution with the factorization of the last
 (c, shift), which the solver keeps in 2 N floats, and a new pair refactors
-first.
+first.  A solve's batch of every y-mode is walked row by row in x, and each
+row is written straight into the preallocated result by ufuncs with an
+output argument, with one scratch row: the operations and their order are
+the one-pass sweep's, without a new array per row.  The eigenpair's single
+system runs in Python floats.
 
 *Exact solve* (m >= 2, weights equal but on at most one x-node).  The
 solver inverts the operator with the additively separable surrogate weight
@@ -244,47 +248,74 @@ def _eigen_result(A, v, lam, residual, iterations, method, cell_volume,
                        method, solver_iterations)
 
 
-def _rows(a: np.ndarray) -> list:
-    """The rows of ``a`` along axis 0 as a list, which indexes faster than
-    the array: Python floats for a 1-D array, whose arithmetic is also
-    faster than numpy scalars', else views of its rows."""
-    return a.tolist() if a.ndim == 1 else list(a)
-
-
 def _factor(diag, off: float):
     """LU factorization of the tridiagonal matrix with main diagonal ``diag``
     and the constant off-diagonal ``off``, along axis 0: the pivots and the
     ratios off / pivot.  Trailing axes are independent matrices.  No
     pivoting: the matrix must be diagonally dominant or SPD."""
-    d = _rows(diag)
-    # A 1-D factorization is gathered in lists of Python floats; a batch is
-    # written row by row into its arrays, so each row's temporaries are
-    # freed as it is stored.
     if diag.ndim == 1:
+        # One matrix, the eigenpair's: Python floats index and compute
+        # faster than numpy scalars.
+        d = diag.tolist()
         pivot, ratio = [0.0] * len(d), [0.0] * len(d)
-    else:
-        pivot, ratio = np.empty_like(diag), np.empty_like(diag)
-    pivot[0] = d[0]
-    ratio[0] = off / d[0]
-    for i in range(1, len(d)):
-        pivot[i] = d[i] - off * ratio[i - 1]
-        ratio[i] = off / pivot[i]
-    return np.asarray(pivot, dtype=float), np.asarray(ratio, dtype=float)
+        pivot[0] = d[0]
+        ratio[0] = off / d[0]
+        for i in range(1, len(d)):
+            pivot[i] = d[i] - off * ratio[i - 1]
+            ratio[i] = off / pivot[i]
+        return np.asarray(pivot, dtype=float), np.asarray(ratio, dtype=float)
+    # A batch is written row by row into its results, in place: a pivot row
+    # holds off times the last ratio row until the subtraction overwrites it.
+    # Each row costs a few ufunc calls, so they are bound to local names and
+    # off is a 0-d array, which they take without converting it each call.
+    multiply, subtract, divide = np.multiply, np.subtract, np.divide
+    pivot, ratio = np.empty_like(diag), np.empty_like(diag)
+    off = np.array(off)
+    rows = zip(diag, pivot, ratio)
+    d, p, last = next(rows)
+    np.copyto(p, d)
+    divide(off, p, last)
+    for d, p, r in rows:
+        multiply(last, off, p)
+        subtract(d, p, p)
+        last = divide(off, p, r)
+    return pivot, ratio
 
 
 def _substitute(pivot, ratio, off: float, rhs):
     """Solve with the factorization ``_factor(diag, off)``: forward
     elimination, then back substitution, along axis 0 of ``rhs``."""
-    n = pivot.shape[0]
-    # The solution's rows are gathered in a list and stored once.
-    b, p, r = _rows(rhs), _rows(pivot), _rows(ratio)
-    xs = [b[0] / p[0]]
-    for i in range(1, n):
-        xs.append((b[i] - off * xs[i - 1]) / p[i])
-    for i in range(n - 2, -1, -1):
-        xs[i] -= r[i] * xs[i + 1]
+    if rhs.ndim == 1:
+        # The eigenpair's system, in Python floats, stored once.
+        b, p, r = rhs.tolist(), pivot.tolist(), ratio.tolist()
+        xs = [b[0] / p[0]]
+        for i in range(1, len(b)):
+            xs.append((b[i] - off * xs[i - 1]) / p[i])
+        for i in range(len(b) - 2, -1, -1):
+            xs[i] -= r[i] * xs[i + 1]
+        return np.asarray(xs, dtype=float)
+    # A batch is written row by row into the solution, in place: a row
+    # holds off times the row before until the subtraction overwrites it,
+    # and the back substitution takes one scratch row.  The rows are walked
+    # by iterators, so no list of row views is held.  Local ufuncs and a 0-d
+    # off as in ``_factor``.
+    multiply, subtract, divide = np.multiply, np.subtract, np.divide
     x = np.empty_like(rhs, dtype=float)
-    x[...] = xs
+    off = np.array(off)
+    rows = zip(rhs, pivot, x)
+    b, p, last = next(rows)
+    divide(b, p, last)
+    for b, p, xi in rows:
+        multiply(last, off, xi)
+        subtract(b, xi, xi)
+        last = divide(xi, p, xi)
+    del rows, b, p, off   # the forward pass's views, before the scratch row
+    scratch = np.empty(x.shape[1:])
+    rows = zip(reversed(ratio), reversed(x))
+    next(rows)   # the last row is solved
+    for r, xi in rows:
+        multiply(r, last, scratch)
+        last = subtract(xi, scratch, xi)
     return x
 
 

@@ -191,15 +191,16 @@ def _shape_problems(value, shape, pointer: str = ""):
         yield f"{where}: expected an integer, got {value!r}"
 
 
-def _with_ints(value, shape):
-    """``value``, checked against ``shape``, with each number that ``shape``
-    types int made an int, so that ``8.0`` and ``8`` give the same run."""
+def _with_types(value, shape):
+    """``value``, checked against ``shape``, with each number made the type
+    ``shape`` gives it, int or float, so that ``8.0`` and ``8`` give the
+    same run and the same report."""
     if isinstance(shape, dict):
-        return {key: _with_ints(item, shape[key])
+        return {key: _with_types(item, shape[key])
                 for key, item in value.items()}
     if isinstance(shape, list):
-        return [_with_ints(item, shape[0]) for item in value]
-    return int(value) if shape is int else value
+        return [_with_types(item, shape[0]) for item in value]
+    return shape(value) if shape in (int, float) else value
 
 
 @contextmanager
@@ -218,7 +219,7 @@ def parse_config_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     """Validate a config mapping and build the typed experiment description.
 
     Unknown keys, wrong JSON types and non-finite numbers anywhere are
-    rejected first, and a number an integer key takes becomes an int; then
+    rejected first, and each number takes its key's type, int or float; then
     each object built from the config checks its own ranges.  Messages
     carry JSON pointer paths.  Relative initial-condition file paths resolve
     against ``base_dir``.
@@ -226,14 +227,14 @@ def parse_config_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
     problems = list(_shape_problems(data, _SHAPE))
     if problems:
         raise ConfigError(problems)
-    data = _with_ints(data, _SHAPE)
+    data = _with_types(data, _SHAPE)
 
     with _at("/"):
         space_spec, bounds = data["space"], data["bounds"]
         cells = tuple(data["cells"])
     with _at("/space"):
         space = GrushinSpace(m=space_spec["m"], k=space_spec["k"],
-                             gamma=float(space_spec["gamma"]))
+                             gamma=space_spec["gamma"])
     with _at("/bounds"):
         domain = BoxDomain(bounds)
         if domain.n != space.n:
@@ -247,8 +248,8 @@ def parse_config_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
                            "and 'expr'"])
     if "power" in nl_spec:
         with _at("/nonlinearity/power"):
-            nl: Nonlinearity = Power(p=float(nl_spec["power"]["p"]),
-                                     c=float(nl_spec["power"]["c"]))
+            nl: Nonlinearity = Power(p=nl_spec["power"]["p"],
+                                     c=nl_spec["power"]["c"])
     else:
         with _at("/nonlinearity/expr"):
             nl = parse_expression(nl_spec["expr"])
@@ -258,12 +259,12 @@ def parse_config_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
         path = os.path.join(base_dir, path)
     with _at("/initial"):
         initial = InitialCondition(kind=ic_spec["kind"],
-                                   amplitude=float(ic_spec.get("amplitude", 1.0)),
+                                   amplitude=ic_spec.get("amplitude", 1.0),
                                    path=path)
     with _at("/sim"):
         sim = SimConfig(**data.get("sim", {}))
-    tuning = {field: cast(data[group][key])
-              for group, key, field, cast, _ in _TUNING_KEYS
+    tuning = {field: data[group][key]
+              for group, key, field, _, _ in _TUNING_KEYS
               if key in data.get(group, {})}
     if "mode" in data:
         tuning["mode"] = data["mode"]
@@ -272,9 +273,8 @@ def parse_config_dict(data: dict, base_dir: str = ".") -> ExperimentConfig:
         out["svg_fields"] = tuple(out["svg_fields"])
     return ExperimentConfig(
         space=space, domain=domain, cells=cells, nonlinearity=nl,
-        alpha=float(data.get("alpha", 4.0)),
-        beta=float(data.get("beta", 0.1)),
-        theta=float(data.get("theta", 0.01)),
+        alpha=data.get("alpha", 4.0), beta=data.get("beta", 0.1),
+        theta=data.get("theta", 0.01),
         initial=initial, sim=sim, output=OutputSpec(**out),
         notes=data.get("notes"), **tuning)
 
@@ -496,8 +496,7 @@ def _sim_block(records, final=None, error=None) -> dict:
         "solver_iterations": of_final("solver_iterations"),
         "dt_accepted": None if dt_accepted is None else list(dt_accepted),
         "reason": of_final("reason", error),
-        "final_supnorm": (last.supnorm if final is None
-                          else float(np.abs(final.u).max())),
+        "final_supnorm": last.supnorm if final is None else final.supnorm,
         "records": len(records),
     }
 

@@ -161,6 +161,36 @@ class TestSubcommands:
         assert runs[0] == runs[1]
         assert json.loads(runs[1][0])["parameters"]["cells"] == [8, 8]
 
+    def test_float_keys_written_as_integers_give_the_same_run(self, tmp_path,
+                                                              capsys):
+        data = dict(base_config(), space={"m": 1, "k": 1, "gamma": 0.0},
+                    sim={"t_end": 1.0, "dt_init": 1e-3, "dt_max": 1.0},
+                    nonlinearity={"power": {"p": 3.0, "c": 1.0}},
+                    alpha=4.0, beta=0.0, theta=0.0,
+                    initial={"kind": "product_sine", "amplitude": 1.0},
+                    hypothesis={"umax_factor": 10.0})
+        twin = json.loads(json.dumps(data))
+        twin["space"]["gamma"] = 0
+        twin["bounds"] = [[0, 1], [0, 1]]
+        twin["sim"].update(t_end=1, dt_max=1)
+        twin["nonlinearity"]["power"].update(p=3, c=1)
+        twin.update(alpha=4, beta=0, theta=0)
+        twin["initial"]["amplitude"] = 1
+        twin["hypothesis"]["umax_factor"] = 10
+        runs = []
+        for name, config in (("float", data), ("int", twin)):
+            cfgp = write_config(tmp_path, config, f"{name}.json")
+            out_dir = tmp_path / name
+            code, out, err = run_cli(["verify", cfgp, "--out", str(out_dir)],
+                                     capsys)
+            assert (code, err) == (0, "")
+            runs.append([out] + [(out_dir / artifact).read_bytes()
+                                 for artifact in ("report.json",
+                                                  "records.csv")])
+        assert runs[0] == runs[1]
+        assert json.loads(runs[1][1])["parameters"]["t_end"] == 1.0
+        assert b'"t_end": 1.0' in runs[1][1]
+
     def test_dump_matrix_flag(self, tmp_path, capsys):
         cfgp = write_config(tmp_path, base_config())
         out_dir = str(tmp_path / "dm")

@@ -10,6 +10,7 @@ from grushinlab import (BoxDomain, GrushinSpace, Power, SimConfig,
                         assemble_grushin, build_grid, build_initial_condition,
                         integrator, l2_norm_sq, parse_expression, run,
                         smallest_eigenpair)
+from grushinlab.diagnostics import EnergyTracker
 from grushinlab.integrator import InitialCondition, SimState, step
 from grushinlab.linalg import SeparableSolver
 from grushinlab.operators import SparseMatrix
@@ -223,6 +224,49 @@ class TestStep:
         moved = step(replace(out, u=0.5 * out.u), A, nl,
                      SimConfig(dt_init=1e-3))
         assert len(calls) == 5 and moved.steps == 2
+
+    def test_one_product_per_step_and_the_sup_norm_carried(self,
+                                                            monkeypatch):
+        # Every attempt of a step solves with the same (I + L) u, so A u is
+        # formed once however many attempts are rejected; the accepted state
+        # carries the sup norm of its threshold check, which the next step's
+        # change test and the energy record read.
+        space, grid, A = small_setup()
+        ic = build_initial_condition(
+            grid, InitialCondition(kind="product_sine", amplitude=100.0))
+        products = []
+        apply = integrator.apply
+
+        def counted(A, u):
+            products.append(u)
+            return apply(A, u)
+        monkeypatch.setattr(integrator, "apply", counted)
+        state = SimState(t=0.0, u=ic, dt=1e-3, steps=0)
+        out = step(state, A, Power(3.0, 1.0), SimConfig(dt_init=1e-3))
+        assert out.rejected > 0 and out.attempts == out.rejected + 1
+        assert len(products) == 1 and products[0] is ic
+        assert out.sup_at[0] is out.u
+        assert out.supnorm == float(np.abs(out.u).max())
+        # The change test and the record read the carried value: a planted
+        # one shows through.  A huge sup norm makes the change look small,
+        # so dt grows where it would not.
+        cfg = SimConfig(dt_init=1e-3)
+        assert step(out, A, Power(3.0, 1.0), cfg).dt == out.dt
+        planted = replace(out, sup_at=(out.u, 1e300))
+        assert step(planted, A, Power(3.0, 1.0), cfg).dt == 1.5 * out.dt
+        tracker = EnergyTracker(grid, space, Power(3.0, 1.0))
+        tracker(replace(out, sup_at=(out.u, 123.0)))
+        assert tracker.records[-1].supnorm == 123.0
+
+    def test_hand_built_state_takes_its_sup_norm_on_first_use(self):
+        u = np.array([0.5, -2.0, 1.0])
+        state = SimState(t=0.0, u=u, dt=1e-3, steps=0)
+        assert state.sup_at is None
+        assert state.supnorm == 2.0
+        assert state.sup_at[0] is u and state.sup_at[1] == 2.0
+        # A state whose u is replaced measures the new u.
+        moved = replace(state, u=3.0 * u)
+        assert moved.supnorm == 6.0 and moved.sup_at[0] is moved.u
 
     def test_threshold_declares_blowup(self):
         space, grid, A = small_setup(cells=(4, 4),

@@ -605,6 +605,31 @@ def test_march_factors_once_per_step_size(monkeypatch):
     assert len(factored) == len(set(attempted)) < final.attempts
 
 
+def test_batch_kernels_peak_at_their_results_plus_two_rows():
+    # The m = 1 step solves factor and substitute a batch of 127 x 127
+    # tridiagonal systems, one per y-mode.  Each row is written straight
+    # into the results; the back substitution takes one scratch row, and
+    # the row views in flight stay under a second.  Gathering new rows in
+    # a list and copying it into the result peaks 191 rows over it, and a
+    # factorization that makes a temporary per row operation 17 rows over.
+    rng = np.random.default_rng(0)
+    diag = 4.0 + rng.uniform(0.0, 1.0, (127, 127))
+    rhs = rng.standard_normal((127, 127))
+    pivot, ratio = linalg._factor(diag, -1.0)
+    linalg._substitute(pivot, ratio, -1.0, rhs)   # first-use allocations
+    row = rhs[0].nbytes
+    for kernel, args, results in (
+            (linalg._factor, (diag, -1.0), 2 * diag.nbytes),
+            (linalg._substitute, (pivot, ratio, -1.0, rhs), rhs.nbytes)):
+        tracemalloc.start()
+        try:
+            kernel(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= results + 2 * row, (kernel.__name__, peak - results)
+
+
 def test_pipeline_imports_no_scipy_or_jsonschema():
     # Either would add start-up time and resident memory to every run.
     code = (
