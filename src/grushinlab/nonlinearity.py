@@ -2,10 +2,12 @@
 
 Two variants: a signed power law c*sign(u)*|u|^p with the exact antiderivative,
 and a parsed arithmetic expression in u whose antiderivative is computed by
-adaptive Simpson quadrature.  The quadrature evaluates f once at each
-distinct nodal value and runs its halving rounds in fixed blocks of
-segments, so its temporaries stay block-sized; the peak memory of one call
-on 16,129 distinct values, sorting them included, is then about 8.4 copies
+adaptive Simpson quadrature.  The quadrature integrates between the sorted
+nodal values as they are: a repeated value bounds a zero-width segment,
+whose sum is exactly +0.0 and which is never named as the non-finite one.
+It evaluates f once at each node and runs its halving rounds in fixed
+blocks of segments, so its temporaries stay block-sized; the peak memory of
+one call on 16,129 values, sorting them included, is then about 8.4 copies
 of the state.  The checks on f sample one grid of (0, u_max]: the
 positivity scan here, and the two theorems' sign conditions, which
 ``theorems.py`` states, as it does every other part of a theorem.  The last
@@ -278,9 +280,16 @@ def _simpson_rule(a, b, fa, fm, fb):
 def _check_finite(S, seg, x):
     finite = np.isfinite(S)
     if not finite.all():
-        i = seg[np.argmin(finite)]
-        raise QuadratureError("integrand is non-finite inside the segment "
-                              f"[{float(x[i])}, {float(x[i + 1])}]")
+        # A zero-width segment is never the one named: f is non-finite at
+        # its node, so the positive-width segment at that node is too.
+        finite |= x[seg] == x[seg + 1]
+        if not finite.all():
+            i = seg[np.argmin(finite)]
+            # The first of equal nodes names the segment: 0.0 and -0.0
+            # compare equal, and the sort may end their run with either.
+            a = x[np.searchsorted(x, x[i])]
+            raise QuadratureError("integrand is non-finite inside the "
+                                  f"segment [{float(a)}, {float(x[i + 1])}]")
 
 
 def _first_round(fun, x, fx):
@@ -326,13 +335,9 @@ def _simpson_batch(fun, x: np.ndarray, tol: float) -> np.ndarray:
     """
     out = np.zeros(x.size - 1)
     eps = np.finfo(float).eps
-    size, blocks = out.size, _first_round(fun, x, fun(x))
+    blocks = _first_round(fun, x, fun(x))
     depth = 0
     while True:
-        if size > 1_000_000:
-            raise QuadratureError(
-                "adaptive Simpson worklist exceeded 1e6 intervals; the "
-                "integrand does not settle at the requested tolerance")
         # Halved tolerances bottom out at the rounding floor of the local
         # sums, and intervals stop splitting once their width is no longer
         # representable; otherwise smooth-but-large segments could never
@@ -376,51 +381,40 @@ def _simpson_batch(fun, x: np.ndarray, tol: float) -> np.ndarray:
         if not lefts:
             return out
         work = tuple(np.concatenate(ws) for ws in zip(*lefts, *rights))
-        size, blocks = work[0].size, _next_round(work, x)
+        if work[0].size > 1_000_000:
+            raise QuadratureError(
+                "adaptive Simpson worklist exceeded 1e6 intervals; the "
+                "integrand does not settle at the requested tolerance")
+        blocks = _next_round(work, x)
         tol *= 0.5
         depth += 1
-
-
-def _distinct(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted distinct values of 0 and u, and the index among them of 0
-    and of each entry of u: ``np.unique(..., return_inverse=True)`` of the
-    two, from one argsort and without its copies of the input and the
-    ranks, so about four arrays of the input's size are alive at once."""
-    x = np.concatenate([[0.0], np.ravel(u)])
-    order = np.argsort(x)
-    x = x[order]
-    first = np.empty(x.size, dtype=bool)
-    first[0] = True
-    np.not_equal(x[1:], x[:-1], out=first[1:])
-    vs = x[first]
-    del x
-    rank = np.cumsum(first, dtype=np.intp)
-    rank -= 1
-    node = np.empty_like(rank)
-    node[order] = rank
-    return vs, node
 
 
 def F_values(nl: Nonlinearity, u: np.ndarray) -> np.ndarray:
     """Vectorized antiderivative F(u) = integral of f from 0 to u.
 
     Power uses the closed form.  Expression integrates segment-by-segment
-    over the sorted unique values, so a whole nodal vector costs one batched
-    quadrature pass instead of one recursion per node, and f is evaluated
-    once at each node.
+    between consecutive values of 0 and u, sorted, so a whole nodal vector
+    costs one batched quadrature pass instead of one recursion per node, and
+    f is evaluated once at each node.  A repeated value bounds a zero-width
+    segment, whose sum is exactly +0.0, so equal values get equal F.
     """
     u = np.asarray(u, dtype=float)
     if isinstance(nl, Power):
         return nl.c * np.abs(u) ** (nl.p + 1.0) / (nl.p + 1.0)
-    vs, node = _distinct(u)
+    nodes = np.concatenate([[0.0], np.ravel(u)])
+    order = np.argsort(nodes)
+    nodes = nodes[order]
     fun = lambda x: _eval_ast(nl.ast, x)
     try:
-        pieces = _simpson_batch(fun, vs, 1e-12)
+        pieces = _simpson_batch(fun, nodes, 1e-12)
     except QuadratureError as exc:
         raise QuadratureError(f"F of expression {nl.text!r}: {exc}") from exc
     prefix = np.concatenate([[0.0], np.cumsum(pieces)])
-    F_at = prefix - prefix[node[0]]
-    return F_at[node[1:]].reshape(np.shape(u))
+    prefix -= prefix[np.argmin(order)]   # F is 0 where 0 was sorted to
+    F = np.empty_like(prefix)
+    F[order] = prefix
+    return F[1:].reshape(np.shape(u))
 
 
 def eval_F(nl: Nonlinearity, u: float) -> float:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,9 +22,9 @@ from grushinlab.linalg import (NonConvergence, NumericalBreakdown,
                                SeparableSolver, cg_solve, inverse_iteration)
 from grushinlab.operators import SparseMatrix
 
-from conftest import config_path
-from oracles import (dense_from_csr, identity, jacobi_eigenvalues,
-                     surrogate_dense, transform_reference)
+from conftest import CONFIG_DIR, config_path
+from oracles import (continuum_lambda1, dense_from_csr, identity,
+                     jacobi_eigenvalues, surrogate_dense, transform_reference)
 
 
 def diag_matrix(values):
@@ -366,6 +367,56 @@ class TestOneEntryPoint:
         assert np.allclose(scaled.phi1 * 0.5,
                            default.phi1 * np.sqrt(grid.cell_volume),
                            rtol=1e-6, atol=0.0)
+
+
+SHIPPED_CONFIGS = sorted(name for name in os.listdir(CONFIG_DIR)
+                         if name.endswith(".json"))
+
+
+def discrete_lambda1(cfg, refine=1):
+    """λ1 of the discrete operator on the config's box, its cells times
+    ``refine`` on every axis."""
+    _, _, A = grushin_setup(cfg.domain.bounds,
+                            [refine * c for c in cfg.cells],
+                            cfg.space.gamma, m=cfg.space.m)
+    return smallest_eigenpair(A, tol=1e-10).lambda1
+
+
+class TestContinuumLambda1:
+    """The discrete λ1 against the continuum one, from
+    ``oracles.continuum_lambda1``: the blow-up ranges and the global bound
+    use the discrete value, so premises judged with it are on the safe side
+    while it lies below the continuum value."""
+
+    @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+    def test_oracle_is_converged(self, name):
+        cfg = parse_config(config_path(name))
+        assert continuum_lambda1(cfg, N=80) == pytest.approx(
+            continuum_lambda1(cfg, N=40), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", SHIPPED_CONFIGS)
+    def test_discrete_lambda1_lies_below_the_continuum(self, name):
+        cfg = parse_config(config_path(name))
+        assert discrete_lambda1(cfg) < continuum_lambda1(cfg)
+
+    @pytest.mark.parametrize("name", ["blowup_cubic.json", "free_sine.json"])
+    def test_second_order_in_h(self, name):
+        cfg = parse_config(config_path(name))
+        lam = continuum_lambda1(cfg)
+        order = np.log2((discrete_lambda1(cfg) - lam)
+                        / (discrete_lambda1(cfg, refine=2) - lam))
+        assert order == pytest.approx(2.0, abs=0.1)
+
+    @pytest.mark.parametrize("m, gamma, bounds", [
+        (1, 0.75, [(-1.0, 1.0), (0.0, 1.0)]),   # |x|^1.5 kinks at 0
+        (1, 0.75, [(0.0, 1.0), (0.0, 1.0)]),    # x^1.5 at the wall
+        (2, 0.5, [(0.5, 1.0), (0.5, 1.0), (0.0, 1.0)]),  # not separable
+    ])
+    def test_refuses_what_collocation_cannot_resolve(self, m, gamma, bounds):
+        cfg = SimpleNamespace(space=GrushinSpace(m, len(bounds) - m, gamma),
+                              domain=BoxDomain(bounds))
+        with pytest.raises(ValueError):
+            continuum_lambda1(cfg)
 
 
 class TestSeparableSolver:

@@ -200,6 +200,14 @@ class TestAntiderivative:
         with pytest.raises(QuadratureError):
             F_values(e, np.array([2.0]))  # pole at the segment midpoint
 
+    def test_more_than_a_million_nodes_is_not_a_worklist_overflow(self):
+        # The 1e6-interval cap bounds the halving rounds, where it means the
+        # integrand does not settle; the initial segments are as many as
+        # the nodes.
+        u = np.random.default_rng(0).random(1_000_001)
+        F = F_values(parse_expression("u^3"), u)
+        np.testing.assert_allclose(F, u ** 4 / 4.0, rtol=1e-12, atol=0.0)
+
     def test_pole_near_endpoint_exhausts_worklist(self):
         e = parse_expression("u/(u-1)")
         with pytest.raises(QuadratureError, match="settle"):
