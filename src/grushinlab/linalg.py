@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Grid, GrushinSpace
-from .operators import SparseMatrix, _degenerate_weight
+from .operators import BLOCK_ROWS, SparseMatrix, _degenerate_weight
 
 
 class SolverError(RuntimeError):
@@ -239,13 +239,15 @@ def inverse_iteration(A: SparseMatrix, precond, tol: float = 1e-8,
 def _eigen_result(A, v, lam, residual, iterations, method, cell_volume,
                   solver_iterations=0):
     """Both paths' result: the unit eigenvector v with its largest-magnitude
-    entry made positive, scaled as :func:`smallest_eigenpair` says."""
+    entry made positive, scaled as :func:`smallest_eigenpair` says, in v's
+    own array, which the caller hands over."""
     if cell_volume is None:
         cell_volume = A.grid.cell_volume
     if v[int(np.argmax(np.abs(v)))] < 0.0:
-        v = -v
-    return EigenResult(lam, v / np.sqrt(cell_volume), residual, iterations,
-                       method, solver_iterations)
+        np.negative(v, out=v)
+    v /= np.sqrt(cell_volume)
+    return EigenResult(lam, v, residual, iterations, method,
+                       solver_iterations)
 
 
 def _factor(diag, off: float):
@@ -322,16 +324,22 @@ def _substitute(pivot, ratio, off: float, rhs):
 def _has_eigenvalue_below(diag: list, off_sq: float, s: float) -> bool:
     """Sturm test: does the symmetric tridiagonal matrix with main diagonal
     ``diag`` and squared off-diagonal ``off_sq`` have an eigenvalue below s?
-    True exactly when an LDL^T pivot of the shifted matrix is negative."""
-    pivot = 1.0
-    coupling = 0.0
-    for a in diag:
-        pivot = a - s - coupling / pivot
+    True exactly when an LDL^T pivot of the shifted matrix is negative; a
+    zero pivot is taken as 1e-300 (Barth, Martin and Wilkinson, Numer.
+    Math. 9, 1967).  A NaN pivot makes every later one NaN, and no NaN is
+    negative.  ``diag`` holds at least one entry."""
+    entries = iter(diag)
+    pivot = next(entries) - s
+    if pivot <= 0.0:
         if pivot < 0.0:
             return True
-        if pivot == 0.0:
+        pivot = 1e-300
+    for a in entries:
+        pivot = a - s - off_sq / pivot
+        if pivot <= 0.0:
+            if pivot < 0.0:
+                return True
             pivot = 1e-300
-        coupling = off_sq
     return False
 
 
@@ -611,13 +619,16 @@ class SeparableSolver:
             v = _mode_products(v[None], [Q[:1] for Q in self.bases],
                                inverse=True)[0]
         v = self._first_mode(v)
-        v = v / float(np.linalg.norm(v))
-        # B v and then the residual B v - lam v, in A v's buffer, which is
-        # freed before phi1 is scaled.
+        v /= float(np.linalg.norm(v))
+        # B v and then the residual B v - lam v, in A v's buffer, with
+        # lam v formed a block of rows at a time; the buffer is freed before
+        # phi1 is scaled, in v's array.
         Bv = A.apply(v)
         np.negative(Bv, out=Bv)
         lam = float(v @ Bv)
-        Bv -= lam * v
+        for start in range(0, v.size, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            Bv[rows] -= lam * v[rows]
         residual = float(np.linalg.norm(Bv))
         del Bv
         return _eigen_result(A, v, lam, residual, steps, "separable",

@@ -15,11 +15,26 @@ The matrix is stored by its diagonals (the DIA format; Saad, Iterative
 Methods for Sparse Linear Systems, 2nd ed., SIAM 2003, sec. 3.4): the main
 diagonal and, for each axis, the pair at plus and minus that axis's stride.
 The product adds the diagonals in ascending offset order, which is each
-row's column order, so it rounds exactly as a CSR product does.  A matrix
-keeps every diagonal read-only and copies one only when its caller could
-still write to it; the assembly freezes the arrays it builds and hands them
-over, so the pair of diagonals at plus and minus a stride is one array.
-numpy only.
+row's column order, so it rounds exactly as a CSR product does.
+
+The product walks the rows in blocks of :data:`BLOCK_ROWS` rows, by a plan
+of slices that each matrix builds once and keeps (``SparseMatrix.plan``).
+Taken whole, each diagonal's products are a new full-size array, 520 KB on
+a 256 x 256 grid, which the process maps and faults in page by page and
+which passes through the cache once per diagonal; a block's products are
+at most 128 KB, in memory the allocator reuses from one diagonal to the
+next, and still cached when they are added (cache blocking: Lam, Rothberg
+and Wolf, ASPLOS 1991).
+Each block adds a few numpy calls per diagonal, which a small grid feels:
+on a 128 x 128 grid blocks of 4,096 rows were slower than none.  16,384
+rows keeps every grid of that many nodes or fewer, 128 x 128 included, one
+block whose slices are the unblocked product's, and on a 256 x 256 grid
+larger blocks gained little more.
+
+A matrix keeps every diagonal read-only and copies one only when its
+caller could still write to it; the assembly freezes the arrays it builds
+and hands them over, so the pair of diagonals at plus and minus a stride is
+one array.  numpy only.
 """
 
 from __future__ import annotations
@@ -32,6 +47,10 @@ import numpy as np
 
 from .geometry import Grid, GrushinSpace, integral
 
+# Rows per block of the product plan, 128 KB of floats; see the module
+# docstring.
+BLOCK_ROWS = 16_384
+
 
 @dataclass(frozen=True, eq=False)
 class SparseMatrix:
@@ -43,7 +62,10 @@ class SparseMatrix:
     diagonal is copied only when it, or the array that owns its memory, is
     writeable; one no caller can write to is kept as it is.
     ``indptr``/``indices``/``values`` (and ``nnz``) are a read-only CSR view
-    of the nonzero entries, built on first access.  Only
+    of the nonzero entries, built on first access.  ``plan`` is the
+    product's walk in blocks of :data:`BLOCK_ROWS` (16,384) rows, so that a
+    128 x 128 grid is one block (see the module docstring); it is built on
+    the first product and kept.  Only
     :func:`assemble_grushin` sets ``grid`` and ``space``, and so gives the
     matrix a ``solver``.
     """
@@ -96,6 +118,28 @@ class SparseMatrix:
                              "a solver")
         return SeparableSolver(self.grid, self.space)
 
+    @cached_property
+    def plan(self) -> list:
+        """The product's walk: per block of :data:`BLOCK_ROWS` rows, its row
+        slice and, in ascending offset order, each diagonal that reaches the
+        block: the slice of the block's rows it reaches, the view of its
+        entries on those rows and the slice of the columns of u they
+        multiply."""
+        n, plan = self.n, []
+        for start in range(0, n, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, n)
+            terms = []
+            for o, c in self.diagonals.items():
+                # Rows i with a column i + o; entry i - max(-o, 0) of c.
+                lo, hi = max(start, -o), min(stop, n - o)
+                if lo < hi:
+                    first = lo - max(-o, 0)
+                    terms.append((slice(lo - start, hi - start),
+                                  c[first:first + hi - lo],
+                                  slice(lo + o, hi + o)))
+            plan.append((slice(start, stop), terms))
+        return plan
+
     indptr = property(lambda self: self.csr[0])
     indices = property(lambda self: self.csr[1])
     values = property(lambda self: self.csr[2])
@@ -124,19 +168,19 @@ def _read_only(a) -> np.ndarray:
 def apply(A: SparseMatrix, u: np.ndarray) -> np.ndarray:
     """Matrix-vector product A @ u.
 
-    Diagonals are added in ascending offset order, so each row sums its
-    products in column order starting from 0, exactly as a CSR product does.
+    Block by block of ``A.plan``, the diagonals are added in ascending
+    offset order, so each row sums its products in column order starting
+    from 0, exactly as a CSR product does.
     """
     u = np.asarray(u, dtype=float)
     n = A.n
     if u.shape != (n,):
         raise ValueError(f"expected vector of length {n}, got shape {u.shape}")
     out = np.zeros(n)
-    for o, c in A.diagonals.items():
-        if o >= 0:
-            out[:n - o] += c * u[o:]
-        else:
-            out[-o:] += c * u[:n + o]
+    for rows, terms in A.plan:
+        block = out[rows]
+        for r, c, cols in terms:
+            block[r] += c * u[cols]
     return out
 
 
@@ -182,7 +226,9 @@ def assemble_grushin(grid: Grid, space: GrushinSpace) -> SparseMatrix:
             UserWarning, stacklevel=2)
 
     shape, N = grid.shape, grid.N
-    diag = np.zeros(shape)
+    # The main diagonal varies with the x-nodes only, as W does: it is
+    # summed on W's broadcast shape and written out in full once.
+    diag = np.zeros(W.shape)
     diagonals = {}
     for d in range(grid.n):
         h2 = float(grid.h[d]) ** 2
@@ -198,6 +244,7 @@ def assemble_grushin(grid: Grid, space: GrushinSpace) -> SparseMatrix:
         edge.flags.writeable = False
         stride = int(np.prod(shape[d + 1:]))
         diagonals[-stride] = diagonals[stride] = edge.ravel()[:N - stride]
+    diag = np.array(np.broadcast_to(diag, shape))
     diag.flags.writeable = False
     diagonals[0] = diag.ravel()
     return SparseMatrix(N, diagonals, grid=grid, space=space)

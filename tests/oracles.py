@@ -12,6 +12,7 @@ oracles are the package's earlier implementations, kept to check that the
 faster ones reproduce them bit for bit: the one-pass Thomas sweep, which
 the separable solver now splits into a kept factorization and a
 substitution; that substitution as it indexed the arrays row by row; the
+Sturm test that formed the first pivot inside its loop; the
 y-axis transform that ran ``np.tensordot`` on every axis; the energy record
 built on ``np.pad``; the antiderivative ``F_values`` whose adaptive
 Simpson rounds ran over the whole worklist at once, evaluating f separately
@@ -125,6 +126,24 @@ def substitute_reference(pivot, ratio, off, rhs):
     for i in range(n - 2, -1, -1):
         x[i] -= ratio[i] * x[i + 1]
     return x
+
+
+def sturm_below_reference(diag, off_sq, s):
+    """Sturm test as the eigenpair first ran it: does the symmetric
+    tridiagonal with main diagonal ``diag`` and squared off-diagonal
+    ``off_sq`` have an eigenvalue below s?  Every LDL^T pivot of the shifted
+    matrix, the first included, is formed in the loop from a unit pivot and
+    a zero coupling, and tested twice: below zero, then equal to it."""
+    pivot = 1.0
+    coupling = 0.0
+    for a in diag:
+        pivot = a - s - coupling / pivot
+        if pivot < 0.0:
+            return True
+        if pivot == 0.0:
+            pivot = 1e-300
+        coupling = off_sq
+    return False
 
 
 def transform_reference(U, sines, m):

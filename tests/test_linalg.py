@@ -24,7 +24,8 @@ from grushinlab.operators import SparseMatrix
 
 from conftest import CONFIG_DIR, config_path
 from oracles import (continuum_lambda1, dense_from_csr, identity,
-                     jacobi_eigenvalues, surrogate_dense, transform_reference)
+                     jacobi_eigenvalues, sturm_below_reference,
+                     surrogate_dense, transform_reference)
 
 
 def diag_matrix(values):
@@ -267,6 +268,51 @@ class TestSmallestEigenpair:
         finally:
             tracemalloc.stop()
         assert peak < 6.5 * 8 * grid.N
+
+    def test_peak_memory_of_a_fresh_eigensolve_at_256(self):
+        # In units of one 255 x 255 state: the peak is the closing check's,
+        # the three diagonals of A, v and A v, whose residual takes lam v a
+        # block of rows at a time, about 5.3.  A full-size lam v puts it at
+        # about 6.05.
+        smallest_eigenpair(grushin_setup([(-1.0, 1.0)] * 2, (8, 8),
+                                         gamma=1.0)[2])
+        grid = build_grid(BoxDomain([(-1.0, 1.0)] * 2), (256, 256))
+        space = GrushinSpace(1, 1, 1.0)
+        tracemalloc.start()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                smallest_eigenpair(assemble_grushin(grid, space))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.6 * 8 * grid.N
+
+    @pytest.mark.parametrize("m, gamma, method", [
+        (1, 1.0, "separable"), (2, 1.0, "separable"),
+        (2, 1.5, "inverse-iteration")])
+    def test_phi1_owns_its_memory(self, m, gamma, method):
+        # phi1 is scaled in the array the eigenpair made for it: the memory
+        # it views is its own, all of it, and none of A's.
+        _, _, A = grushin_setup([(-1.0, 1.0)] * (m + 1), (6,) * (m + 1),
+                                gamma=gamma, m=m)
+        eig = smallest_eigenpair(A)
+        assert eig.method == method
+        phi = eig.phi1
+        owner = phi if phi.base is None else phi.base
+        assert owner.flags.owndata and owner.nbytes == phi.nbytes
+        assert phi.flags.writeable
+        assert not any(np.shares_memory(phi, c)
+                       for c in A.diagonals.values())
+
+    def test_inverse_iteration_leaves_its_start_unchanged(self):
+        _, _, A = grushin_setup([(-1.0, 1.0)] * 3, (6, 6, 6), gamma=1.5, m=2)
+        start = np.random.default_rng(2).uniform(0.5, 1.5, A.n)
+        kept = start.copy()
+        eig = inverse_iteration(A, identity, tol=1e-9, cell_volume=1.0,
+                                start=start)
+        assert start.tobytes() == kept.tobytes()
+        assert not np.shares_memory(eig.phi1, start)
 
     def test_requires_symmetric_flag(self):
         # An eigensolve needs a symmetric operator, and only assemble_grushin
@@ -561,6 +607,20 @@ class TestSeparableSolver:
         b[2] = np.nan
         with pytest.raises(NumericalBreakdown):
             SeparableSolver(grid, space).solve(b, 1.0)
+
+    def test_bisection_at_256_is_pinned(self):
+        # The eigenpair's bisection of lambda1 at 256^2 (blowup_cubic's box
+        # and space): the lower end and the number of Sturm tests, the same
+        # with the test the eigenpair first ran.
+        grid, space, A = grushin_setup([(-1.0, 1.0)] * 2, (256, 256),
+                                       gamma=1.0)
+        S = A.solver
+        entries = (2.0 * S.inv_h2 + S.mu[0] * S.W).tolist()
+        for below in (linalg._has_eigenvalue_below, sturm_below_reference):
+            got = linalg._bisect(
+                lambda s: below(entries, S.inv_h2 ** 2, s), 0.0, min(entries))
+            assert got == (2.7828013757662116, 66), below.__name__
+        assert smallest_eigenpair(A).iterations == 66
 
     @pytest.mark.parametrize("m, cells", [(1, (9, 7)), (2, (4, 4, 5))])
     def test_eigenpair_builds_no_sine_matrix(self, m, cells):

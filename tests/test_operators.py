@@ -1,14 +1,16 @@
 """Discrete operator assembly, matvec, and the compatible gradient energy."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from grushinlab import (BoxDomain, GrushinSpace, apply, assemble_grushin,
                         build_grid, grushin_energy, l2_norm_sq,
                         smallest_eigenpair)
-from grushinlab.operators import SparseMatrix
+from grushinlab.operators import BLOCK_ROWS, SparseMatrix
 
-from oracles import dense_from_csr
+from oracles import csr_matvec, dense_from_csr
 
 
 def make_identity(n):
@@ -192,6 +194,41 @@ class TestApply:
         I3 = make_identity(3)
         with pytest.raises(ValueError):
             apply(I3, np.ones(4))
+
+    @pytest.mark.parametrize("m, cells, offsets", [
+        (1, (130, 130), [-129, -1, 0, 1, 129]),
+        (2, (27, 27, 27), [-676, -26, -1, 0, 1, 26, 676]),
+    ])
+    def test_blocked_product_is_the_csr_product(self, m, cells, offsets):
+        # More nodes than one block and not a whole number of blocks, so a
+        # block boundary cuts every diagonal's rows.
+        space = GrushinSpace(m, len(cells) - m, 1.0)
+        grid = build_grid(BoxDomain([(-1.0, 1.0)] * len(cells)), cells)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # m = 1 across x = 0 warns
+            A = assemble_grushin(grid, space)
+        assert list(A.diagonals) == offsets
+        assert BLOCK_ROWS < A.n < 2 * BLOCK_ROWS
+        assert len(A.plan) == 2 and A.plan is A.plan
+        rng = np.random.default_rng(17)
+        u = rng.standard_normal(A.n) * 10.0 ** rng.uniform(-5.0, 5.0, A.n)
+        want = csr_matvec(A.n, A.indptr, A.indices, A.values, u)
+        assert apply(A, u).tobytes() == want.tobytes()
+
+    def test_hand_built_matrix_gets_a_plan(self):
+        n = 2 * BLOCK_ROWS + 3
+        rng = np.random.default_rng(5)
+        A = SparseMatrix(n, {o: rng.standard_normal(n - abs(o))
+                             for o in (-BLOCK_ROWS - 1, -2, 0, 5, n - 1)})
+        assert [rows for rows, _ in A.plan] == [
+            slice(0, BLOCK_ROWS), slice(BLOCK_ROWS, 2 * BLOCK_ROWS),
+            slice(2 * BLOCK_ROWS, n)]
+        # Offset -BLOCK_ROWS - 1 reaches no row of the first block, 5 no row
+        # of the last, and n - 1 row 0 alone.
+        assert [len(terms) for _, terms in A.plan] == [4, 4, 3]
+        u = rng.standard_normal(n)
+        want = csr_matvec(A.n, A.indptr, A.indices, A.values, u)
+        assert apply(A, u).tobytes() == want.tobytes()
 
 
 class TestEnergyAndNorm:

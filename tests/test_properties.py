@@ -1,7 +1,7 @@
 """Property-based checks of the assembled operator and its product, the
 energy record, the solver paths (exact, preconditioned and their plain-CG
-oracles), the config parser, the expression parser and the blocked
-antiderivative quadrature.
+oracles), the eigenpair's Sturm test, the config parser, the expression
+parser and the blocked antiderivative quadrature.
 
 Random Grushin spaces (m, k in {1, 2}, gamma in [0, 2]) on boxes of 2 to 6
 cells per axis whose bounds may straddle the degenerate plane x = 0.  The
@@ -11,6 +11,7 @@ same examples.
 
 import copy
 import json
+import math
 import re
 import sys
 import warnings
@@ -26,8 +27,8 @@ from grushinlab import (BoxDomain, ConfigError, GrushinSpace, Power, apply,
                         integral, l2_norm_sq, parse_expression)
 from grushinlab.diagnostics import EnergyTracker
 from grushinlab.linalg import (NonConvergence, SeparableSolver, _factor,
-                               _sine_rows, _substitute, cg_solve,
-                               inverse_iteration, smallest_eigenpair)
+                               _has_eigenvalue_below, _sine_rows, _substitute,
+                               cg_solve, inverse_iteration, smallest_eigenpair)
 from grushinlab.nonlinearity import (_BLOCK, Expression, ExpressionError,
                                      F_values, _eval_ast)
 from grushinlab.operators import SparseMatrix
@@ -36,8 +37,8 @@ from grushinlab.runner import _parameters_block, parse_config_dict
 from conftest import config_path
 from oracles import (CONFIG_SCHEMA, F_values_reference, csr_matvec,
                      dense_from_csr, grushin_energy_reference,
-                     identity, substitute_reference, surrogate_dense,
-                     thomas_reference)
+                     identity, sturm_below_reference, substitute_reference,
+                     surrogate_dense, thomas_reference)
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=100)
@@ -206,6 +207,41 @@ def test_substitute_equals_its_row_indexed_reference(n, trailing, off, seed):
     want = substitute_reference(pivot, ratio, off, rhs)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def sturm_cases(draw):
+    """(diag, off_sq, s): a symmetric tridiagonal of 1 to 12 rows, given by
+    its main diagonal and squared off-diagonal, and a shift a few units in
+    the last place from one of its eigenvalues, at its first diagonal entry
+    (a zero first pivot) or anywhere."""
+    n = draw(st.integers(1, 12))
+    diag = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    off = draw(st.floats(0.0, 5.0))
+    where = draw(st.sampled_from(["eigenvalue", "first entry", "anywhere"]))
+    if where == "eigenvalue":
+        T = np.diag(diag) + off * (np.eye(n, k=1) + np.eye(n, k=-1))
+        lam = float(draw(st.sampled_from(np.linalg.eigvalsh(T).tolist())))
+        s = lam + draw(st.integers(-4, 4)) * math.ulp(lam)
+    elif where == "first entry":
+        s = diag[0]
+    else:
+        s = draw(st.floats(-30.0, 30.0))
+    return diag, off * off, s
+
+
+@PROPERTY_SETTINGS
+@given(sturm_cases())
+@example(([2.0, 3.0, 4.0], 6.0, 0.0))   # the second pivot is exactly 0
+@example(([2.0, 3.0], 6.0, 0.0))        # ... and the last
+@example(([1.0, 1.0], 0.0, 1.0))        # every pivot is 0
+@example(([float("nan"), -5.0], 1.0, 0.0))
+@example(([1.0, float("nan"), -5.0], 1.0, 0.0))
+@example(([3.0, -5.0], 1.0, float("nan")))
+def test_sturm_test_answers_as_its_reference(case):
+    diag, off_sq, s = case
+    want = sturm_below_reference(diag, off_sq, s)
+    assert _has_eigenvalue_below(diag, off_sq, s) is want
 
 
 @PROPERTY_SETTINGS
