@@ -74,13 +74,16 @@ class SimConfig:
             raise ValueError("record_every must be >= 1")
 
 
+_COUNTERS = ("attempts", "rejected", "solver_iterations")
+
+
 @dataclass(frozen=True, eq=False)
 class SimState:
     """Snapshot of the march: time, nodal values, current dt, step count and
     status in {"running", "completed", "blowup", "failed"}, plus the work so
-    far: step attempts, attempts rejected by the step controller, the CG
-    iterations summed over the step solves (0 on the exact path), and the
-    smallest and largest accepted dt (None before the first accepted step).
+    far: :data:`_COUNTERS` (step attempts, attempts the step controller
+    rejected, the CG iterations of the step solves, 0 on the exact path)
+    and the smallest and largest accepted dt (None until a step is accepted).
     ``f_at`` is (u, f(u)), evaluated by the check of the step that made the
     state, so the next step need not; it is None only at a state no step
     made, and is used only while ``u`` is that same array.  ``sup_at`` is
@@ -211,8 +214,7 @@ def step(state: SimState, A: SparseMatrix, nl: Nonlinearity, cfg: SimConfig,
     u_norm = state.supnorm
     base = apply(A, state.u)   # (I + L) u, the same for every attempt
     np.subtract(state.u, base, base)
-    work = {"attempts": state.attempts, "rejected": state.rejected,
-            "solver_iterations": state.solver_iterations}
+    work = {name: getattr(state, name) for name in _COUNTERS}
     known = state.f_at
     f_u = (known[1] if known is not None and known[0] is state.u
            else f_values(nl, state.u))

@@ -2,10 +2,10 @@
 
 Every operator built by ``assemble_grushin`` owns a :class:`SeparableSolver`,
 ``SparseMatrix.solver``, built on first use and kept, so the eigensolve and
-every time step share it; :func:`smallest_eigenpair` is the one eigensolver
-entry point, and the solver picks its method.  The solver builds the dense
-DST-I matrix of every y-axis on its first solve; the exact eigenpair reads
-only their first rows, so it builds none.  The solver plays one of two roles.
+every time step share it.  :func:`smallest_eigenpair`, the one eigensolver
+entry point, picks the method.  The solver builds the dense DST-I matrix of
+every y-axis on its first solve; the exact eigenpair reads only their first
+rows, so it builds none.  The solver plays one of two roles.
 
 *Exact solve* (m == 1).  The y-edge weights depend only on x, so
 -A = K_x (x) I + diag(W) (x) K_y, where K_d is the 1D Dirichlet
@@ -53,7 +53,7 @@ from functools import cached_property
 import numpy as np
 
 from .geometry import Grid, GrushinSpace
-from .operators import BLOCK_ROWS, SparseMatrix, _degenerate_weight
+from .operators import SparseMatrix, _degenerate_weight
 
 
 class SolverError(RuntimeError):
@@ -182,13 +182,19 @@ def cg_solve(matvec, b: np.ndarray, precond, tol: float = 1e-10,
 def smallest_eigenpair(A: SparseMatrix, tol: float = 1e-8,
                        max_iter: int = 10_000, cg_tol: float = 1e-10,
                        cell_volume: float | None = None) -> EigenResult:
-    """Smallest eigenpair of B = -A for A built by ``assemble_grushin``, as
-    its solver finds it (:meth:`SeparableSolver.eigenpair`, which says when
-    it is exact).  l2_norm_sq(phi1) == 1 under the rectangle rule with
-    ``cell_volume``, by default that of A's grid.
+    """Smallest eigenpair of B = -A for A built by ``assemble_grushin``: in
+    closed form if A's solver is exact, else by :func:`inverse_iteration`
+    with these settings, preconditioned by the solver and started in the
+    y-mode j = 1, constant in x.  l2_norm_sq(phi1) == 1 under the rectangle
+    rule with ``cell_volume``, by default that of A's grid.
     """
-    return A.solver.eigenpair(A, tol, max_iter, cg_tol,
-                              cell_volume=cell_volume)
+    solver = A.solver
+    cell_volume = A.grid.cell_volume if cell_volume is None else cell_volume
+    if solver.exact:
+        return solver.eigenpair(A, cell_volume)
+    start = solver._first_mode(np.ones(solver.shape[:solver.m]))
+    return inverse_iteration(A, lambda r: solver.solve(r, 1.0, shift=0.0),
+                             tol, max_iter, cg_tol, cell_volume, start=start)
 
 
 def inverse_iteration(A: SparseMatrix, precond, tol: float = 1e-8,
@@ -205,9 +211,10 @@ def inverse_iteration(A: SparseMatrix, precond, tol: float = 1e-8,
     and converges on the eigen-residual ||B v - lambda v|| <= tol * lambda
     for unit v.  Raises :class:`NonConvergence` with the best iterate after
     ``max_iter`` steps, or sooner once :data:`STALL_STEPS` steps bring no new
-    best residual.  A matrix built by hand has no grid, so its caller passes
-    ``cell_volume``.
+    best residual.  phi1 is scaled as :func:`smallest_eigenpair` says; a
+    matrix built by hand has no grid, so its caller passes ``cell_volume``.
     """
+    cell_volume = A.grid.cell_volume if cell_volume is None else cell_volume
     B = lambda v: -A.apply(v)
     v = np.ones(A.n) if start is None else np.asarray(start, dtype=float)
     v = v / float(np.linalg.norm(v))
@@ -224,7 +231,7 @@ def inverse_iteration(A: SparseMatrix, precond, tol: float = 1e-8,
             raise NumericalBreakdown(f"inverse iteration: Rayleigh quotient {lam}")
         residual = float(np.linalg.norm(Bv - lam * v))
         if residual <= tol * lam:
-            return _eigen_result(A, v, lam, residual, it, "inverse-iteration",
+            return _eigen_result(v, lam, residual, it, "inverse-iteration",
                                  cell_volume, inner)
         if residual < best_res:
             best_res, best_v, best_it = residual, v, it
@@ -236,13 +243,11 @@ def inverse_iteration(A: SparseMatrix, precond, tol: float = 1e-8,
         f"lambda {lam:.6e})", best_x=best_v, residual=best_res, iterations=it)
 
 
-def _eigen_result(A, v, lam, residual, iterations, method, cell_volume,
+def _eigen_result(v, lam, residual, iterations, method, cell_volume,
                   solver_iterations=0):
     """Both paths' result: the unit eigenvector v with its largest-magnitude
     entry made positive, scaled as :func:`smallest_eigenpair` says, in v's
     own array, which the caller hands over."""
-    if cell_volume is None:
-        cell_volume = A.grid.cell_volume
     if v[int(np.argmax(np.abs(v)))] < 0.0:
         np.negative(v, out=v)
     v /= np.sqrt(cell_volume)
@@ -387,8 +392,8 @@ class SeparableSolver:
     s = sum_d w_d, w_d = |x_d|^(2 gamma) / m^(1 - gamma), equals A's weight
     |x|^(2 gamma) on every x-node but at most one (gamma == 1, or gamma == 0,
     where both are 1), and else with the surrogate in place of A, which makes
-    it a preconditioner for A.  It finds the first eigenpair of -A too
-    (:meth:`eigenpair`), exactly whenever the solve is exact.
+    it a preconditioner for A.  When the solve is exact it finds the first
+    eigenpair of -A too (:meth:`eigenpair`).
     ``_degenerate_weight`` first checks that the grid has the space's m + k
     axes.
 
@@ -552,14 +557,10 @@ class SeparableSolver:
                             + np.multiply.outer(self.W, self.mu))
         return _factor(diag, off) + (off,)
 
-    def eigenpair(self, A: SparseMatrix, tol: float = 1e-8,
-                  max_iter: int = 10_000, cg_tol: float = 1e-10,
-                  cell_volume=None) -> EigenResult:
-        """First eigenpair of -A, from the y-mode j = 1: in closed form as
-        below when ``exact`` (the other settings then have nothing to tune),
-        else by :func:`inverse_iteration` preconditioned by this solver and
-        started in that mode, constant in x, since A and the surrogate solve
-        both keep every y-mode.
+    def eigenpair(self, A: SparseMatrix, cell_volume: float) -> EigenResult:
+        """First eigenpair of -A in closed form, from the y-mode j = 1, and
+        phi1 scaled by ``cell_volume`` as :func:`smallest_eigenpair` says;
+        ValueError unless ``exact``.
 
         m == 1: lambda1 is the smallest eigenvalue of K_x + mu_1 diag(W),
         bracketed in [0, min diagonal] and bisected with Sturm tests to the
@@ -578,10 +579,8 @@ class SeparableSolver:
         lambda1 and the residual are measured against the assembled ``A``.
         """
         if not self.exact:
-            return inverse_iteration(
-                A, lambda r: self.solve(r, 1.0, shift=0.0), tol, max_iter,
-                cg_tol, cell_volume,
-                start=self._first_mode(np.ones(self.shape[:self.m])))
+            raise ValueError("only an exact separable solver has a "
+                             "closed-form eigenpair")
         if self.m == 1:
             diag = 2.0 * self.inv_h2 + self.mu[0] * self.W
             entries = diag.tolist()
@@ -621,15 +620,14 @@ class SeparableSolver:
         v = self._first_mode(v)
         v /= float(np.linalg.norm(v))
         # B v and then the residual B v - lam v, in A v's buffer, with
-        # lam v formed a block of rows at a time; the buffer is freed before
-        # phi1 is scaled, in v's array.
+        # lam v formed a block of A's product plan at a time; the buffer is
+        # freed before phi1 is scaled, in v's array.
         Bv = A.apply(v)
         np.negative(Bv, out=Bv)
         lam = float(v @ Bv)
-        for start in range(0, v.size, BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
+        for rows, _ in A.plan:
             Bv[rows] -= lam * v[rows]
         residual = float(np.linalg.norm(Bv))
         del Bv
-        return _eigen_result(A, v, lam, residual, steps, "separable",
+        return _eigen_result(v, lam, residual, steps, "separable",
                              cell_volume)

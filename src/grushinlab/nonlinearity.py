@@ -298,7 +298,8 @@ def _first_round(fun, x, fx):
     for lo in range(0, x.size - 1, _BLOCK):
         a, b = x[:-1][lo:lo + _BLOCK], x[1:][lo:lo + _BLOCK]
         fa, fb = fx[:-1][lo:lo + _BLOCK], fx[1:][lo:lo + _BLOCK]
-        m = a + b
+        with np.errstate(over="ignore"):   # a == b >= 8.99e307 overflows
+            m = a + b
         m *= 0.5
         fm = fun(m)
         S = _simpson_rule(a, b, fa, fm, fb)

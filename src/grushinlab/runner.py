@@ -41,7 +41,8 @@ import numpy as np
 from .diagnostics import (_FIELDS, EnergyTracker, emit_svg_plot, write_csv,
                           write_lines, write_table)
 from .geometry import BoxDomain, GrushinSpace, build_grid
-from .integrator import InitialCondition, SimConfig, build_initial_condition, run
+from .integrator import (_COUNTERS, InitialCondition, SimConfig,
+                         build_initial_condition, run)
 from .linalg import smallest_eigenpair
 from .nonlinearity import (Nonlinearity, Power, _samples, check_f_positive,
                            parse_expression)
@@ -491,9 +492,7 @@ def _sim_block(records, final=None, error=None) -> dict:
         "t_final": of_final("t", last.t),
         "t_blow": of_final("t_blow"),
         "steps": of_final("steps"),
-        "attempts": of_final("attempts"),
-        "rejected": of_final("rejected"),
-        "solver_iterations": of_final("solver_iterations"),
+        **{name: of_final(name) for name in _COUNTERS},
         "dt_accepted": None if dt_accepted is None else list(dt_accepted),
         "reason": of_final("reason", error),
         "final_supnorm": last.supnorm if final is None else final.supnorm,
@@ -586,9 +585,8 @@ def _share(rows, **built) -> None:
 def _eigenpair(cfg: ExperimentConfig, A):
     """First eigenpair of the assembled operator under the config's ``eigen``
     settings."""
-    return smallest_eigenpair(A, tol=cfg.eigen_tol,
-                              max_iter=cfg.eigen_max_iter,
-                              cg_tol=cfg.eigen_cg_tol)
+    return smallest_eigenpair(A, cfg.eigen_tol, cfg.eigen_max_iter,
+                              cfg.eigen_cg_tol)
 
 
 def _eigen_block(eig) -> dict:

@@ -362,6 +362,47 @@ class TestOneEntryPoint:
         assert A.solver.exact == (method == "separable")
         assert (eig.solver_iterations == 0) == (method == "separable")
 
+    def test_inexact_operator_takes_preconditioned_inverse_iteration(self):
+        # With m = 2 at gamma = 1.5 the weights differ on every x-node, so
+        # the solver is a preconditioner, and smallest_eigenpair returns
+        # inverse iteration preconditioned by it and started in the y-mode
+        # j = 1, constant in x.
+        grid, space, A = grushin_setup([(0.0, 1.0)] * 3, (3, 3, 3),
+                                       gamma=1.5, m=2)
+        solver = A.solver
+        assert not solver.exact
+        start = solver._first_mode(np.ones(grid.shape[:2]))
+        want = inverse_iteration(A, lambda r: solver.solve(r, 1.0, shift=0.0),
+                                 cell_volume=grid.cell_volume, start=start)
+        got = smallest_eigenpair(A)
+        assert got.method == want.method == "inverse-iteration"
+        assert got.lambda1 == want.lambda1
+        assert got.phi1.tobytes() == want.phi1.tobytes()
+        assert ((got.residual, got.iterations, got.solver_iterations)
+                == (want.residual, want.iterations, want.solver_iterations))
+
+    @pytest.mark.parametrize("name", ["blowup_cubic.json", "blowup_m2.json"])
+    def test_exact_eigenpair_reads_no_iterative_setting(self, name):
+        # Settings no iteration could meet in one step change no byte of an
+        # exact eigenpair.
+        cfg = parse_config(config_path(name))
+        _, _, A = grushin_setup(cfg.domain.bounds, cfg.cells, cfg.space.gamma,
+                                m=cfg.space.m)
+        assert A.solver.exact
+        want = smallest_eigenpair(A)
+        got = smallest_eigenpair(A, tol=1e-30, max_iter=1, cg_tol=1e-30)
+        assert (got.method, got.lambda1, got.residual, got.iterations,
+                got.solver_iterations) == (want.method, want.lambda1,
+                                           want.residual, want.iterations,
+                                           want.solver_iterations)
+        assert got.phi1.tobytes() == want.phi1.tobytes()
+
+    def test_inexact_eigensolve_keeps_its_budget(self):
+        # At m = 2, gamma = 1.5 the settings reach inverse iteration.
+        _, _, A = grushin_setup([(-1.0, 1.0)] * 3, (6, 6, 6), gamma=1.5, m=2)
+        with pytest.raises(NonConvergence):
+            smallest_eigenpair(A, max_iter=1)
+
     def test_hand_built_matrix_has_no_eigensolve_or_march(self):
         # Only assemble_grushin gives a matrix a solver.
         A = diag_matrix([-3.0, -1.0, -2.0])
@@ -472,7 +513,7 @@ class TestSeparableSolver:
     ])
     def test_dense_oracle_agreement(self, bounds, cells):
         grid, space, A = grushin_setup(bounds, cells, gamma=1.0)
-        eig = SeparableSolver(grid, space).eigenpair(A)
+        eig = SeparableSolver(grid, space).eigenpair(A, grid.cell_volume)
         dense = -dense_from_csr(A.n, A.indptr, A.indices, A.values)
         want = jacobi_eigenvalues(dense)[0]
         assert eig.lambda1 == pytest.approx(want, rel=1e-12)
@@ -483,7 +524,7 @@ class TestSeparableSolver:
         # gamma = 0 on the unit square: the sum of the two 1D eigenvalues.
         grid, space, A = grushin_setup([(0.0, 1.0), (0.0, 1.0)], (16, 12),
                                        gamma=0.0)
-        eig = SeparableSolver(grid, space).eigenpair(A)
+        eig = SeparableSolver(grid, space).eigenpair(A, grid.cell_volume)
         want = sum((2.0 * c * np.sin(np.pi / (2 * c))) ** 2 for c in (16, 12))
         assert eig.lambda1 == pytest.approx(want, rel=1e-13)
 
@@ -522,20 +563,15 @@ class TestSeparableSolver:
         got = SeparableSolver(grid, space).solve(b, 1.25)
         assert np.abs(got - x).max() <= 1e-13 * np.abs(x).max()
 
-    def test_inexact_solver_eigenpair_is_the_entry_point(self):
-        # With m = 2 at gamma = 1.5 the weights differ on every x-node, so
-        # the solver is a preconditioner, and its eigenpair is the one
-        # smallest_eigenpair returns, found by inverse iteration.
+    def test_eigenpair_refuses_an_inexact_solver(self):
+        # The closed form needs an exact solve; smallest_eigenpair sends an
+        # inexact operator to inverse iteration instead.
         grid, space, A = grushin_setup([(0.0, 1.0)] * 3, (3, 3, 3),
                                        gamma=1.5, m=2)
         solver = SeparableSolver(grid, space)
         assert not solver.exact
-        got, want = solver.eigenpair(A), smallest_eigenpair(A)
-        assert got.method == want.method == "inverse-iteration"
-        assert got.lambda1 == want.lambda1
-        assert got.phi1.tobytes() == want.phi1.tobytes()
-        assert ((got.residual, got.iterations, got.solver_iterations)
-                == (want.residual, want.iterations, want.solver_iterations))
+        with pytest.raises(ValueError, match="exact"):
+            solver.eigenpair(A, grid.cell_volume)
 
     def test_inexact_eigensolve_starts_in_the_first_y_mode(self):
         # From the all-ones vector this m = 2, gamma = 2 eigensolve stalled
@@ -571,7 +607,7 @@ class TestSeparableSolver:
         x = np.random.default_rng(7).standard_normal(grid.N)
         got = solver.solve(x - 1.25 * apply(A, x), 1.25)
         assert np.abs(got - x).max() <= 1e-13 * np.abs(x).max()
-        eig = solver.eigenpair(A)
+        eig = solver.eigenpair(A, grid.cell_volume)
         dense = -dense_from_csr(A.n, A.indptr, A.indices, A.values)
         assert eig.lambda1 == pytest.approx(jacobi_eigenvalues(dense)[0],
                                             rel=1e-12)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from grushinlab.nonlinearity import (MAX_DEPTH, DomainError, Expression,
                                      QuadratureError, f_values,
                                      sample_points)
 from grushinlab.theorems import BLOWUP, THEOREMS
+
+from oracles import F_values_reference
 
 
 class TestParser:
@@ -212,6 +215,20 @@ class TestAntiderivative:
         e = parse_expression("u/(u-1)")
         with pytest.raises(QuadratureError, match="settle"):
             F_values(e, np.array([1.9]))
+
+    def test_huge_repeated_value_fails_as_the_oracle_does(self):
+        # Two equal values of at least 8.99e307 bound a zero-width segment
+        # whose midpoint a + b overflows; that overflow warns of nothing,
+        # and the quadrature fails with the oracle's text.
+        e = parse_expression("u/(1+u)")
+        u = np.array([1e308, 1e308])
+        with pytest.raises(QuadratureError) as want:
+            F_values_reference(e, u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(QuadratureError) as got:
+                F_values(e, u)
+        assert str(got.value) == str(want.value)
 
     def test_non_finite_integrand_names_expression_and_segment(self):
         e = parse_expression("u*(2-u)^0.5")  # non-finite past u = 2

@@ -260,7 +260,7 @@ def test_first_sine_row_equals_row_zero_of_the_matrix(n):
 @given(operators(m=1))
 def test_separable_eigenpair_matches_inverse_iteration(case):
     grid, space, A, _ = case
-    eig = SeparableSolver(grid, space).eigenpair(A)
+    eig = SeparableSolver(grid, space).eigenpair(A, grid.cell_volume)
     phi = eig.phi1
     assert eig.residual <= 1e-12 * eig.lambda1
     assert abs(l2_norm_sq(grid, phi) - 1.0) <= 1e-12
@@ -311,7 +311,7 @@ def test_gamma_one_solve_matches_dense_operator(case, c, shift):
 @given(gamma_one_operators())
 def test_secular_eigenpair_matches_inverse_iteration(case):
     grid, space, A, _, _ = case
-    eig = SeparableSolver(grid, space).eigenpair(A)
+    eig = SeparableSolver(grid, space).eigenpair(A, grid.cell_volume)
     ref = inverse_iteration(A, identity, tol=1e-10,
                             cell_volume=grid.cell_volume)
     assert eig.method == "separable"

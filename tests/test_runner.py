@@ -3,10 +3,12 @@
 import collections
 import contextlib
 import copy
+import dataclasses
 import glob
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -615,6 +617,22 @@ class TestRunExperiment:
             assert rpt.eigen["solver_iterations"] == 0
         assert m2.sim["solver_iterations"] >= m2.sim["attempts"]
         assert m2.eigen["solver_iterations"] >= m2.eigen["iterations"]
+
+    def test_sim_block_has_a_key_for_every_counter(self):
+        # The march's work counters are named once: every zero-started field
+        # of a state is one, and the sim block copies each from a march that
+        # ended and gives each as null for one that raised.
+        counters = integrator._COUNTERS
+        assert set(counters) == {f.name for f in dataclasses.fields(
+            integrator.SimState) if f.default == 0}
+        final = integrator.SimState(t=0.5, u=np.ones(2), dt=0.1, steps=3,
+                                    status="completed", attempts=5,
+                                    rejected=2, solver_iterations=7)
+        records = [SimpleNamespace(t=0.5, supnorm=2.0)]
+        ended = runner._sim_block(records, final)
+        raised = runner._sim_block(records, error="RuntimeError: stop")
+        assert [ended[name] for name in counters] == [5, 2, 7]
+        assert [raised[name] for name in counters] == [None] * len(counters)
 
     def test_report_gives_the_accepted_step_range(self, tmp_path):
         # free_sine records every accepted step, so the record times'
